@@ -11,11 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Tape", "Node", "tensor", "backward", "elementwise",
+    "Tape", "Node", "tensor", "backward",
     "add", "sub", "mul", "neg", "scale", "exp", "log", "tanh", "sigmoid",
-    "relu", "softplus", "linear", "matvec", "matvec_t", "dot", "vsum",
+    "relu", "softplus", "linear", "matvec", "matvec_t", "vsum",
     "sumsq", "concat", "stack", "vslice", "row", "pick", "softmax",
-    "log_softmax", "add_n", "reshape", "transpose", "matmul", "add_col",
+    "log_softmax", "reshape", "transpose", "matmul", "add_col",
     "concat_rows", "rowslice", "softmax_cols",
 ]
 
@@ -267,26 +267,6 @@ def softplus(x: Node) -> Node:
     return Node(x.tape, val, (x,), "softplus", bw)
 
 
-_UNARY = {
-    "neg": neg, "exp": exp, "log": log, "tanh": tanh, "sigmoid": sigmoid,
-    "relu": relu, "softplus": softplus,
-}
-_BINARY = {"add": add, "sub": sub, "mul": mul}
-
-
-def elementwise(kind: str, x, y=None) -> Node:
-    """Dispatch an elementwise op by name; binary ops allow scalar broadcast."""
-    if kind in _UNARY:
-        if y is not None:
-            raise ValueError(f"{kind} is unary")
-        return _UNARY[kind](x)
-    if kind in _BINARY:
-        if y is None:
-            raise ValueError(f"{kind} needs two operands")
-        return _BINARY[kind](x, y)
-    raise ValueError(f"unknown elementwise op {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and structural operations
 
@@ -338,20 +318,6 @@ def matvec_t(A: Node, x: Node) -> Node:
     return Node(tape, val, (A, x), "matvec_t", bw)
 
 
-def dot(x: Node, y: Node) -> Node:
-    tape = _same_tape(x, y)
-    xv, yv = x.value, y.value
-    if xv.shape != yv.shape or xv.ndim != 1:
-        raise ValueError(f"dot: incompatible shapes {xv.shape}, {yv.shape}")
-    val = np.asarray(xv @ yv)
-
-    def bw(adj):
-        _acc(x, adj * yv)
-        _acc(y, adj * xv)
-
-    return Node(tape, val, (x, y), "dot", bw)
-
-
 def vsum(x: Node) -> Node:
     val = np.asarray(np.sum(x.value))
 
@@ -369,27 +335,6 @@ def sumsq(x: Node) -> Node:
         _acc(x, (2.0 * adj) * xv)
 
     return Node(x.tape, val, (x,), "sumsq", bw)
-
-
-def add_n(xs) -> Node:
-    """Sum a non-empty list of same-shaped nodes in one node."""
-    xs = list(xs)
-    if not xs:
-        raise ValueError("add_n of empty list")
-    tape = _same_tape(*xs)
-    shape = xs[0].value.shape
-    for n in xs[1:]:
-        if n.value.shape != shape:
-            raise ValueError("add_n: shape mismatch")
-    val = xs[0].value.copy()
-    for n in xs[1:]:
-        val += n.value
-
-    def bw(adj):
-        for n in xs:
-            _acc(n, adj)
-
-    return Node(tape, val, tuple(xs), "add_n", bw)
 
 
 def concat(parts) -> Node:
@@ -459,16 +404,21 @@ def row(A: Node, i: int) -> Node:
     return Node(A.tape, val, (A,), "row", bw)
 
 
-def pick(x: Node, i: int) -> Node:
-    if x.value.ndim != 1:
-        raise ValueError("pick expects a vector")
-    if not (0 <= i < x.value.shape[0]):
-        raise ValueError(f"pick index {i} out of range")
-    val = np.asarray(x.value[i])
+def pick(x: Node, index) -> Node:
+    """Entries of x at an int index (vector x) or a tuple of index arrays, one per axis."""
+    xv = x.value
+    idx = index if isinstance(index, tuple) else (index,)
+    if len(idx) != xv.ndim:
+        raise ValueError(f"pick needs {xv.ndim} index arrays, got {len(idx)}")
+    for ix, n in zip(idx, xv.shape):
+        ix = np.asarray(ix)
+        if ix.size and (ix.min() < 0 or ix.max() >= n):
+            raise ValueError(f"pick index out of range for axis of length {n}")
+    val = np.asarray(xv[idx])
 
     def bw(adj):
-        g = np.zeros_like(x.value)
-        g[i] = adj
+        g = np.zeros_like(xv)
+        np.add.at(g, idx, adj)
         _acc(x, g)
 
     return Node(x.tape, val, (x,), "pick", bw)
@@ -488,17 +438,17 @@ def softmax(x: Node) -> Node:
 
 
 def log_softmax(x: Node) -> Node:
+    """Log-softmax along the last axis (each row of a matrix separately)."""
     xv = x.value
-    if xv.ndim != 1 or xv.shape[0] == 0:
-        raise ValueError("log_softmax expects a non-empty vector")
-    m = np.max(xv)
-    shifted = xv - m
-    lse = m + np.log(np.sum(np.exp(shifted)))
+    if xv.ndim == 0 or xv.shape[-1] == 0:
+        raise ValueError("log_softmax expects a non-empty last axis")
+    m = np.max(xv, axis=-1, keepdims=True)
+    lse = m + np.log(np.sum(np.exp(xv - m), axis=-1, keepdims=True))
     val = xv - lse
     soft = np.exp(val)
 
     def bw(adj):
-        _acc(x, adj - soft * np.sum(adj))
+        _acc(x, adj - soft * np.sum(adj, axis=-1, keepdims=True))
 
     return Node(x.tape, val, (x,), "log_softmax", bw)
 

@@ -48,6 +48,17 @@ def _env_seed():
         raise CliError(f"TPPKIT_SEED must be an integer, got {raw!r}")
 
 
+def _read_json_object(path: Path, what: str) -> dict:
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise CliError(f"{what} {path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise CliError(f"{what} {path} must hold a JSON object")
+    return doc
+
+
 def _resolve(args, defaults: dict) -> dict:
     """flags > config file > defaults; returns a fully materialized dict."""
     file_cfg = {}
@@ -55,8 +66,7 @@ def _resolve(args, defaults: dict) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise CliError(f"config file not found: {path}")
-        with open(path) as fh:
-            file_cfg = json.load(fh)
+        file_cfg = _read_json_object(path, "config file")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
@@ -208,7 +218,7 @@ def run_train(cfg: dict) -> str:
 
 
 EVAL_DEFAULTS = {
-    "ckpt": None, "data": None, "out": "eval-out", "fakes": None, "parallel": 1,
+    "ckpt": None, "data": None, "out": "eval-out", "fakes": None,
 }
 
 
@@ -221,8 +231,7 @@ def run_eval(cfg: dict) -> str:
     model_cfg, params, _ = _load_ckpt(cfg["ckpt"])
     data = _load_dataset(cfg["data"])
     try:
-        report = evaluation.test_ll(model_cfg, params, data,
-                                    fake_count=cfg["fakes"], parallel=cfg["parallel"])
+        report = evaluation.test_ll(model_cfg, params, data, fake_count=cfg["fakes"])
     except ValueError as exc:
         raise CliError(str(exc))
     report.to_csv(outputs["report"])
@@ -347,7 +356,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--ckpt")
     p.add_argument("--data")
     p.add_argument("--fakes", type=int)
-    p.add_argument("--parallel", type=int)
 
     p = sub.add_parser("attn-graph", help="export the label-influence graph")
     common(p)
@@ -372,16 +380,19 @@ def main(argv=None) -> int:
         runner, defaults = _RUNNERS[args.subcommand]
         if args.from_manifest:
             manifest_path = _require_file(args.from_manifest, hint="run manifest")
-            with open(manifest_path) as fh:
-                manifest = json.load(fh)
+            manifest = _read_json_object(manifest_path, "manifest")
             if manifest.get("subcommand") != args.subcommand:
                 raise CliError(
                     f"manifest is for {manifest.get('subcommand')!r}, "
                     f"not {args.subcommand!r}")
-            cfg = manifest["config"]
+            cfg = manifest.get("config")
+            if not isinstance(cfg, dict):
+                raise CliError(f"manifest {manifest_path} lacks a config object")
             missing = set(defaults) - set(cfg)
             if missing:
                 raise CliError(f"manifest lacks keys: {sorted(missing)}")
+            # keys of retired options (eval's "parallel") are dropped
+            cfg = {key: cfg[key] for key in defaults}
         else:
             cfg = _resolve(args, defaults)
         summary = runner(cfg)

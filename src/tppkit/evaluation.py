@@ -116,25 +116,15 @@ def _check_labels(config: ModelConfig, dataset_label_count: int):
 
 
 def test_ll(config: ModelConfig, params: ModelParams, dataset: Dataset,
-            fake_count: int | None = None, parallel: int = 1) -> TestLLReport:
+            fake_count: int | None = None) -> TestLLReport:
     """Quadrature log-likelihood per stream and in total; params untouched."""
     _check_labels(config, dataset.label_count)
     k = config.fake_count if fake_count is None else fake_count
-
-    def score(item):
-        sid, stream = item
+    scores = []
+    for sid, stream in zip(dataset.stream_ids(), dataset.streams):
         seq = augment(stream, k)
-        fwd = forward(seq, params, config)
-        ll = quadrature_ll(seq, fwd.rate_values())
-        return StreamScore(sid, ll, len(stream), stream.horizon)
-
-    items = list(zip(dataset.stream_ids(), dataset.streams))
-    if parallel > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            scores = list(pool.map(score, items))
-    else:
-        scores = [score(it) for it in items]
+        ll = quadrature_ll(seq, forward(seq, params, config).rate_values())
+        scores.append(StreamScore(sid, ll, len(stream), stream.horizon))
     return TestLLReport(tuple(scores), float(sum(s.ll for s in scores)))
 
 

@@ -11,6 +11,8 @@ before token i.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import struct
 from dataclasses import dataclass
@@ -398,16 +400,7 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams, steps: int =
     """JSON header + flat little-endian float64 blob, field order as declared."""
     params.validate(config)
     header = {
-        "config": {
-            "label_count": config.label_count,
-            "channel_width": config.channel_width,
-            "embed_dim": config.embed_dim,
-            "memory_depth": config.memory_depth,
-            "fake_count": config.fake_count,
-            "hidden_width": config.hidden_width,
-            "time_scale": config.time_scale,
-            "bank_real_only": config.bank_real_only,
-        },
+        "config": dataclasses.asdict(config),
         "steps": int(steps),
         "order": [[name, list(getattr(params, name).shape)] for name in _PARAM_FIELDS],
     }
@@ -421,16 +414,41 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams, steps: int =
 
 
 def load_checkpoint(path):
-    """Returns (config, params, steps)."""
+    """Returns (config, params, steps); any malformed part raises ValueError.
+
+    The header must carry every ModelConfig field, the step count, and the
+    parameter order with the shapes that config implies.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a tppkit checkpoint")
-        (head_len,) = struct.unpack("<I", fh.read(4))
+        size = fh.read(4)
+        if len(size) != 4:
+            raise ValueError(f"{path}: truncated before the header length")
+        (head_len,) = struct.unpack("<I", size)
         header = json.loads(fh.read(head_len).decode("utf-8"))
         blob = fh.read()
-    config = ModelConfig(**header["config"])
+    if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
+        raise ValueError(f"{path}: header lacks a config object")
+    fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    cfg = header["config"]
+    missing = sorted(fields - set(cfg)) + [k for k in ("steps", "order") if k not in header]
+    if missing:
+        raise ValueError(f"{path}: header lacks {missing}")
+    unknown = sorted(set(cfg) - fields)
+    if unknown:
+        raise ValueError(f"{path}: header config has unknown fields {unknown}")
+    try:
+        config = ModelConfig(**cfg)
+        steps = int(header["steps"])
+        expected = [[name, list(shape)] for name, shape in ModelParams.shapes(config).items()]
+        for want, got in itertools.zip_longest(expected, header["order"]):
+            if want != got:
+                raise ValueError(f"{path}: header 'order' entry {got!r} does not match {want!r}")
+    except TypeError as exc:
+        raise ValueError(f"{path}: bad header value: {exc}") from None
     flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     params = ModelParams.from_flat(config, flat)
     params.validate(config)
-    return config, params, int(header["steps"])
+    return config, params, steps

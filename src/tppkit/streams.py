@@ -201,14 +201,20 @@ def load_stream(path) -> Dataset:
     meta_path = sidecar_path(path)
     if not meta_path.exists():
         raise StreamFormatError(f"missing metadata sidecar {meta_path}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise StreamFormatError(f"{meta_path}: not valid JSON ({exc})") from exc
     try:
         num_labels = int(meta["num_labels"])
         horizon = float(meta["horizon"])
     except (KeyError, TypeError, ValueError) as exc:
         raise StreamFormatError(f"{meta_path}: metadata needs num_labels and horizon") from exc
     label_names = meta.get("label_names")
+    if label_names is not None and (not isinstance(label_names, list)
+                                    or len(label_names) != num_labels):
+        raise StreamFormatError(f"{meta_path}: label_names must list {num_labels} names")
 
     per_stream: dict[str, list] = {}
     with open(path, newline="") as fh:

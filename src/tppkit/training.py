@@ -5,6 +5,10 @@ tokens: log terms at real events, and for every token an integral term
 dt * (sum of the real-label rates predicted at that token). Two regularizers
 oppose the maximized LL: a next-label cross-entropy (fake label included,
 EOS excluded) and the squared weights of the two rate layers.
+
+Each term is written once, as a few vectorized tape ops over the stacked
+(N, M+1) rate matrix. Training differentiates them on the forward tape;
+scoring evaluates the same functions on a rate array wrapped as a constant.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .model import ForwardResult, ModelConfig, ModelParams, forward
+from .model import ForwardResult, ModelConfig, ModelParams, ParamNodes, forward
 from .streams import AugmentedSequence, Dataset, TokenKind, augment
 
 __all__ = [
@@ -79,131 +83,113 @@ class TrainReport:
 
 
 # ---------------------------------------------------------------------------
-# objective terms, plain-value versions
+# objective terms: each is a few tape ops over the (N, M+1) rate matrix whose
+# row i holds the channel rates predicted at tokens[i+1]
 
 
-def _dts(seq: AugmentedSequence) -> np.ndarray:
-    times = np.array([t.time for t in seq.tokens])
-    return np.diff(times)
+def quadrature_ll_node(seq: AugmentedSequence, rates: ad.Node) -> ad.Node:
+    """Piecewise-constant log-likelihood of the rate matrix.
 
-
-def quadrature_ll(seq: AugmentedSequence, rates) -> float:
-    """Piecewise-constant log-likelihood from rate vectors aligned to tokens[1:].
-
-    rates[i] holds the M+1 channel rates predicted at tokens[i+1]. Log terms
-    use the true label's rate at real tokens only; the integral term runs over
-    every token with the elapsed time since its predecessor and sums the M
-    real channels (the fake channel never enters).
+    Log terms use the true label's rate at real tokens only; the integral
+    term runs over every token with the elapsed time since its predecessor
+    and sums the M real channels (the fake channel never enters).
     """
-    rates = np.asarray(rates, dtype=np.float64)
+    toks = seq.tokens
     m = seq.label_count
-    if rates.shape != (len(seq.tokens) - 1, m + 1):
-        raise ValueError(f"rates must have shape {(len(seq.tokens) - 1, m + 1)}, got {rates.shape}")
-    dts = _dts(seq)
-    ll = 0.0
-    for i, tok in enumerate(seq.tokens[1:]):
-        if tok.kind is TokenKind.REAL:
-            r = rates[i, tok.label]
-            if r <= 0.0:
-                raise ValueError(f"non-positive rate {r} at real token index {i + 1}")
-            ll += math.log(r)
-        ll -= float(dts[i]) * float(np.sum(rates[i, :m]))
-    return float(ll)
+    dts = np.diff([t.time for t in toks])
+    labels = np.array([t.label for t in toks[1:]], dtype=np.intp)
+    rows = np.flatnonzero([t.kind is TokenKind.REAL for t in toks[1:]])
+    widths = np.zeros((len(dts), m + 1))
+    widths[:, :m] = dts[:, None]
+    log_terms = ad.vsum(ad.log(ad.pick(rates, (rows, labels[rows]))))
+    return ad.sub(log_terms, ad.vsum(ad.mul(rates, widths)))
 
 
-def prediction_loss(seq: AugmentedSequence, rates) -> float:
+def prediction_loss_node(seq: AugmentedSequence, rates: ad.Node) -> ad.Node:
     """Mean next-label cross-entropy of softmax over the M+1 rates.
 
     Targets are the real and fake tokens after BOS (fake tokens target the
-    fake label); EOS is excluded. Zero when the sequence has no targets.
+    fake label, which every non-real token carries); EOS is excluded. Zero
+    when the sequence has no targets.
     """
+    toks = seq.tokens[1:]
+    rows = np.flatnonzero([t.kind is not TokenKind.EOS for t in toks])
+    targets = np.array([t.label for t in toks], dtype=np.intp)[rows]
+    picked = ad.pick(ad.log_softmax(rates), (rows, targets))
+    return ad.scale(ad.vsum(picked), -1.0 / max(len(rows), 1))
+
+
+def weight_penalty_node(pn: ParamNodes) -> ad.Node:
+    """Sum of squared entries of the two rate-layer weight matrices (no biases)."""
+    return ad.add(ad.sumsq(pn.f1_w), ad.sumsq(pn.f2_w))
+
+
+def _rate_array(seq: AugmentedSequence, rates) -> np.ndarray:
     rates = np.asarray(rates, dtype=np.float64)
-    losses = []
+    shape = (len(seq.tokens) - 1, seq.label_count + 1)
+    if rates.shape != shape:
+        raise ValueError(f"rates must have shape {shape}, got {rates.shape}")
+    return rates
+
+
+def quadrature_ll(seq: AugmentedSequence, rates) -> float:
+    """quadrature_ll_node on a plain (len(tokens)-1, M+1) rate array."""
+    rates = _rate_array(seq, rates)
     for i, tok in enumerate(seq.tokens[1:]):
-        if tok.kind is TokenKind.EOS:
-            continue
-        target = tok.label if tok.kind is TokenKind.REAL else seq.fake_label
-        v = rates[i]
-        mx = np.max(v)
-        lse = mx + math.log(np.sum(np.exp(v - mx)))
-        losses.append(lse - v[target])
-    return float(np.mean(losses)) if losses else 0.0
+        if tok.kind is TokenKind.REAL and rates[i, tok.label] <= 0.0:
+            raise ValueError(f"non-positive rate {rates[i, tok.label]} at real token index {i + 1}")
+    return float(quadrature_ll_node(seq, ad.Tape().const(rates)).value)
+
+
+def prediction_loss(seq: AugmentedSequence, rates) -> float:
+    """prediction_loss_node on a plain (len(tokens)-1, M+1) rate array."""
+    rates = _rate_array(seq, rates)
+    return float(prediction_loss_node(seq, ad.Tape().const(rates)).value)
 
 
 def weight_penalty(params: ModelParams) -> float:
-    """Sum of squared entries of the two rate-layer weight matrices (no biases)."""
-    return float(np.sum(params.f1_w**2) + np.sum(params.f2_w**2))
+    """weight_penalty_node on plain parameter arrays."""
+    return float(weight_penalty_node(ParamNodes.create(ad.Tape(), params)).value)
 
 
-# ---------------------------------------------------------------------------
-# objective terms, tape versions (these are what training differentiates)
-
-
-def quadrature_ll_node(fwd: ForwardResult) -> ad.Node:
-    seq = fwd.seq
-    m = seq.label_count
-    dts = _dts(seq)
-    tape = fwd.tape
-    log_terms = []
-    integral_terms = []
-    for i, tok in enumerate(seq.tokens[1:]):
-        if tok.kind is TokenKind.REAL:
-            log_terms.append(ad.log(ad.pick(fwd.rates[i], tok.label)))
-        integral_terms.append(ad.scale(ad.vsum(ad.vslice(fwd.rates[i], 0, m)), dts[i]))
-    integral = ad.add_n(integral_terms)
-    if log_terms:
-        return ad.sub(ad.add_n(log_terms), integral)
-    return ad.sub(tape.const(0.0), integral)
-
-
-def prediction_loss_node(fwd: ForwardResult) -> ad.Node:
-    seq = fwd.seq
-    terms = []
-    for i, tok in enumerate(seq.tokens[1:]):
-        if tok.kind is TokenKind.EOS:
-            continue
-        target = tok.label if tok.kind is TokenKind.REAL else seq.fake_label
-        terms.append(ad.neg(ad.pick(ad.log_softmax(fwd.rates[i]), target)))
-    if not terms:
-        return fwd.tape.const(0.0)
-    return ad.scale(ad.add_n(terms), 1.0 / len(terms))
-
-
-def weight_penalty_node(fwd: ForwardResult) -> ad.Node:
-    return ad.add(ad.sumsq(fwd.params.f1_w), ad.sumsq(fwd.params.f2_w))
-
-
-def objective_node(fwd: ForwardResult, cfg: TrainConfig) -> ad.Node:
-    """LL minus the weighted prediction and weight penalties (to maximize)."""
-    obj = quadrature_ll_node(fwd)
+def _objective_nodes(fwd: ForwardResult, cfg: TrainConfig):
+    """(objective, LL) nodes: LL minus the weighted prediction and weight penalties."""
+    rates = ad.stack(fwd.rates)
+    ll = quadrature_ll_node(fwd.seq, rates)
+    obj = ll
     if cfg.pred_weight > 0.0:
-        obj = ad.sub(obj, ad.scale(prediction_loss_node(fwd), cfg.pred_weight))
+        obj = ad.sub(obj, ad.scale(prediction_loss_node(fwd.seq, rates), cfg.pred_weight))
     if cfg.l2_weight > 0.0:
-        obj = ad.sub(obj, ad.scale(weight_penalty_node(fwd), cfg.l2_weight))
-    return obj
+        obj = ad.sub(obj, ad.scale(weight_penalty_node(fwd.params), cfg.l2_weight))
+    return obj, ll
 
 
 def objective(seq: AugmentedSequence, params: ModelParams, model_cfg: ModelConfig,
               train_cfg: TrainConfig) -> float:
-    fwd = forward(seq, params, model_cfg)
-    return float(objective_node(fwd, train_cfg).value)
+    """The training objective (to maximize) for one sequence."""
+    obj, _ = _objective_nodes(forward(seq, params, model_cfg), train_cfg)
+    return float(obj.value)
 
 
 def objective_with_grads(seq: AugmentedSequence, params: ModelParams,
                          model_cfg: ModelConfig, train_cfg: TrainConfig):
-    """Returns (objective value, LL value, list of parameter gradients)."""
+    """Returns (objective value, LL value, list of parameter gradients).
+
+    Raises TrainingError when the objective or any gradient is non-finite.
+    """
     fwd = forward(seq, params, model_cfg)
-    ll_node = quadrature_ll_node(fwd)
-    obj = ll_node
-    if train_cfg.pred_weight > 0.0:
-        obj = ad.sub(obj, ad.scale(prediction_loss_node(fwd), train_cfg.pred_weight))
-    if train_cfg.l2_weight > 0.0:
-        obj = ad.sub(obj, ad.scale(weight_penalty_node(fwd), train_cfg.l2_weight))
+    obj, ll = _objective_nodes(fwd, train_cfg)
     value = float(obj.value)
     if not math.isfinite(value):
         raise TrainingError(_diagnose_nonfinite(fwd))
     ad.backward(fwd.tape, obj)
-    return value, float(ll_node.value), fwd.params.grads()
+    grads = fwd.params.grads()
+    for name, g in zip(params.names(), grads):
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(
+                f"non-finite gradient for {name} (objective {value}, "
+                f"minimum rate {np.min(fwd.rate_values())})")
+    return value, float(ll.value), grads
 
 
 def _diagnose_nonfinite(fwd: ForwardResult) -> str:

@@ -155,17 +155,10 @@ def test_backward_tanh_matvec_matches_fd():
     assert_grads_close(W.grad, numerical_grad(run, Wv.copy()))
 
 
-def test_elementwise_dispatch_and_shape_errors():
+def test_add_shape_mismatch_errors():
     t = ad.Tape()
-    x = t.leaf([1.0, 2.0])
-    y = t.leaf([3.0, 4.0])
-    assert np.allclose(ad.elementwise("add", x, y).value, [4.0, 6.0])
-    assert np.allclose(ad.elementwise("mul", x, 2.0).value, [2.0, 4.0])
-    assert np.allclose(ad.elementwise("tanh", x).value, np.tanh([1.0, 2.0]))
     with pytest.raises(ValueError):
-        ad.elementwise("add", x, t.leaf([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        ad.elementwise("frobnicate", x)
+        ad.add(t.leaf([1.0, 2.0]), t.leaf([1.0, 2.0, 3.0]))
 
 
 def test_log_checked_mode_rejects_nonpositive():
@@ -244,6 +237,27 @@ def test_stack_and_log_softmax_gradients():
     out = ad.pick(ad.log_softmax(vec), 1)
     ad.backward(t, out)
     assert_grads_close(x.grad, numerical_grad(run, xv.copy()))
+
+    # matrices: row-wise log-softmax, entries picked by (row, column) arrays,
+    # one entry picked twice
+    Xv = rng.normal(size=(3, 4))
+    rows, cols = np.array([0, 2, 2, 2]), np.array([1, 3, 0, 0])
+
+    def run_rows(X):
+        m = np.max(X, axis=1, keepdims=True)
+        ls = X - m - np.log(np.sum(np.exp(X - m), axis=1, keepdims=True))
+        return float(np.sum(ls[rows, cols]))
+
+    t = ad.Tape()
+    X = t.leaf(Xv)
+    out = ad.vsum(ad.pick(ad.log_softmax(X), (rows, cols)))
+    assert float(out.value) == pytest.approx(run_rows(Xv), abs=1e-12)
+    ad.backward(t, out)
+    assert_grads_close(X.grad, numerical_grad(run_rows, Xv.copy()))
+    with pytest.raises(ValueError):
+        ad.pick(X, (rows,))
+    with pytest.raises(ValueError):
+        ad.pick(X, (rows, cols + 1))
 
 
 def test_composed_functions_match_fd_many_seeds():

@@ -144,6 +144,19 @@ class TestTrainEvalPipeline:
                     "--stream", "s99", "--out", pipeline / "tx"])
         assert code == 1
 
+    def test_eval_replays_manifest_with_retired_parallel_key(self, pipeline):
+        # manifests written before --parallel was removed still replay
+        out = pipeline / "eval"
+        assert run(["eval", "--ckpt", pipeline / "train" / "model.ckpt",
+                    "--data", pipeline / "split" / "test.csv", "--out", out]) == 0
+        before = (out / "eval.csv").read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["parallel"] = 4
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run(["eval", "--from-manifest", out / "manifest.json"]) == 0
+        assert (out / "eval.csv").read_bytes() == before
+        assert "parallel" not in json.loads((out / "manifest.json").read_text())["config"]
+
     def test_ckpt_data_label_mismatch(self, pipeline, tmp_path):
         gen5 = tmp_path / "gen5"
         assert run(["gen-pgem", "--labels", 5, "--streams", 2, "--horizon", 50,
@@ -178,6 +191,18 @@ class TestManifestReplay:
         assert run(["gen-pgem", "--config", cfg, "--labels", 4, "--out", b]) == 0
         manifest = json.loads((b / "manifest.json").read_text())
         assert manifest["config"]["labels"] == 4
+
+    def test_malformed_config_json_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"labels": 2,')
+        assert run(["gen-pgem", "--config", cfg, "--out", tmp_path / "x"]) == 1
+        assert str(cfg) in capsys.readouterr().err
+
+    def test_malformed_manifest_json_exits_1(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("{not json")
+        assert run(["gen-pgem", "--from-manifest", manifest]) == 1
+        assert str(manifest) in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -61,11 +61,6 @@ class TestTestLL:
         with pytest.raises(ValueError, match="labels"):
             evaluation.test_ll(self.cfg, self.params, data)
 
-    def test_parallel_matches_serial(self):
-        serial = evaluation.test_ll(self.cfg, self.params, self.data, parallel=1)
-        threaded = evaluation.test_ll(self.cfg, self.params, self.data, parallel=4)
-        assert serial == threaded
-
     def test_csv_total_row(self, tmp_path):
         report = evaluation.test_ll(self.cfg, self.params, self.data)
         p = tmp_path / "eval.csv"

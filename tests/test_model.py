@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -419,14 +421,14 @@ def test_ll_gradient_three_labels_five_events():
     seq = make_seq([1.0, 2.5, 4.0, 6.5, 8.0], [0, 1, 2, 1, 0], 10.0, 3, k=1)
 
     fwd = forward(seq, params, cfg)
-    node = quadrature_ll_node(fwd)
+    node = quadrature_ll_node(seq, ad.stack(fwd.rates))
     ad.backward(fwd.tape, node)
     flat = np.concatenate([g.ravel() for g in fwd.params.grads()])
 
     def f(theta):
         p = ModelParams.from_flat(cfg, theta)
         res = forward(seq, p, cfg)
-        return float(quadrature_ll_node(res).value)
+        return float(quadrature_ll_node(seq, ad.stack(res.rates)).value)
 
     fd = numerical_grad(f, params.flatten())
     assert_grads_close(flat, fd)
@@ -448,6 +450,38 @@ class TestCheckpoint:
         p = tmp_path / "bogus.ckpt"
         p.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
+            load_checkpoint(p)
+
+    @staticmethod
+    def rewrite_header(path, edit):
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + n])
+        edit(header)
+        head = json.dumps(header).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(head)) + head + raw[12 + n:])
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda h: h.pop("steps"), "steps"),
+        (lambda h: h["config"].pop("fake_count"), "fake_count"),
+        (lambda h: h["config"].update(depth=2), "depth"),
+        (lambda h: h["order"][5].__setitem__(1, [9, 9]), "f1_w"),
+        (lambda h: h["order"].pop(), "f2_b"),
+    ], ids=["no-steps", "no-fake-count", "unknown-field", "bad-shape", "short-order"])
+    def test_incomplete_header_names_field(self, tmp_path, edit, field):
+        p = tmp_path / "model.ckpt"
+        cfg = tiny_config()
+        save_checkpoint(p, cfg, ModelParams.init(cfg, seed=1), steps=3)
+        self.rewrite_header(p, edit)
+        with pytest.raises(ValueError, match=field):
+            load_checkpoint(p)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        p = tmp_path / "model.ckpt"
+        cfg = tiny_config()
+        save_checkpoint(p, cfg, ModelParams.init(cfg, seed=1))
+        p.write_bytes(p.read_bytes()[:10])
+        with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(p)
 
     def test_byte_stable(self, tmp_path):

@@ -82,6 +82,17 @@ class TestLoadSave:
         with pytest.raises(StreamFormatError, match="d.meta.json"):
             load_stream(p)
 
+    @pytest.mark.parametrize("meta", [
+        '{"num_labels": 2, "horizon": 4',
+        '{"num_labels": 2, "horizon": 4, "label_names": ["a"]}',
+    ])
+    def test_bad_sidecar_names_file(self, tmp_path, meta):
+        p = tmp_path / "d.csv"
+        p.write_text("stream_id,time,label\ns0,1.0,0\n")
+        (tmp_path / "d.meta.json").write_text(meta)
+        with pytest.raises(StreamFormatError, match=r"d\.meta\.json"):
+            load_stream(p)
+
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(42)
         streams = []

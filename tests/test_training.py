@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tppkit.model import ModelConfig, ModelParams, forward
+import tppkit.autodiff as ad
+from tppkit.model import ModelConfig, ModelParams, ParamNodes, forward
 from tppkit.pgem import exact_ll, rate_at, sample_spec, simulate
 from tppkit.streams import Dataset, Epoch, EventStream, TokenKind, augment
 from tppkit.training import (
@@ -75,15 +76,29 @@ class TestQuadratureLL:
             quadrature_ll(seq, rates)
 
     def test_node_version_matches_values(self):
+        # the node on a forward pass's stacked rates against a per-token
+        # loop, and its rate gradient against the closed form
         cfg = ModelConfig(label_count=2, channel_width=3, embed_dim=4,
                           memory_depth=2, hidden_width=5)
         params = ModelParams.init(cfg, seed=3)
         s = make_stream([1.0, 2.5, 6.0], [0, 1, 0], 8.0, 2)
         seq = augment(s, 2)
         fwd = forward(seq, params, cfg)
-        node = quadrature_ll_node(fwd)
-        assert float(node.value) == pytest.approx(
-            quadrature_ll(seq, fwd.rate_values()), abs=1e-12)
+        rates = ad.stack(fwd.rates)
+        node = quadrature_ll_node(seq, rates)
+
+        r = fwd.rate_values()
+        expected, grad = 0.0, np.zeros_like(r)
+        for i, tok in enumerate(seq.tokens[1:]):
+            dt = tok.time - seq.tokens[i].time
+            if tok.kind is TokenKind.REAL:
+                expected += math.log(r[i, tok.label])
+                grad[i, tok.label] += 1.0 / r[i, tok.label]
+            expected -= dt * float(np.sum(r[i, :2]))
+            grad[i, :2] -= dt
+        assert float(node.value) == pytest.approx(expected, abs=1e-12)
+        ad.backward(fwd.tape, node)
+        assert np.allclose(rates.grad, grad, rtol=1e-12, atol=1e-14)
 
 
 class TestPredictionLoss:
@@ -124,15 +139,30 @@ class TestPredictionLoss:
             assert abs(prediction_loss(seq, rates) - expected) < 1e-12
 
     def test_node_version_matches_values(self):
+        # the node on a forward pass's stacked rates against a per-token
+        # cross-entropy, and its rate gradient against finite differences
         cfg = ModelConfig(label_count=2, channel_width=3, embed_dim=4,
                           memory_depth=1, hidden_width=5)
         params = ModelParams.init(cfg, seed=8)
         s = make_stream([1.0, 4.0], [1, 0], 6.0, 2)
         seq = augment(s, 1)
         fwd = forward(seq, params, cfg)
-        node = prediction_loss_node(fwd)
-        assert float(node.value) == pytest.approx(
-            prediction_loss(seq, fwd.rate_values()), abs=1e-12)
+        rates = ad.stack(fwd.rates)
+        node = prediction_loss_node(seq, rates)
+
+        def cross_entropy(r):
+            losses = []
+            for i, tok in enumerate(seq.tokens[1:]):
+                if tok.kind is TokenKind.EOS:
+                    continue
+                target = tok.label if tok.kind is TokenKind.REAL else 2
+                losses.append(math.log(sum(math.exp(v) for v in r[i])) - r[i, target])
+            return sum(losses) / len(losses)
+
+        r = fwd.rate_values()
+        assert float(node.value) == pytest.approx(cross_entropy(r), abs=1e-12)
+        ad.backward(fwd.tape, node)
+        assert_grads_close(rates.grad, numerical_grad(cross_entropy, r.copy()))
 
 
 class TestWeightPenalty:
@@ -151,22 +181,20 @@ class TestWeightPenalty:
         assert weight_penalty(params) == pytest.approx(25.0, abs=1e-12)
 
     def test_gradient_is_twice_weights(self):
-        import tppkit.autodiff as ad
         cfg = ModelConfig(label_count=2, channel_width=2, hidden_width=3)
         params = ModelParams.init(cfg, seed=5)
-        s = make_stream([1.0], [0], 4.0, 2)
-        seq = augment(s, 0)
-        fwd = forward(seq, params, cfg)
-        node = weight_penalty_node(fwd)
-        ad.backward(fwd.tape, node)
-        assert np.allclose(fwd.params.f1_w.grad, 2.0 * params.f1_w, atol=1e-14)
-        assert np.allclose(fwd.params.f2_w.grad, 2.0 * params.f2_w, atol=1e-14)
+        tape = ad.Tape()
+        pn = ParamNodes.create(tape, params)
+        node = weight_penalty_node(pn)
+        ad.backward(tape, node)
+        assert np.allclose(pn.f1_w.grad, 2.0 * params.f1_w, atol=1e-14)
+        assert np.allclose(pn.f2_w.grad, 2.0 * params.f2_w, atol=1e-14)
 
         def f(w):
             return float(np.sum(w**2) + np.sum(params.f2_w**2))
 
         fd = numerical_grad(f, params.f1_w.copy())
-        assert_grads_close(fwd.params.f1_w.grad, fd)
+        assert_grads_close(pn.f1_w.grad, fd)
 
 
 class TestObjective:
@@ -200,6 +228,19 @@ class TestObjective:
 
         fd = numerical_grad(f, self.params.flatten())
         assert_grads_close(flat, fd)
+
+    def test_nonfinite_gradient_names_parameter(self):
+        # a subnormal rate at a real event: finite objective, infinite gradient
+        cfg = ModelConfig(label_count=2, time_scale=50.0)
+        params = ModelParams.init(cfg, seed=0)
+        params.f2_w[:] = 0.0
+        params.f2_b[:] = -738.0
+        seq = augment(make_stream([10.0, 20.0], [0, 1], 50.0, 2), 1)
+        tc = TrainConfig()
+        with np.errstate(all="ignore"):
+            assert math.isfinite(objective(seq, params, cfg, tc))
+            with pytest.raises(TrainingError, match="non-finite gradient for embedding"):
+                objective_with_grads(seq, params, cfg, tc)
 
 
 class TestTrain:
