@@ -4,14 +4,27 @@ Everything is desk-scale: values are small numpy arrays (scalars, vectors,
 matrices), the tape is rebuilt per sequence, and backward is a single reverse
 walk over the tape. Adjoints are computed in fresh per-call buffers and added
 into ``Node.grad``, so repeated ``backward`` calls accumulate.
+
+Tape lifetime: every node holds its tape and the tape lists every node, so a
+tape is one large reference cycle. Left alone, the cyclic garbage collector
+walks it again and again while it grows and frees it only in a late full
+collection. ``tape_scope()`` bounds that lifetime: inside it the collector is
+paused, and on exit every tape created inside is released (its node list is
+dropped), so reference counting frees the nodes at once. A released tape
+raises ``ValueError`` on a new node or on ``backward``. The scope pauses the
+process-wide collector, in line with the rule that a tape belongs to one
+thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
+
 import numpy as np
 
 __all__ = [
-    "Tape", "Node", "tensor", "backward",
+    "Tape", "Node", "tensor", "backward", "tape_scope",
     "add", "sub", "mul", "neg", "scale", "exp", "log", "tanh", "sigmoid",
     "relu", "softplus", "linear", "matvec", "matvec_t", "vsum",
     "sumsq", "concat", "stack", "vslice", "row", "pick", "softmax",
@@ -46,7 +59,10 @@ class Node:
         self._grad = None
         self._bw = bw
         self._adj = None
-        tape._nodes.append(self)
+        nodes = tape._nodes
+        if nodes is None:
+            raise ValueError(_RELEASED)
+        nodes.append(self)
 
     @property
     def grad(self) -> np.ndarray:
@@ -65,11 +81,20 @@ class Node:
         return f"Node(op={self.op!r}, shape={self.value.shape})"
 
 
+_RELEASED = "tape was released at the end of its tape_scope"
+
+# the tapes created in each open tape_scope, innermost scope last
+_scopes = []
+
+
 class Tape:
     """Ordered record of Nodes, rebuilt per sequence (define-by-run).
 
     A tape and its nodes belong to one thread. ``checked`` turns on
     value-domain validation (finite inputs, positive log arguments).
+    A tape created inside ``tape_scope()`` lives until the scope exits;
+    after that it is released and accepts neither new nodes nor
+    ``backward``.
     """
 
     __slots__ = ("_nodes", "checked")
@@ -77,18 +102,49 @@ class Tape:
     def __init__(self, checked: bool = False):
         self._nodes = []
         self.checked = checked
+        if _scopes:
+            _scopes[-1].append(self)
+
+    def _live_nodes(self) -> list:
+        if self._nodes is None:
+            raise ValueError(_RELEASED)
+        return self._nodes
 
     def __len__(self):
-        return len(self._nodes)
+        return len(self._live_nodes())
 
     def nodes(self):
-        return list(self._nodes)
+        return list(self._live_nodes())
 
     def leaf(self, data, op: str = "leaf") -> Node:
         return Node(self, tensor(data, checked=self.checked), (), op)
 
     def const(self, data) -> Node:
         return Node(self, tensor(data, checked=self.checked), (), "const")
+
+
+@contextlib.contextmanager
+def tape_scope():
+    """Pause the cyclic GC and release every tape created inside on exit.
+
+    Results the caller keeps must be plain values (floats, arrays): nodes of
+    a released tape are freed by reference counting once unreachable. The
+    collector is re-enabled only if this scope paused it, so nested scopes
+    and callers that disabled it themselves keep their setting.
+    """
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    tapes = []
+    _scopes.append(tapes)
+    try:
+        yield
+    finally:
+        _scopes.pop()
+        for tape in tapes:
+            tape._nodes = None
+        if paused:
+            gc.enable()
 
 
 def _same_tape(*nodes) -> Tape:
@@ -108,17 +164,19 @@ def backward(tape: Tape, root: Node):
     """Accumulate d(root)/d(node) into every node's grad; root must be scalar."""
     if root.value.shape != ():
         raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
-    nodes = tape._nodes
+    nodes = tape._live_nodes()
     for n in nodes:
         n._adj = None
     root._adj = np.ones((), dtype=np.float64)
-    for n in reversed(nodes):
-        if n._adj is not None and n._bw is not None:
-            n._bw(n._adj)
-    for n in nodes:
-        if n._adj is not None:
-            n._grad = n._adj.copy() if n._grad is None else n._grad + n._adj
-            n._adj = None
+    # non-finite adjoints are reported by the caller's gradient check, by name
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for n in reversed(nodes):
+            if n._adj is not None and n._bw is not None:
+                n._bw(n._adj)
+        for n in nodes:
+            if n._adj is not None:
+                n._grad = n._adj.copy() if n._grad is None else n._grad + n._adj
+                n._adj = None
 
 
 # ---------------------------------------------------------------------------

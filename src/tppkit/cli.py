@@ -37,6 +37,11 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise CliError(message)
 
+    def value_types(self) -> dict:
+        """Key -> the type its flag parses to (bool for on/off switches)."""
+        return {a.dest: type(a.const) if a.nargs == 0 else a.type or str
+                for a in self._actions}
+
 
 def _env_seed():
     raw = os.environ.get("TPPKIT_SEED")
@@ -59,7 +64,18 @@ def _read_json_object(path: Path, what: str) -> dict:
     return doc
 
 
-def _resolve(args, defaults: dict) -> dict:
+def _check_types(cfg: dict, types: dict, defaults: dict, source: str):
+    """Each value must have its flag's type; an int passes for a float, unconverted."""
+    for key, value in cfg.items():
+        want = types[key]
+        if value is None and defaults[key] is None:
+            continue
+        accepted = (int, float) if want is float else want
+        if not isinstance(value, accepted) or isinstance(value, bool) != (want is bool):
+            raise CliError(f"{source}: {key} must be {want.__name__}, got {value!r}")
+
+
+def _resolve(args, defaults: dict, types: dict) -> dict:
     """flags > config file > defaults; returns a fully materialized dict."""
     file_cfg = {}
     if getattr(args, "config", None):
@@ -70,6 +86,7 @@ def _resolve(args, defaults: dict) -> dict:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
+        _check_types(file_cfg, types, defaults, f"config file {path}")
     resolved = {}
     for key, default in defaults.items():
         flag_val = getattr(args, key, None)
@@ -309,6 +326,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tppkit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"tppkit {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = sub.choices
 
     def common(p):
         p.add_argument("--config", help="JSON file with defaults for any flag")
@@ -378,6 +396,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         runner, defaults = _RUNNERS[args.subcommand]
+        types = parser.subcommands[args.subcommand].value_types()
         if args.from_manifest:
             manifest_path = _require_file(args.from_manifest, hint="run manifest")
             manifest = _read_json_object(manifest_path, "manifest")
@@ -393,8 +412,9 @@ def main(argv=None) -> int:
                 raise CliError(f"manifest lacks keys: {sorted(missing)}")
             # keys of retired options (eval's "parallel") are dropped
             cfg = {key: cfg[key] for key in defaults}
+            _check_types(cfg, types, defaults, f"manifest {manifest_path}")
         else:
-            cfg = _resolve(args, defaults)
+            cfg = _resolve(args, defaults, types)
         summary = runner(cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

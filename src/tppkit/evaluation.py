@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .model import ModelConfig, ModelParams, forward
 from .streams import Dataset, EventStream, TokenKind, augment
 from .training import quadrature_ll
@@ -123,7 +124,8 @@ def test_ll(config: ModelConfig, params: ModelParams, dataset: Dataset,
     scores = []
     for sid, stream in zip(dataset.stream_ids(), dataset.streams):
         seq = augment(stream, k)
-        ll = quadrature_ll(seq, forward(seq, params, config).rate_values())
+        with ad.tape_scope():
+            ll = quadrature_ll(seq, forward(seq, params, config).rate_values())
         scores.append(StreamScore(sid, ll, len(stream), stream.horizon))
     return TestLLReport(tuple(scores), float(sum(s.ll for s in scores)))
 
@@ -144,9 +146,10 @@ def attention_graph(config: ModelConfig, params: ModelParams, dataset: Dataset,
     token_count = 0
     for stream in dataset.streams:
         seq = augment(stream, config.fake_count)
-        fwd = forward(seq, params, config)
-        token_count += len(fwd.rates)
-        for alpha, entries in fwd.attention:
+        with ad.tape_scope():
+            attention = forward(seq, params, config).attention
+        token_count += len(attention)
+        for alpha, entries in attention:
             if alpha is None:
                 continue
             for row, (_slot, q) in enumerate(entries):
@@ -170,8 +173,8 @@ def intensity_trace(config: ModelConfig, params: ModelParams,
     _check_labels(config, stream.label_count)
     k = config.fake_count if fake_count is None else fake_count
     seq = augment(stream, k)
-    fwd = forward(seq, params, config)
-    rates = fwd.rate_values()
+    with ad.tape_scope():
+        rates = forward(seq, params, config).rate_values()
     rows = []
     for i, tok in enumerate(seq.tokens[1:]):
         for label in range(config.label_count):

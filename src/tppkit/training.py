@@ -138,18 +138,21 @@ def quadrature_ll(seq: AugmentedSequence, rates) -> float:
     for i, tok in enumerate(seq.tokens[1:]):
         if tok.kind is TokenKind.REAL and rates[i, tok.label] <= 0.0:
             raise ValueError(f"non-positive rate {rates[i, tok.label]} at real token index {i + 1}")
-    return float(quadrature_ll_node(seq, ad.Tape().const(rates)).value)
+    with ad.tape_scope():
+        return float(quadrature_ll_node(seq, ad.Tape().const(rates)).value)
 
 
 def prediction_loss(seq: AugmentedSequence, rates) -> float:
     """prediction_loss_node on a plain (len(tokens)-1, M+1) rate array."""
     rates = _rate_array(seq, rates)
-    return float(prediction_loss_node(seq, ad.Tape().const(rates)).value)
+    with ad.tape_scope():
+        return float(prediction_loss_node(seq, ad.Tape().const(rates)).value)
 
 
 def weight_penalty(params: ModelParams) -> float:
     """weight_penalty_node on plain parameter arrays."""
-    return float(weight_penalty_node(ParamNodes.create(ad.Tape(), params)).value)
+    with ad.tape_scope():
+        return float(weight_penalty_node(ParamNodes.create(ad.Tape(), params)).value)
 
 
 def _objective_nodes(fwd: ForwardResult, cfg: TrainConfig):
@@ -167,8 +170,8 @@ def _objective_nodes(fwd: ForwardResult, cfg: TrainConfig):
 def objective(seq: AugmentedSequence, params: ModelParams, model_cfg: ModelConfig,
               train_cfg: TrainConfig) -> float:
     """The training objective (to maximize) for one sequence."""
-    obj, _ = _objective_nodes(forward(seq, params, model_cfg), train_cfg)
-    return float(obj.value)
+    with ad.tape_scope():
+        return float(_objective_nodes(forward(seq, params, model_cfg), train_cfg)[0].value)
 
 
 def objective_with_grads(seq: AugmentedSequence, params: ModelParams,
@@ -177,6 +180,11 @@ def objective_with_grads(seq: AugmentedSequence, params: ModelParams,
 
     Raises TrainingError when the objective or any gradient is non-finite.
     """
+    with ad.tape_scope():
+        return _objective_with_grads(seq, params, model_cfg, train_cfg)
+
+
+def _objective_with_grads(seq, params, model_cfg, train_cfg):
     fwd = forward(seq, params, model_cfg)
     obj, ll = _objective_nodes(fwd, train_cfg)
     value = float(obj.value)
@@ -238,8 +246,8 @@ def dataset_ll(dataset_seqs, params: ModelParams, model_cfg: ModelConfig) -> flo
     """Summed quadrature LL over pre-augmented sequences; no mutation."""
     total = 0.0
     for seq in dataset_seqs:
-        fwd = forward(seq, params, model_cfg)
-        total += quadrature_ll(seq, fwd.rate_values())
+        with ad.tape_scope():
+            total += quadrature_ll(seq, forward(seq, params, model_cfg).rate_values())
     return total
 
 

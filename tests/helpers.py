@@ -1,6 +1,10 @@
-"""Shared test utilities: finite-difference oracles and gradient comparison."""
+"""Shared test utilities: finite-difference oracles, gradient comparison and tape leaks."""
+
+import gc
 
 import numpy as np
+
+import tppkit.autodiff as ad
 
 
 def numerical_grad(f, x, h=1e-5):
@@ -31,3 +35,20 @@ def max_rel_err(a, b, floor=1e-4):
 def assert_grads_close(analytic, numeric, tol=1e-4, floor=1e-4):
     err = max_rel_err(analytic, numeric, floor=floor)
     assert err < tol, f"gradient mismatch: rel err {err:.3e} >= {tol:.1e}"
+
+
+def _tracked_nodes() -> int:
+    return sum(isinstance(o, ad.Node) for o in gc.get_objects())
+
+
+def assert_frees_its_tapes(call):
+    """call() leaves no Node for the cyclic GC, even with the caller's GC disabled."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = _tracked_nodes()
+        call()
+        assert _tracked_nodes() == before
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

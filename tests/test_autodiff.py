@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -309,3 +310,57 @@ def test_tape_topological_order():
         for p in n.parents:
             assert pos[id(p)] < pos[id(n)]
     assert order[-1] is z
+
+
+def test_tape_scope_releases_its_tapes():
+    with ad.tape_scope():
+        t = ad.Tape()
+        x = t.leaf([1.0, 2.0])
+        root = ad.vsum(ad.exp(x))
+        ad.backward(t, root)
+        assert np.allclose(x.grad, np.exp([1.0, 2.0]))
+    # a released tape fails loudly instead of giving zero gradients
+    with pytest.raises(ValueError, match="released"):
+        ad.backward(t, root)
+    with pytest.raises(ValueError, match="released"):
+        ad.exp(x)
+    with pytest.raises(ValueError, match="released"):
+        t.const(1.0)
+    with pytest.raises(ValueError, match="released"):
+        len(t)
+    # a tape made outside any scope is untouched
+    u = ad.Tape()
+    ad.backward(u, ad.vsum(u.leaf([3.0])))
+    assert len(u) == 2
+
+
+def test_tape_scope_nesting_and_gc_state():
+    assert gc.isenabled()
+    with ad.tape_scope():
+        assert not gc.isenabled()
+        outer = ad.Tape()
+        a = outer.leaf(1.0)
+        with ad.tape_scope():
+            inner = ad.Tape()
+            inner.leaf(2.0)
+        assert not gc.isenabled()
+        with pytest.raises(ValueError, match="released"):
+            inner.leaf(3.0)
+        ad.exp(a)  # the outer tape lives until its own scope exits
+        assert len(outer) == 2
+    assert gc.isenabled()
+    with pytest.raises(ValueError, match="released"):
+        outer.leaf(4.0)
+
+    # restored after an exception, and left off for a caller who turned it off
+    with pytest.raises(RuntimeError):
+        with ad.tape_scope():
+            raise RuntimeError("boom")
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with ad.tape_scope():
+            ad.Tape().leaf(1.0)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -209,6 +209,30 @@ class TestManifestReplay:
         cfg.write_text(json.dumps({"labelz": 2}))
         assert run(["gen-pgem", "--config", cfg, "--out", tmp_path / "x"]) == 1
 
+    def test_wrong_typed_config_value_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for bad in ({"labels": "x"}, {"streams": True}, {"labels": None},
+                    {"horizon": "20"}):
+            cfg.write_text(json.dumps(bad))
+            assert run(["gen-pgem", "--config", cfg, "--out", tmp_path / "x"]) == 1
+            err = capsys.readouterr().err
+            assert str(cfg) in err and f"{next(iter(bad))} must be" in err
+        # an int for a float key is kept as written; None stays where it is the default
+        cfg.write_text(json.dumps({"labels": 2, "streams": 1, "horizon": 20, "seed": None}))
+        assert run(["gen-pgem", "--config", cfg, "--out", tmp_path / "ok"]) == 0
+        manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+        assert manifest["config"]["horizon"] == 20
+        assert isinstance(manifest["config"]["horizon"], int)
+
+    def test_wrong_typed_manifest_value_exits_1(self, gen_dir, tmp_path, capsys):
+        manifest = json.loads((gen_dir / "manifest.json").read_text())
+        manifest["config"]["horizon"] = "20"
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert run(["gen-pgem", "--from-manifest", path]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "horizon must be float" in err
+
 
 class TestNumericalFailureExitCode:
     def test_divergent_training_exits_2(self, tmp_path):

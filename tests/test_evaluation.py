@@ -9,6 +9,7 @@ from tppkit.model import ModelConfig, ModelParams, forward
 from tppkit.pgem import NodeSpec, PgemSpec, simulate, simulate_dataset
 from tppkit.streams import Dataset, Epoch, EventStream, augment
 from tppkit.training import TrainConfig, quadrature_ll, train
+from helpers import assert_frees_its_tapes
 
 
 def small_config(m=2, **kw):
@@ -133,6 +134,15 @@ class TestAttentionGraph:
         params, _ = train(data, cfg, tc)
         g = attention_graph(cfg, params, data, threshold=0.01)
         assert any(q == 0 and k == 1 for q, k, _ in g.edges)
+
+
+def test_scoring_frees_its_tapes():
+    cfg = small_config()
+    params = ModelParams.init(cfg, seed=2)
+    data = random_dataset(np.random.default_rng(4))
+    assert_frees_its_tapes(lambda: evaluation.test_ll(cfg, params, data))
+    assert_frees_its_tapes(lambda: attention_graph(cfg, params, data, 0.01))
+    assert_frees_its_tapes(lambda: intensity_trace(cfg, params, data.streams[0]))
 
 
 def test_train_set_ll_equals_final_objective_without_penalties():

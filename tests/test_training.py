@@ -1,4 +1,6 @@
+import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +10,11 @@ from tppkit.model import ModelConfig, ModelParams, ParamNodes, forward
 from tppkit.pgem import exact_ll, rate_at, sample_spec, simulate
 from tppkit.streams import Dataset, Epoch, EventStream, TokenKind, augment
 from tppkit.training import (
-    TrainConfig, TrainingError, objective, objective_with_grads,
+    TrainConfig, TrainingError, dataset_ll, objective, objective_with_grads,
     prediction_loss, prediction_loss_node, quadrature_ll, quadrature_ll_node,
     train, weight_penalty, weight_penalty_node,
 )
-from helpers import assert_grads_close, numerical_grad
+from helpers import assert_frees_its_tapes, assert_grads_close, numerical_grad
 
 
 def constant_rate_vectors(seq, rates_by_channel):
@@ -229,18 +231,48 @@ class TestObjective:
         fd = numerical_grad(f, self.params.flatten())
         assert_grads_close(flat, fd)
 
-    def test_nonfinite_gradient_names_parameter(self):
+    @staticmethod
+    def subnormal_rate_case():
         # a subnormal rate at a real event: finite objective, infinite gradient
         cfg = ModelConfig(label_count=2, time_scale=50.0)
         params = ModelParams.init(cfg, seed=0)
         params.f2_w[:] = 0.0
         params.f2_b[:] = -738.0
-        seq = augment(make_stream([10.0, 20.0], [0, 1], 50.0, 2), 1)
+        return cfg, params, augment(make_stream([10.0, 20.0], [0, 1], 50.0, 2), 1)
+
+    def test_nonfinite_gradient_names_parameter(self):
+        cfg, params, seq = self.subnormal_rate_case()
         tc = TrainConfig()
         with np.errstate(all="ignore"):
             assert math.isfinite(objective(seq, params, cfg, tc))
             with pytest.raises(TrainingError, match="non-finite gradient for embedding"):
                 objective_with_grads(seq, params, cfg, tc)
+
+    def test_nonfinite_gradient_prints_no_numpy_warning(self):
+        cfg, params, seq = self.subnormal_rate_case()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match="non-finite gradient for embedding"):
+                objective_with_grads(seq, params, cfg, TrainConfig())
+        assert gc.isenabled()
+
+    def test_calls_free_their_tapes(self):
+        tc = TrainConfig(pred_weight=0.7, l2_weight=0.05)
+        rates = forward(self.seq, self.params, self.cfg).rate_values()
+        data = Dataset((make_stream([1.0, 3.0], [0, 1], 8.0, 2),), name="two")
+        calls = (
+            lambda: objective_with_grads(self.seq, self.params, self.cfg, tc),
+            lambda: objective(self.seq, self.params, self.cfg, tc),
+            lambda: dataset_ll([self.seq], self.params, self.cfg),
+            lambda: quadrature_ll(self.seq, rates),
+            lambda: prediction_loss(self.seq, rates),
+            lambda: weight_penalty(self.params),
+            lambda: train(data, self.cfg, TrainConfig(epochs=1), val_dataset=data),
+        )
+        for call in calls:
+            assert_frees_its_tapes(call)
+            call()
+            assert gc.isenabled()
 
 
 class TestTrain:
