@@ -2,8 +2,14 @@
 
 Everything is desk-scale: values are small numpy arrays (scalars, vectors,
 matrices), the tape is rebuilt per sequence, and backward is a single reverse
-walk over the tape. Adjoints are computed in fresh per-call buffers and added
-into ``Node.grad``, so repeated ``backward`` calls accumulate.
+walk over the tape. Adjoints are computed in fresh per-call buffers. An
+interior node sums its adjoint as the walk reaches it; a leaf (a weight) that
+is a matrix operand of ``linear``, ``matvec``, ``matvec_t`` or ``matmul``
+keeps each such adjoint as its two factors, and ``backward`` reduces them all
+with one matrix product at the end of the walk. A weight used once per token
+thus costs one matmul over all tokens, not one outer product per token. The
+results are added into ``Node.grad``, so repeated ``backward`` calls
+accumulate.
 
 Tape lifetime: every node holds its tape and the tape lists every node, so a
 tape is one large reference cycle. Left alone, the cyclic garbage collector
@@ -49,7 +55,7 @@ class Node:
     topological.
     """
 
-    __slots__ = ("tape", "value", "parents", "op", "_grad", "_bw", "_adj")
+    __slots__ = ("tape", "value", "parents", "op", "_grad", "_bw", "_adj", "_prods")
 
     def __init__(self, tape, value, parents=(), op="leaf", bw=None):
         self.tape = tape
@@ -59,6 +65,7 @@ class Node:
         self._grad = None
         self._bw = bw
         self._adj = None
+        self._prods = None
         nodes = tape._nodes
         if nodes is None:
             raise ValueError(_RELEASED)
@@ -160,13 +167,30 @@ def _acc(node: Node, g: np.ndarray):
     node._adj = g if node._adj is None else node._adj + g
 
 
+def _acc_prod(node: Node, left: np.ndarray, right: np.ndarray):
+    # the adjoint left @ right; a leaf defers it to one product in backward
+    if node._bw is not None:
+        _acc(node, left @ right)
+    elif node._prods is None:
+        node._prods = [(left, right)]
+    else:
+        node._prods.append((left, right))
+
+
 def backward(tape: Tape, root: Node):
-    """Accumulate d(root)/d(node) into every node's grad; root must be scalar."""
+    """Accumulate d(root)/d(node) into every node's grad; root must be scalar.
+
+    A leaf's matrix-product adjoints are kept as factor pairs during the
+    reverse walk and summed at its end by one product of the concatenated
+    factors, so a gradient differs from per-use accumulation only in
+    summation order.
+    """
     if root.value.shape != ():
         raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
     nodes = tape._live_nodes()
     for n in nodes:
         n._adj = None
+        n._prods = None
     root._adj = np.ones((), dtype=np.float64)
     # non-finite adjoints are reported by the caller's gradient check, by name
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -174,6 +198,10 @@ def backward(tape: Tape, root: Node):
             if n._adj is not None and n._bw is not None:
                 n._bw(n._adj)
         for n in nodes:
+            if n._prods is not None:
+                lefts, rights = zip(*n._prods)
+                _acc(n, np.concatenate(lefts, axis=1) @ np.concatenate(rights, axis=0))
+                n._prods = None
             if n._adj is not None:
                 n._grad = n._adj.copy() if n._grad is None else n._grad + n._adj
                 n._adj = None
@@ -340,7 +368,7 @@ def linear(W: Node, x: Node, b: Node) -> Node:
     val = Wv @ xv + bv
 
     def bw(adj):
-        _acc(W, adj[:, None] * xv[None, :])
+        _acc_prod(W, adj[:, None], xv[None, :])
         _acc(x, Wv.T @ adj)
         _acc(b, adj)
 
@@ -355,7 +383,7 @@ def matvec(A: Node, x: Node) -> Node:
     val = Av @ xv
 
     def bw(adj):
-        _acc(A, adj[:, None] * xv[None, :])
+        _acc_prod(A, adj[:, None], xv[None, :])
         _acc(x, Av.T @ adj)
 
     return Node(tape, val, (A, x), "matvec", bw)
@@ -370,7 +398,7 @@ def matvec_t(A: Node, x: Node) -> Node:
     val = Av.T @ xv
 
     def bw(adj):
-        _acc(A, xv[:, None] * adj[None, :])
+        _acc_prod(A, xv[:, None], adj[None, :])
         _acc(x, Av @ adj)
 
     return Node(tape, val, (A, x), "matvec_t", bw)
@@ -544,8 +572,8 @@ def matmul(A: Node, B: Node) -> Node:
     val = Av @ Bv
 
     def bw(adj):
-        _acc(A, adj @ Bv.T)
-        _acc(B, Av.T @ adj)
+        _acc_prod(A, adj, Bv.T)
+        _acc_prod(B, Av.T, adj)
 
     return Node(tape, val, (A, B), "matmul", bw)
 

@@ -57,7 +57,7 @@ def _read_json_object(path: Path, what: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # malformed JSON or undecodable bytes
+    except (ValueError, RecursionError) as exc:  # malformed, undecodable or too deep
         raise CliError(f"{what} {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise CliError(f"{what} {path} must hold a JSON object")
@@ -80,7 +80,7 @@ def _resolve(args, defaults: dict, types: dict) -> dict:
     file_cfg = {}
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
+        if not path.is_file():
             raise CliError(f"config file not found: {path}")
         file_cfg = _read_json_object(path, "config file")
         unknown = set(file_cfg) - set(defaults)
@@ -117,7 +117,7 @@ def _write_manifest(out_dir: Path, subcommand: str, cfg: dict, outputs: dict):
 
 def _require_file(path, hint=""):
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise CliError(f"missing file: {p}" + (f" ({hint})" if hint else ""))
     return p
 
@@ -125,7 +125,7 @@ def _require_file(path, hint=""):
 def _load_dataset(path):
     p = _require_file(path)
     meta = sidecar_path(p)
-    if not meta.exists():
+    if not meta.is_file():
         raise CliError(f"missing metadata sidecar {meta} (expected next to {p})")
     try:
         return load_stream(p)
@@ -415,6 +415,8 @@ def main(argv=None) -> int:
             _check_types(cfg, types, defaults, f"manifest {manifest_path}")
         else:
             cfg = _resolve(args, defaults, types)
+        if cfg.get("seed") is not None and cfg["seed"] < 0:
+            raise CliError(f"seed must be >= 0, got {cfg['seed']}")
         summary = runner(cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -413,6 +413,15 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams, steps: int =
         fh.write(blob)
 
 
+_HEADER_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def _check_header_type(path, name: str, value, kind: str):
+    # bool is an int subclass, so it passes only where a bool is expected
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _HEADER_TYPES[kind]):
+        raise ValueError(f"{path}: header field {name!r} must be {kind}, got {value!r}")
+
+
 def load_checkpoint(path):
     """Returns (config, params, steps); any malformed part raises ValueError.
 
@@ -427,7 +436,10 @@ def load_checkpoint(path):
         if len(size) != 4:
             raise ValueError(f"{path}: truncated before the header length")
         (head_len,) = struct.unpack("<I", size)
-        header = json.loads(fh.read(head_len).decode("utf-8"))
+        try:
+            header = json.loads(fh.read(head_len).decode("utf-8"))
+        except RecursionError:
+            raise ValueError(f"{path}: header nests too deeply") from None
         blob = fh.read()
     if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
         raise ValueError(f"{path}: header lacks a config object")
@@ -439,9 +451,12 @@ def load_checkpoint(path):
     unknown = sorted(set(cfg) - fields)
     if unknown:
         raise ValueError(f"{path}: header config has unknown fields {unknown}")
+    for f in dataclasses.fields(ModelConfig):
+        _check_header_type(path, f.name, cfg[f.name], f.type)
+    _check_header_type(path, "steps", header["steps"], "int")
     try:
         config = ModelConfig(**cfg)
-        steps = int(header["steps"])
+        steps = header["steps"]
         expected = [[name, list(shape)] for name, shape in ModelParams.shapes(config).items()]
         for want, got in itertools.zip_longest(expected, header["order"]):
             if want != got:

@@ -199,47 +199,54 @@ def load_stream(path) -> Dataset:
     """Load a CSV of streams with its sidecar; validates every row."""
     path = Path(path)
     meta_path = sidecar_path(path)
-    if not meta_path.exists():
+    if not meta_path.is_file():
         raise StreamFormatError(f"missing metadata sidecar {meta_path}")
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
-    except ValueError as exc:  # malformed JSON or undecodable bytes
+    except (ValueError, RecursionError) as exc:  # malformed, undecodable or too deep
         raise StreamFormatError(f"{meta_path}: not valid JSON ({exc})") from exc
     try:
         num_labels = int(meta["num_labels"])
         horizon = float(meta["horizon"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StreamFormatError(f"{meta_path}: metadata needs num_labels and horizon") from exc
+    if num_labels < 1:
+        raise StreamFormatError(f"{meta_path}: num_labels must be >= 1, got {num_labels}")
+    if not (math.isfinite(horizon) and horizon >= 0.0):
+        raise StreamFormatError(f"{meta_path}: horizon must be finite and >= 0, got {horizon}")
     label_names = meta.get("label_names")
     if label_names is not None and (not isinstance(label_names, list)
                                     or len(label_names) != num_labels):
         raise StreamFormatError(f"{meta_path}: label_names must list {num_labels} names")
 
     per_stream: dict[str, list] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["stream_id", "time", "label"]:
-            raise StreamFormatError(f"{path}:1: expected header stream_id,time,label")
-        for lineno, rowvals in enumerate(reader, start=2):
-            if not rowvals:
-                continue
-            if len(rowvals) != 3:
-                raise StreamFormatError(f"{path}:{lineno}: expected 3 fields, got {len(rowvals)}")
-            sid, time_s, label_s = rowvals
-            try:
-                time = float(time_s)
-                label = int(label_s)
-            except ValueError as exc:
-                raise StreamFormatError(f"{path}:{lineno}: malformed row") from exc
-            if not math.isfinite(time) or time < 0.0:
-                raise StreamFormatError(f"{path}:{lineno}: time must be finite and >= 0")
-            if time > horizon:
-                raise StreamFormatError(f"{path}:{lineno}: time {time} exceeds horizon {horizon}")
-            if not (0 <= label < num_labels):
-                raise StreamFormatError(f"{path}:{lineno}: label {label} >= num_labels {num_labels}")
-            per_stream.setdefault(sid, []).append((time, label, lineno))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["stream_id", "time", "label"]:
+                raise StreamFormatError(f"{path}:1: expected header stream_id,time,label")
+            for lineno, rowvals in enumerate(reader, start=2):
+                if not rowvals:
+                    continue
+                if len(rowvals) != 3:
+                    raise StreamFormatError(f"{path}:{lineno}: expected 3 fields, got {len(rowvals)}")
+                sid, time_s, label_s = rowvals
+                try:
+                    time = float(time_s)
+                    label = int(label_s)
+                except ValueError as exc:
+                    raise StreamFormatError(f"{path}:{lineno}: malformed row") from exc
+                if not math.isfinite(time) or time < 0.0:
+                    raise StreamFormatError(f"{path}:{lineno}: time must be finite and >= 0")
+                if time > horizon:
+                    raise StreamFormatError(f"{path}:{lineno}: time {time} exceeds horizon {horizon}")
+                if not (0 <= label < num_labels):
+                    raise StreamFormatError(f"{path}:{lineno}: label {label} >= num_labels {num_labels}")
+                per_stream.setdefault(sid, []).append((time, label, lineno))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise StreamFormatError(f"{path}: unreadable CSV ({exc})") from exc
 
     if not per_stream:
         raise StreamFormatError(f"{path}: no event rows")

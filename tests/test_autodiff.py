@@ -129,6 +129,43 @@ def test_backward_requires_scalar_root():
         ad.backward(t, ad.exp(x))
 
 
+def many_use_weight(seed=5, n_matvec=60):
+    """One leaf weight W used by many matvecs, a linear, matmul as A and B, and a mul.
+
+    Returns (tape, W node, scalar root, the sum of W's per-use adjoint
+    products written out, and the root as a numpy function of W).
+    """
+    rng = np.random.default_rng(seed)
+    Wv = rng.normal(size=(3, 3))
+    xs, cs = rng.normal(size=(n_matvec, 3)), rng.normal(size=(n_matvec, 3))
+    u, b, c = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
+    B0, D = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+    A0, E = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+    G = rng.normal(size=(3, 3))
+
+    def f(W):
+        return (sum(np.dot(ci, np.tanh(W @ xi)) for xi, ci in zip(xs, cs))
+                + np.dot(c, W @ u + b) + np.sum(D * (W @ B0))
+                + np.sum(E * (A0 @ W)) + np.sum(G * W))
+
+    t = ad.Tape()
+    W = t.leaf(Wv)
+    terms = [ad.vsum(ad.mul(t.const(ci), ad.tanh(ad.matvec(W, t.const(xi)))))
+             for xi, ci in zip(xs, cs)]
+    terms.append(ad.vsum(ad.mul(t.const(c), ad.linear(W, t.const(u), t.const(b)))))
+    terms.append(ad.vsum(ad.mul(t.const(D), ad.matmul(W, t.const(B0)))))
+    terms.append(ad.vsum(ad.mul(t.const(E), ad.matmul(t.const(A0), W))))
+    terms.append(ad.vsum(ad.mul(W, t.const(G))))
+    root = terms[0]
+    for term in terms[1:]:
+        root = ad.add(root, term)
+
+    expected = G + D @ B0.T + A0.T @ E + np.outer(c, u)
+    for xi, ci in zip(xs, cs):
+        expected = expected + np.outer(ci * (1.0 - np.tanh(Wv @ xi) ** 2), xi)
+    return t, W, root, expected, f
+
+
 def test_backward_accumulates_exactly():
     t = ad.Tape()
     x = t.leaf(2.0)
@@ -139,6 +176,20 @@ def test_backward_accumulates_exactly():
     ad.backward(t, z)
     assert x.grad == 2.0 * g1x
     assert y.grad == 2.0 * g1y
+
+    # a weight whose matrix-product adjoints are reduced at the end of backward
+    t, W, root, _, _ = many_use_weight()
+    ad.backward(t, root)
+    g1 = W.grad.copy()
+    ad.backward(t, root)
+    assert np.array_equal(W.grad, 2.0 * g1)
+
+
+def test_weight_used_many_times_sums_every_use():
+    t, W, root, expected, f = many_use_weight()
+    ad.backward(t, root)
+    assert np.max(np.abs(W.grad - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert_grads_close(W.grad, numerical_grad(f, W.value.copy()))
 
 
 def test_backward_tanh_matvec_matches_fd():

@@ -77,6 +77,30 @@ class TestSplit:
     def test_missing_data_flag(self, tmp_path):
         assert run(["split", "--out", tmp_path / "s"]) == 1
 
+    def test_data_path_that_is_no_file_exits_1(self, tmp_path, capsys):
+        # "" is the current directory, which has no sidecar name
+        assert run(["split", "--data", "", "--out", tmp_path / "s"]) == 1
+        assert capsys.readouterr().err.startswith("error: missing file")
+
+
+@pytest.mark.parametrize("meta, csv_bytes, named", [
+    ('{"num_labels": 1e999, "horizon": 10}', b"s0,1.0,0\n", "X.meta.json"),
+    ('{"num_labels": 2, "horizon": 1%s}' % ("0" * 400), b"s0,1.0,0\n", "X.meta.json"),
+    ('{"num_labels": 2, "horizon": NaN}', b"s0,1.0,0\n", "X.meta.json"),
+    ('{"num_labels": 2, "horizon": -1}', b"s0,1.0,0\n", "X.meta.json"),
+    ('{"num_labels": 2, "horizon": 10}', b"s0,1.0,0\n\xff\n", "X.csv"),
+], ids=["num-labels-overflow", "horizon-overflow", "horizon-nan", "horizon-negative",
+        "undecodable-csv"])
+def test_malformed_stream_file_exits_1(tmp_path, capsys, meta, csv_bytes, named):
+    data = tmp_path / "X.csv"
+    data.write_bytes(b"stream_id,time,label\n" + csv_bytes)
+    (tmp_path / "X.meta.json").write_text(meta)
+    code = run(["split", "--data", data, "--mode", "stream", "--fraction", 0.5,
+                "--out", tmp_path / "o"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path / named) in err
+
 
 class TestTrainEvalPipeline:
     @pytest.fixture()
@@ -203,6 +227,19 @@ class TestManifestReplay:
         manifest.write_text("{not json")
         assert run(["gen-pgem", "--from-manifest", manifest]) == 1
         assert str(manifest) in capsys.readouterr().err
+
+    def test_too_deeply_nested_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100000)
+        assert run(["gen-pgem", "--config", cfg, "--out", tmp_path / "x"]) == 1
+        assert str(cfg) in capsys.readouterr().err
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        assert run(["gen-pgem", "--seed", -3, "--out", tmp_path / "x"]) == 1
+        assert run(["gen-pgem", "--config", cfg, "--out", tmp_path / "y"]) == 1
+        assert capsys.readouterr().err.count("seed must be >= 0") == 2
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,7 +7,7 @@ import pytest
 
 import tppkit.autodiff as ad
 from tppkit.model import (
-    LstmState, MemoryBank, ModelConfig, ModelParams, ParamNodes, attend,
+    CHECKPOINT_MAGIC, LstmState, MemoryBank, ModelConfig, ModelParams, ParamNodes, attend,
     encode_token, forward, intensity, load_checkpoint, lstm_step,
     save_checkpoint,
 )
@@ -467,13 +467,24 @@ class TestCheckpoint:
         (lambda h: h["config"].update(depth=2), "depth"),
         (lambda h: h["order"][5].__setitem__(1, [9, 9]), "f1_w"),
         (lambda h: h["order"].pop(), "f2_b"),
-    ], ids=["no-steps", "no-fake-count", "unknown-field", "bad-shape", "short-order"])
+        (lambda h: h["config"].update(channel_width=2.0), "channel_width"),
+        (lambda h: h["config"].update(bank_real_only=1), "bank_real_only"),
+        (lambda h: h.update(steps=float("inf")), "steps"),
+    ], ids=["no-steps", "no-fake-count", "unknown-field", "bad-shape", "short-order",
+            "float-for-int", "int-for-bool", "infinite-steps"])
     def test_incomplete_header_names_field(self, tmp_path, edit, field):
         p = tmp_path / "model.ckpt"
         cfg = tiny_config()
         save_checkpoint(p, cfg, ModelParams.init(cfg, seed=1), steps=3)
         self.rewrite_header(p, edit)
         with pytest.raises(ValueError, match=field):
+            load_checkpoint(p)
+
+    def test_too_deeply_nested_header_rejected(self, tmp_path):
+        p = tmp_path / "model.ckpt"
+        head = b"[" * 100000
+        p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head)
+        with pytest.raises(ValueError, match="nests too deeply"):
             load_checkpoint(p)
 
     def test_truncated_file_rejected(self, tmp_path):

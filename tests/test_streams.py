@@ -85,12 +85,29 @@ class TestLoadSave:
     @pytest.mark.parametrize("meta", [
         '{"num_labels": 2, "horizon": 4',
         '{"num_labels": 2, "horizon": 4, "label_names": ["a"]}',
+        pytest.param('{"num_labels": 1e999, "horizon": 4}', id="num-labels-overflow"),
+        pytest.param('{"num_labels": 2, "horizon": 1%s}' % ("0" * 400), id="horizon-overflow"),
+        pytest.param('{"num_labels": 2, "horizon": NaN}', id="horizon-nan"),
+        pytest.param('{"num_labels": 2, "horizon": -1}', id="horizon-negative"),
+        pytest.param('{"num_labels": 0, "horizon": 4}', id="no-labels"),
+        pytest.param("[" * 100000, id="too-deep"),
     ])
     def test_bad_sidecar_names_file(self, tmp_path, meta):
         p = tmp_path / "d.csv"
         p.write_text("stream_id,time,label\ns0,1.0,0\n")
         (tmp_path / "d.meta.json").write_text(meta)
         with pytest.raises(StreamFormatError, match=r"d\.meta\.json"):
+            load_stream(p)
+
+    @pytest.mark.parametrize("body", [
+        b"s0,1.0,0\n\xff\n",
+        b'"' + b"x" * 200000 + b'"\n',
+    ], ids=["undecodable", "field-too-large"])
+    def test_unreadable_csv_names_file(self, tmp_path, body):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"stream_id,time,label\n" + body)
+        (tmp_path / "d.meta.json").write_text('{"num_labels": 2, "horizon": 4}')
+        with pytest.raises(StreamFormatError, match=r"d\.csv"):
             load_stream(p)
 
     def test_round_trip_identity(self, tmp_path):
