@@ -418,7 +418,7 @@ def main(argv=None) -> int:
         if cfg.get("seed") is not None and cfg["seed"] < 0:
             raise CliError(f"seed must be >= 0, got {cfg['seed']}")
         summary = runner(cfg)
-    except CliError as exc:
+    except (CliError, OSError) as exc:  # OSError: unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TrainingError as exc:

@@ -1,10 +1,15 @@
 """Proximal graphical event models: sampling, simulation, exact log-likelihood.
 
 Each label is a node whose arrival rate is a table lookup keyed by which of
-its parents produced at least one event inside a trailing window [t-w, t).
+its parents produced at least one event inside a trailing window of width w.
 Rates are therefore piecewise constant in time, which makes simulation exact
 (exponential candidates redrawn at every structural change point, valid by
 memorylessness) and the log-likelihood computable in closed form.
+
+The oracle (rate_at, build_trace, exact_ll) reads the rate at t from the
+strict history [t-w, t) with binary searches over per-label time arrays, so
+exact_ll costs O((events + segments) log events) per node; the simulator uses
+(t-w, t], the rate on the interval just after t.
 """
 
 from __future__ import annotations
@@ -99,10 +104,6 @@ class ChangePointTrace:
     breaks: np.ndarray          # length S+1, breaks[0] == 0, breaks[-1] == T
     rates: np.ndarray           # (S, M)
 
-    def segments(self):
-        for i in range(self.rates.shape[0]):
-            yield float(self.breaks[i]), float(self.breaks[i + 1]), self.rates[i]
-
     def integral(self) -> float:
         """Integral over [0, T] of the summed rate vector."""
         widths = np.diff(self.breaks)
@@ -127,45 +128,32 @@ def sample_spec(label_count: int, seed: int, config: GenConfig = GenConfig()) ->
     return PgemSpec(label_count, tuple(nodes))
 
 
-def _active_bits(node: NodeSpec, label_times: list, t: float, closed_right: bool) -> tuple:
-    """Activation vector at time t.
+def _label_times(spec: PgemSpec, stream: EventStream) -> list:
+    """One sorted array of event times per label."""
+    times, labels = stream.times(), stream.labels()
+    return [times[labels == k] for k in range(spec.label_count)]
 
-    closed_right=False uses the strict-history window [t-w, t); True uses
-    (t-w, t], the right-limit convention for the interval just after t.
-    """
-    bits = []
+
+def _rate_table(node: NodeSpec) -> list:
+    """Rates indexed by the activation bits read as a number, first parent most significant."""
+    return [node.rates[bits] for bits in itertools.product((0, 1), repeat=len(node.parents))]
+
+
+def _node_rates(node: NodeSpec, label_times: list, q: np.ndarray) -> np.ndarray:
+    """Strict-history rate of one node at each query time in q (windows [q-w, q))."""
+    table = np.array(_rate_table(node), dtype=np.float64)
+    index = np.zeros(len(q), dtype=np.intp)
     for p, w in zip(node.parents, node.windows):
         times = label_times[p]
-        active = 0
-        for s in reversed(times):
-            if closed_right:
-                if s <= t - w:
-                    break
-                if s <= t:
-                    active = 1
-                    break
-            else:
-                if s < t - w:
-                    break
-                if s < t:
-                    active = 1
-                    break
-        bits.append(active)
-    return tuple(bits)
+        index = 2 * index + (np.searchsorted(times, q) > np.searchsorted(times, q - w))
+    return table[index]
 
 
 def rate_at(spec: PgemSpec, stream: EventStream, t: float) -> np.ndarray:
     """Strict-history rate vector at time t (windows [t-w, t))."""
-    label_times = [[] for _ in range(spec.label_count)]
-    for e in stream.epochs:
-        if e.time >= t:
-            break
-        label_times[e.label].append(e.time)
-    return np.array(
-        [node.rates[_active_bits(node, label_times, t, closed_right=False)]
-         for node in spec.nodes],
-        dtype=np.float64,
-    )
+    label_times = _label_times(spec, stream)
+    q = np.array([t], dtype=np.float64)
+    return np.concatenate([_node_rates(node, label_times, q) for node in spec.nodes])
 
 
 def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:
@@ -174,18 +162,24 @@ def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:
     At the current time the rate vector is a table lookup; the next structural
     change is the earliest pending window expiry; one exponential candidate per
     node decides whether an event fires before it. Candidates are redrawn
-    after every event or change point. ``seed`` is anything accepted by
-    ``numpy.random.default_rng``.
+    after every event or change point. The rates hold on the interval just
+    after t, so a parent is active iff its latest event lies in (t-w, t].
+    ``seed`` is anything accepted by ``numpy.random.default_rng``.
     """
     rng = np.random.default_rng(seed)
-    label_times: list[list] = [[] for _ in range(spec.label_count)]
+    nodes = [(_rate_table(node), tuple(zip(node.parents, node.windows))) for node in spec.nodes]
+    last = [-math.inf] * spec.label_count  # latest event time per label
     parent_windows = spec.parent_windows()
     expiries: list[float] = []
     epochs = []
     t = 0.0
     while True:
-        rates = [node.rates[_active_bits(node, label_times, t, closed_right=True)]
-                 for node in spec.nodes]
+        rates = []
+        for table, edges in nodes:
+            index = 0
+            for p, w in edges:
+                index = 2 * index + (last[p] > t - w)
+            rates.append(table[index])
         draws = [t + rng.exponential(1.0 / r) for r in rates]
         k_star = int(np.argmin(draws))
         t_cand = draws[k_star]
@@ -194,7 +188,7 @@ def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:
             if t_cand > horizon:
                 break
             epochs.append(Epoch(t_cand, k_star))
-            label_times[k_star].append(t_cand)
+            last[k_star] = t_cand
             for w in parent_windows.get(k_star, ()):
                 heapq.heappush(expiries, t_cand + w)
             t = t_cand
@@ -210,26 +204,13 @@ def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:
 def build_trace(spec: PgemSpec, stream: EventStream) -> ChangePointTrace:
     """Piecewise-constant rate trace breaking at events and window expiries."""
     horizon = stream.horizon
-    points = {0.0, horizon}
-    parent_windows = spec.parent_windows()
-    for e in stream.epochs:
-        if 0.0 < e.time < horizon:
-            points.add(e.time)
-        for w in parent_windows.get(e.label, ()):
-            exp_t = e.time + w
-            if 0.0 < exp_t < horizon:
-                points.add(exp_t)
-    breaks = np.array(sorted(points), dtype=np.float64)
-
-    label_times: list[list] = [[] for _ in range(spec.label_count)]
-    for e in stream.epochs:
-        label_times[e.label].append(e.time)
-
-    rates = np.empty((len(breaks) - 1, spec.label_count), dtype=np.float64)
-    for i, (a, b) in enumerate(zip(breaks[:-1], breaks[1:])):
-        mid = 0.5 * (a + b)
-        for k, node in enumerate(spec.nodes):
-            rates[i, k] = node.rates[_active_bits(node, label_times, mid, closed_right=False)]
+    label_times = _label_times(spec, stream)
+    points = np.concatenate([stream.times()] + [
+        label_times[p] + w for p, ws in spec.parent_windows().items() for w in ws])
+    inner = points[(points > 0.0) & (points < horizon)].tolist()
+    breaks = np.array(sorted({0.0, horizon, *inner}), dtype=np.float64)
+    mids = 0.5 * (breaks[:-1] + breaks[1:])
+    rates = np.column_stack([_node_rates(node, label_times, mids) for node in spec.nodes])
     return ChangePointTrace(breaks, rates)
 
 
@@ -242,12 +223,13 @@ def exact_ll(spec: PgemSpec, stream: EventStream) -> float:
     """
     if stream.label_count != spec.label_count:
         raise ValueError("stream and spec disagree on label_count")
+    label_times = _label_times(spec, stream)
     log_sum = 0.0
-    for e in stream.epochs:
-        r = rate_at(spec, stream, e.time)[e.label]
-        if r <= 0.0:
+    for node, times in zip(spec.nodes, label_times):
+        r = _node_rates(node, label_times, times)
+        if np.any(r <= 0.0):
             return -math.inf
-        log_sum += math.log(r)
+        log_sum += float(np.sum(np.log(r)))
     return log_sum - build_trace(spec, stream).integral()
 
 

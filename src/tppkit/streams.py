@@ -206,11 +206,17 @@ def load_stream(path) -> Dataset:
             meta = json.load(fh)
     except (ValueError, RecursionError) as exc:  # malformed, undecodable or too deep
         raise StreamFormatError(f"{meta_path}: not valid JSON ({exc})") from exc
+    if not isinstance(meta, dict) or "num_labels" not in meta or "horizon" not in meta:
+        raise StreamFormatError(f"{meta_path}: metadata needs num_labels and horizon")
+    num_labels, horizon = meta["num_labels"], meta["horizon"]
+    if not isinstance(num_labels, int) or isinstance(num_labels, bool):
+        raise StreamFormatError(f"{meta_path}: num_labels must be an integer, got {num_labels!r}")
+    if not isinstance(horizon, (int, float)) or isinstance(horizon, bool):
+        raise StreamFormatError(f"{meta_path}: horizon must be a number, got {horizon!r}")
     try:
-        num_labels = int(meta["num_labels"])
-        horizon = float(meta["horizon"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise StreamFormatError(f"{meta_path}: metadata needs num_labels and horizon") from exc
+        horizon = float(horizon)
+    except OverflowError as exc:  # an integer beyond float range
+        raise StreamFormatError(f"{meta_path}: horizon is beyond the float range") from exc
     if num_labels < 1:
         raise StreamFormatError(f"{meta_path}: num_labels must be >= 1, got {num_labels}")
     if not (math.isfinite(horizon) and horizon >= 0.0):

@@ -1,6 +1,8 @@
-"""Shared test utilities: finite-difference oracles, gradient comparison and tape leaks."""
+"""Shared test utilities: finite-difference oracles, gradient comparison, tape leaks
+and a brute-force PGEM reference."""
 
 import gc
+import math
 
 import numpy as np
 
@@ -52,3 +54,31 @@ def assert_frees_its_tapes(call):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def pgem_rates_by_definition(spec, stream, q):
+    """PGEM rate vector at q: parent p with window w is active iff any(q - w <= s < q)
+    over p's event times s."""
+    rates = []
+    for node in spec.nodes:
+        bits = tuple(int(any(e.label == p and q - w <= e.time < q for e in stream.epochs))
+                     for p, w in zip(node.parents, node.windows))
+        rates.append(node.rates[bits])
+    return np.array(rates)
+
+
+def pgem_ll_by_definition(spec, stream):
+    """Log rates at the events minus the integral over a grid holding every event
+    and window expiry, each rate taken from the definition."""
+    horizon = stream.horizon
+    grid = {0.0, horizon}
+    for e in stream.epochs:
+        grid.add(e.time)
+        grid.update(e.time + w for node in spec.nodes
+                    for p, w in zip(node.parents, node.windows) if p == e.label)
+    grid = sorted(x for x in grid if x <= horizon)
+    integral = sum((b - a) * pgem_rates_by_definition(spec, stream, 0.5 * (a + b)).sum()
+                   for a, b in zip(grid[:-1], grid[1:]))
+    log_sum = sum(math.log(pgem_rates_by_definition(spec, stream, e.time)[e.label])
+                  for e in stream.epochs)
+    return log_sum - integral

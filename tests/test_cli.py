@@ -45,6 +45,15 @@ class TestGenPgem:
         assert (a / "streams.csv").read_bytes() == (b / "streams.csv").read_bytes()
         assert (a / "spec.json").read_bytes() == (b / "spec.json").read_bytes()
 
+    def test_unwritable_out_dir_exits_1(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code = run(["gen-pgem", "--out", afile / "sub"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "afile" in err
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TPPKIT_SEED", "5")
         a = tmp_path / "env"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from tppkit.pgem import (
     simulate_dataset,
 )
 from tppkit.streams import Epoch, EventStream
+
+from helpers import pgem_ll_by_definition, pgem_rates_by_definition
 
 
 def poisson_spec(rate=0.1):
@@ -113,6 +116,17 @@ class TestSimulate:
         assert s1.epochs == s2.epochs
         assert s1.epochs != s3.epochs
 
+    @pytest.mark.parametrize("labels, horizon, digest", [
+        (5, 500.0, "3c9925deea828dd5033895c0a1006f3990ba87aa3cdf4b50f8e0b88a1fffa3db"),
+        (20, 300.0, "d7ea3d9a0da5ad4afb96a7ff6a665d069c8bbaa6400cd21e4bbcc73193759f6b"),
+    ])
+    def test_epochs_pinned(self, labels, horizon, digest):
+        """The exact epochs are fixed: any change to the (t-w, t] lookup or to the
+        order of the random draws shows here."""
+        s = simulate(sample_spec(labels, seed=7), horizon, seed=3)
+        text = "".join(f"{e.time!r},{e.label}\n" for e in s.epochs)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_stream_invariants_hold(self):
         for seed in range(20):
             spec = sample_spec(4, seed=seed)
@@ -216,6 +230,57 @@ class TestExactLL:
         object.__setattr__(spec.nodes[0], "rates", {(): 0.0})
         s = EventStream((Epoch(1.0, 0),), 10.0, 1)
         assert exact_ll(spec, s) == -math.inf
+
+
+class TestAgainstDefinition:
+    """rate_at, build_trace and exact_ll against the window rule written out
+    event by event (tests/helpers.py)."""
+
+    CASES = [(1, 0, 1000.0), (2, 1, 500.0), (3, 2, 400.0), (5, 3, 300.0),
+             (5, 4, 300.0), (8, 5, 150.0), (20, 6, 80.0), (20, 7, 100.0)]
+    WINDOWS = (2.0, 5.0, 10.0)
+
+    def _stream(self, labels, seed, horizon):
+        config = GenConfig(windows=self.WINDOWS, rate_low=0.05, rate_high=0.3)
+        spec = sample_spec(labels, seed=seed, config=config)
+        return spec, simulate(spec, horizon, seed=seed + 40)
+
+    @pytest.mark.parametrize("labels, seed, horizon", CASES)
+    def test_rate_at(self, labels, seed, horizon):
+        spec, s = self._stream(labels, seed, horizon)
+        assert len(s) > 50
+        queries = [0.0, horizon] + np.random.default_rng(seed).uniform(0, horizon, 20).tolist()
+        for e in s.epochs[:30]:
+            queries.append(e.time)
+            queries += [e.time + w for w in self.WINDOWS]
+        for q in queries:
+            assert np.array_equal(rate_at(spec, s, q), pgem_rates_by_definition(spec, s, q))
+
+    @pytest.mark.parametrize("labels, seed, horizon", CASES)
+    def test_build_trace_and_exact_ll(self, labels, seed, horizon):
+        spec, s = self._stream(labels, seed, horizon)
+        trace = build_trace(spec, s)
+        for a, b, rates in zip(trace.breaks[:-1], trace.breaks[1:], trace.rates):
+            assert np.array_equal(rates, pgem_rates_by_definition(spec, s, 0.5 * (a + b)))
+        want = pgem_ll_by_definition(spec, s)
+        assert abs(exact_ll(spec, s) - want) <= 1e-12 * abs(want)
+
+    def test_window_edges(self):
+        # parent event at s=1.0, window w=2.0: active for q in (1.0, 3.0]
+        spec = chain_spec(window=2.0)
+        s = EventStream((Epoch(1.0, 0), Epoch(3.0, 1)), 5.0, 2)
+        for q, active in ((1.0, False), (2.0, True), (3.0, True),
+                          (math.nextafter(3.0, 4.0), False)):
+            want = 0.2 if active else 0.001
+            assert rate_at(spec, s, q)[1] == want
+            assert pgem_rates_by_definition(spec, s, q)[1] == want
+        # the child event at exactly q = s + w sees its parent
+        expected = math.log(0.05) + math.log(0.2) - 0.05 * 5.0 - (0.001 * 3.0 + 0.2 * 2.0)
+        assert exact_ll(spec, s) == pytest.approx(expected, rel=1e-12)
+        assert pgem_ll_by_definition(spec, s) == pytest.approx(expected, rel=1e-12)
+        trace = build_trace(spec, s)
+        assert trace.breaks.tolist() == [0.0, 1.0, 3.0, 5.0]
+        assert trace.rates[:, 1].tolist() == [0.001, 0.2, 0.001]
 
 
 class TestSerialization:

@@ -91,6 +91,14 @@ class TestLoadSave:
         pytest.param('{"num_labels": 2, "horizon": -1}', id="horizon-negative"),
         pytest.param('{"num_labels": 0, "horizon": 4}', id="no-labels"),
         pytest.param("[" * 100000, id="too-deep"),
+        pytest.param('{"num_labels": 2.7, "horizon": 4}', id="num-labels-float"),
+        pytest.param('{"num_labels": 2.0, "horizon": 4}', id="num-labels-integral-float"),
+        pytest.param('{"num_labels": true, "horizon": 4}', id="num-labels-bool"),
+        pytest.param('{"num_labels": "3", "horizon": 4}', id="num-labels-string"),
+        pytest.param('{"num_labels": 2, "horizon": "10"}', id="horizon-string"),
+        pytest.param('{"num_labels": 2, "horizon": true}', id="horizon-bool"),
+        pytest.param('{"num_labels": 2, "horizon": null}', id="horizon-null"),
+        pytest.param('[2, 4]', id="not-an-object"),
     ])
     def test_bad_sidecar_names_file(self, tmp_path, meta):
         p = tmp_path / "d.csv"
