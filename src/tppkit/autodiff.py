@@ -4,7 +4,7 @@ Everything is desk-scale: values are small numpy arrays (scalars, vectors,
 matrices), the tape is rebuilt per sequence, and backward is a single reverse
 walk over the tape. Adjoints are computed in fresh per-call buffers. An
 interior node sums its adjoint as the walk reaches it; a leaf (a weight) that
-is a matrix operand of ``linear``, ``matvec``, ``matvec_t`` or ``matmul``
+is a matrix operand of ``linear``, ``matvec`` or ``matmul``
 keeps each such adjoint as its two factors, and ``backward`` reduces them all
 with one matrix product at the end of the walk. A weight used once per token
 thus costs one matmul over all tokens, not one outer product per token. The
@@ -30,21 +30,13 @@ import gc
 import numpy as np
 
 __all__ = [
-    "Tape", "Node", "tensor", "backward", "tape_scope",
-    "add", "sub", "mul", "neg", "scale", "exp", "log", "tanh", "sigmoid",
-    "relu", "softplus", "linear", "matvec", "matvec_t", "vsum",
-    "sumsq", "concat", "stack", "vslice", "row", "pick", "softmax",
+    "Tape", "Node", "backward", "tape_scope",
+    "add", "sub", "mul", "scale", "exp", "log", "tanh", "sigmoid",
+    "relu", "softplus", "linear", "matvec", "vsum",
+    "sumsq", "concat", "stack", "vslice", "row", "pick",
     "log_softmax", "reshape", "transpose", "matmul", "add_col",
     "concat_rows", "rowslice", "softmax_cols",
 ]
-
-
-def tensor(data, checked: bool = True) -> np.ndarray:
-    """Coerce to a float64 array, rejecting NaN/Inf when checked."""
-    arr = np.asarray(data, dtype=np.float64, order="C")
-    if checked and not np.all(np.isfinite(arr)):
-        raise ValueError("tensor contains non-finite values")
-    return arr
 
 
 class Node:
@@ -97,18 +89,15 @@ _scopes = []
 class Tape:
     """Ordered record of Nodes, rebuilt per sequence (define-by-run).
 
-    A tape and its nodes belong to one thread. ``checked`` turns on
-    value-domain validation (finite inputs, positive log arguments).
-    A tape created inside ``tape_scope()`` lives until the scope exits;
-    after that it is released and accepts neither new nodes nor
-    ``backward``.
+    A tape and its nodes belong to one thread. A tape created inside
+    ``tape_scope()`` lives until the scope exits; after that it is released
+    and accepts neither new nodes nor ``backward``.
     """
 
-    __slots__ = ("_nodes", "checked")
+    __slots__ = ("_nodes",)
 
-    def __init__(self, checked: bool = False):
+    def __init__(self):
         self._nodes = []
-        self.checked = checked
         if _scopes:
             _scopes[-1].append(self)
 
@@ -124,10 +113,10 @@ class Tape:
         return list(self._live_nodes())
 
     def leaf(self, data, op: str = "leaf") -> Node:
-        return Node(self, tensor(data, checked=self.checked), (), op)
+        return Node(self, np.asarray(data, dtype=np.float64, order="C"), (), op)
 
     def const(self, data) -> Node:
-        return Node(self, tensor(data, checked=self.checked), (), "const")
+        return Node(self, np.asarray(data, dtype=np.float64, order="C"), (), "const")
 
 
 @contextlib.contextmanager
@@ -269,13 +258,6 @@ def mul(x, y) -> Node:
     return Node(tape, val, (x, y), "mul", bw)
 
 
-def neg(x: Node) -> Node:
-    def bw(adj):
-        _acc(x, -adj)
-
-    return Node(x.tape, -x.value, (x,), "neg", bw)
-
-
 def scale(x: Node, c: float) -> Node:
     """Multiply by a plain float constant (no constant node, no grad for c)."""
     c = float(c)
@@ -297,8 +279,6 @@ def exp(x: Node) -> Node:
 
 def log(x: Node) -> Node:
     xv = x.value
-    if x.tape.checked and np.any(xv <= 0.0):
-        raise ValueError("log of non-positive value")
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.log(xv)
 
@@ -387,21 +367,6 @@ def matvec(A: Node, x: Node) -> Node:
         _acc(x, Av.T @ adj)
 
     return Node(tape, val, (A, x), "matvec", bw)
-
-
-def matvec_t(A: Node, x: Node) -> Node:
-    """A.T @ x for A (n, m), x (n,) -> (m,)."""
-    tape = _same_tape(A, x)
-    Av, xv = A.value, x.value
-    if Av.ndim != 2 or xv.ndim != 1 or Av.shape[0] != xv.shape[0]:
-        raise ValueError(f"matvec_t: incompatible shapes {Av.shape}, {xv.shape}")
-    val = Av.T @ xv
-
-    def bw(adj):
-        _acc_prod(A, xv[:, None], adj[None, :])
-        _acc(x, Av @ adj)
-
-    return Node(tape, val, (A, x), "matvec_t", bw)
 
 
 def vsum(x: Node) -> Node:
@@ -508,19 +473,6 @@ def pick(x: Node, index) -> Node:
         _acc(x, g)
 
     return Node(x.tape, val, (x,), "pick", bw)
-
-
-def softmax(x: Node) -> Node:
-    xv = x.value
-    if xv.ndim != 1 or xv.shape[0] == 0:
-        raise ValueError("softmax expects a non-empty vector")
-    e = np.exp(xv - np.max(xv))
-    val = e / np.sum(e)
-
-    def bw(adj):
-        _acc(x, val * (adj - np.dot(val, adj)))
-
-    return Node(x.tape, val, (x,), "softmax", bw)
 
 
 def log_softmax(x: Node) -> Node:

@@ -421,6 +421,9 @@ def main(argv=None) -> int:
     except (CliError, OSError) as exc:  # OSError: unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # e.g. a sidecar's num_labels too large to allocate for
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except TrainingError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

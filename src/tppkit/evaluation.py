@@ -149,12 +149,12 @@ def attention_graph(config: ModelConfig, params: ModelParams, dataset: Dataset,
         with ad.tape_scope():
             attention = forward(seq, params, config).attention
         token_count += len(attention)
-        for alpha, entries in attention:
+        for alpha in attention:
             if alpha is None:
                 continue
-            for row, (_slot, q) in enumerate(entries):
-                # column k of alpha is channel k's alignment vector
-                sums[:, q] += alpha[row, :m]
+            # rows j..j+m-1 hold one record's labels in order; column k is channel k
+            for j in range(0, alpha.shape[0], m):
+                sums += alpha[j:j + m, :m].T
     if token_count == 0:
         raise ValueError("dataset produced no tokens to attend over")
     adjacency = sums / (token_count * config.memory_depth)

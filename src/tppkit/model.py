@@ -1,12 +1,14 @@
 """Multi-channel recurrent intensity network.
 
 One shared LSTM runs over the augmented token sequence; its hidden vector of
-size m*(M+1) is read as M+1 contiguous per-label channels. A memory bank keeps
-the channel slices from the most recent J tokens, and each channel attends
-over the bank (dot-product scores) to form a net hidden state. A small
-feed-forward stack maps [net state, elapsed time] to a positive rate via
-softplus. Rates for token i are always computed from the state strictly
-before token i.
+size m*(M+1) is read as M+1 contiguous per-label channels. The memory bank is
+one matrix of the real-label channel slices from the most recent J recorded
+tokens, oldest first (at most J*M rows of width m). All channels attend over
+it at once, as one (m, M+1) channel matrix with dot-product scores, to form
+their net hidden states (``attend``); a small feed-forward stack then maps
+each column [net state, elapsed time] to a positive rate via softplus
+(``intensity``).
+Rates for token i are always computed from the state strictly before token i.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from . import autodiff as ad
 from .streams import AugmentedSequence, Token, TokenKind
 
 __all__ = [
-    "ModelConfig", "ModelParams", "ParamNodes", "LstmState", "MemoryBank",
-    "ForwardResult", "encode_token", "lstm_step", "attend", "intensity",
-    "forward", "save_checkpoint", "load_checkpoint",
+    "ModelConfig", "ModelParams", "ParamNodes", "ForwardResult", "encode_token",
+    "lstm_step", "attend", "intensity", "forward", "save_checkpoint", "load_checkpoint",
 ]
 
 CHECKPOINT_MAGIC = b"TPPKIT\x00\x01"
@@ -196,61 +197,6 @@ class ParamNodes:
         return [n.grad for n in self.all()]
 
 
-@dataclass
-class LstmState:
-    """Hidden and cell vectors of length m*(M+1); channel k is slice [k*m, (k+1)*m)."""
-
-    h: ad.Node
-    c: ad.Node
-
-
-class MemoryBank:
-    """Real-label channel slices from the most recent ``depth`` recorded tokens.
-
-    Each push stores one post-token (M, m) matrix whose row q is label q's
-    channel slice; steps are ordered oldest to newest and capped at depth,
-    so the bank exposes at most depth * M attendable entries.
-    """
-
-    def __init__(self, depth: int, label_count: int):
-        self.depth = depth
-        self.label_count = label_count
-        self._steps = []        # each: (M, m) matrix node
-        self._stacked = None
-
-    def __len__(self):
-        return len(self._steps) * self.label_count
-
-    @property
-    def steps(self) -> int:
-        return len(self._steps)
-
-    def push(self, step_matrix: ad.Node):
-        if self.depth == 0:
-            return
-        if step_matrix.value.shape[0] != self.label_count:
-            raise ValueError("bank push needs one row per real label")
-        self._steps.append(step_matrix)
-        if len(self._steps) > self.depth:
-            self._steps.pop(0)
-        self._stacked = None
-
-    def entries(self):
-        """Flat (slot, label) index list aligned with stacked() rows; slot 0 is oldest."""
-        return [(j, q) for j in range(len(self._steps)) for q in range(self.label_count)]
-
-    def stacked(self) -> ad.Node | None:
-        """All entries as one (steps*M, m) matrix node, cached until next push."""
-        if not self._steps:
-            return None
-        if self._stacked is None:
-            if len(self._steps) == 1:
-                self._stacked = self._steps[0]
-            else:
-                self._stacked = ad.concat_rows(self._steps)
-        return self._stacked
-
-
 def encode_token(token: Token, pn: ParamNodes, config: ModelConfig) -> ad.Node:
     """Embedding row for the label (fake row for BOS/EOS/FAKE) plus scaled time."""
     label = token.label if token.kind is TokenKind.REAL else config.label_count
@@ -259,48 +205,57 @@ def encode_token(token: Token, pn: ParamNodes, config: ModelConfig) -> ad.Node:
     return ad.concat([emb, t])
 
 
-def lstm_step(x: ad.Node, state: LstmState, pn: ParamNodes) -> LstmState:
-    """Single LSTM cell update over the full multi-channel hidden vector."""
-    h_dim = state.h.value.shape[0]
-    z = ad.add(ad.linear(pn.lstm_wx, x, pn.lstm_b), ad.matvec(pn.lstm_wh, state.h))
+def lstm_step(x: ad.Node, state, pn: ParamNodes):
+    """One LSTM cell update over the full multi-channel hidden vector.
+
+    state is the (h, c) pair of vectors of length m*(M+1), channel k being
+    slice [k*m, (k+1)*m); returns the next (h, c).
+    """
+    h_prev, c_prev = state
+    h_dim = h_prev.value.shape[0]
+    z = ad.add(ad.linear(pn.lstm_wx, x, pn.lstm_b), ad.matvec(pn.lstm_wh, h_prev))
     i = ad.sigmoid(ad.vslice(z, 0, h_dim))
     f = ad.sigmoid(ad.vslice(z, h_dim, 2 * h_dim))
     g = ad.tanh(ad.vslice(z, 2 * h_dim, 3 * h_dim))
     o = ad.sigmoid(ad.vslice(z, 3 * h_dim, 4 * h_dim))
-    c = ad.add(ad.mul(f, state.c), ad.mul(i, g))
+    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
     h = ad.mul(o, ad.tanh(c))
-    return LstmState(h, c)
+    return h, c
 
 
-def attend(h_k: ad.Node, bank: MemoryBank, pn: ParamNodes):
-    """Net hidden state for one channel: tanh(W_c [context, h_k]).
+def attend(h_t: ad.Node, bank: ad.Node | None, pn: ParamNodes):
+    """Net states of all channels: column k is tanh(W_c [context_k, h_k]).
 
-    The context is the alignment-weighted average of the bank entries, with
-    dot-product scores against h_k; an empty bank yields a zero context.
-    Returns (net state, alignment node or None).
+    h_t is the (m, C) matrix whose column k is channel k's slice; bank is the
+    (rows, m) matrix of recorded channel slices, or None while it is empty.
+    Channel k's context is the alignment-weighted average of the bank rows,
+    with dot-product scores against h_k; an empty bank yields a zero context.
+    Returns the (m, C) net states and the (rows, C) alignment node (None for
+    an empty bank).
     """
-    tape = h_k.tape
-    stacked = bank.stacked()
-    if stacked is None:
+    if bank is None:
         alpha = None
-        context = tape.const(np.zeros(h_k.value.shape[0]))
+        contexts = h_t.tape.const(np.zeros(h_t.value.shape))
     else:
-        scores = ad.matvec(stacked, h_k)
-        alpha = ad.softmax(scores)
-        context = ad.matvec_t(stacked, alpha)
-    net = ad.tanh(ad.matvec(pn.attn_w, ad.concat([context, h_k])))
+        alpha = ad.softmax_cols(ad.matmul(bank, h_t))
+        contexts = ad.matmul(ad.transpose(bank), alpha)
+    net = ad.tanh(ad.matmul(pn.attn_w, ad.concat_rows([contexts, h_t])))
     return net, alpha
 
 
-def intensity(h_net_k: ad.Node, dt_scaled: float, pn: ParamNodes) -> ad.Node:
-    """Positive rate for one channel from its net state and elapsed time."""
-    if dt_scaled < 0.0:
+def intensity(net: ad.Node, dt_scaled, pn: ParamNodes) -> ad.Node:
+    """(C,) positive rates from the (m, C) net states and the elapsed time.
+
+    dt_scaled is one elapsed time for every column, or an array of one per
+    column.
+    """
+    dts = np.full((1, net.value.shape[1]), dt_scaled)
+    if np.any(dts < 0.0):
         raise ValueError("elapsed time must be >= 0")
-    tape = h_net_k.tape
-    z = ad.concat([h_net_k, tape.const(np.array([dt_scaled]))])
-    hidden = ad.relu(ad.linear(pn.f1_w, z, pn.f1_b))
-    out = ad.linear(pn.f2_w, hidden, pn.f2_b)
-    return ad.softplus(ad.vsum(out))
+    z = ad.concat_rows([net, net.tape.const(dts)])
+    hidden = ad.relu(ad.add_col(ad.matmul(pn.f1_w, z), pn.f1_b))
+    out = ad.add_col(ad.matmul(pn.f2_w, hidden), pn.f2_b)
+    return ad.softplus(ad.row(out, 0))
 
 
 @dataclass
@@ -308,10 +263,10 @@ class ForwardResult:
     """Rates and attention for one sequence, with the tape still attached.
 
     rates[i] is the (M+1,) vector node of channel rates predicted at
-    tokens[i+1]; attention[i] is an (alignments, entries) pair where
-    alignments is the (bank_size, M+1) array of per-channel alignment weights
-    recorded before tokens[i+1] (None while the bank is empty) and entries
-    lists the bank's (slot, label) indices row by row.
+    tokens[i+1]; attention[i] is the (rows, M+1) array of per-channel
+    alignment weights recorded before tokens[i+1], or None while the bank is
+    empty. Row j*M + q holds label q's channel slice from the j-th oldest
+    record in the bank.
     """
 
     tape: ad.Tape
@@ -325,25 +280,16 @@ class ForwardResult:
         return np.array([vec.value for vec in self.rates])
 
 
-def _bank_accepts(kind: TokenKind, config: ModelConfig) -> bool:
-    if config.bank_real_only:
-        return kind is TokenKind.REAL
-    return True
-
-
-def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,
-            checked: bool = False) -> ForwardResult:
+def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) -> ForwardResult:
     """Run the network over an augmented sequence.
 
-    For every token i >= 1: the state after token i-1 is sliced into channels,
-    each channel attends over the bank as of i-1, and the rate vector at t_i
-    is produced from (net state, t_i - t_{i-1}). Token i is then encoded,
-    stepped through the LSTM, and the bank records the new state's real-label
-    slices (after every token kind by default, only after real events when
-    config.bank_real_only is set).
-
-    All channels of a token are computed in one batched pass; the result is
-    identical to composing attend/intensity per channel (see the tests).
+    For every token i >= 1, the state after token i-1 is read as the (m, C)
+    channel matrix, all channels attend over the bank as of i-1 at once, and
+    the rate vector at t_i is produced from (net states, t_i - t_{i-1}).
+    Token i is then encoded and stepped through the LSTM. The bank records
+    the new state's real-label slices after every token kind by default, or
+    only after real events when config.bank_real_only is set, and keeps the
+    last memory_depth records.
     """
     if seq.label_count != config.label_count:
         raise ValueError(
@@ -351,44 +297,32 @@ def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,
     m = config.channel_width
     M = config.label_count
     C = config.channel_count
-    tape = ad.Tape(checked=checked)
+    depth = config.memory_depth
+    tape = ad.Tape()
     pn = ParamNodes.create(tape, params)
-    state = LstmState(tape.const(np.zeros(config.hidden_dim)),
-                      tape.const(np.zeros(config.hidden_dim)))
-    bank = MemoryBank(config.memory_depth, M)
+    state = (tape.const(np.zeros(config.hidden_dim)), tape.const(np.zeros(config.hidden_dim)))
+    records = []      # (M, m) row-slice nodes of the last `depth` records, oldest first
+    bank = None       # records stacked into one node; None until rebuilt after a record
 
     tokens = seq.tokens
-    state = lstm_step(encode_token(tokens[0], pn, config), state, pn)
-    channels = ad.reshape(state.h, (C, m))
-    if _bank_accepts(tokens[0].kind, config):
-        bank.push(ad.rowslice(channels, 0, M))
-
     rates = []
     attention = []
-    for i in range(1, len(tokens)):
-        tok = tokens[i]
-        dt = (tok.time - tokens[i - 1].time) / config.time_scale
-        h_t = ad.transpose(channels)                      # (m, C), column k = h_k
-        stacked = bank.stacked()
-        if stacked is None:
-            alpha = None
-            contexts = tape.const(np.zeros((m, C)))
-        else:
-            scores = ad.matmul(stacked, h_t)              # (bank, C)
-            alpha = ad.softmax_cols(scores)
-            contexts = ad.matmul(ad.transpose(stacked), alpha)
-        cat = ad.concat_rows([contexts, h_t])             # (2m, C)
-        net = ad.tanh(ad.matmul(pn.attn_w, cat))          # (m, C)
-        z = ad.concat_rows([net, tape.const(np.full((1, C), dt))])
-        hidden = ad.relu(ad.add_col(ad.matmul(pn.f1_w, z), pn.f1_b))
-        out = ad.add_col(ad.matmul(pn.f2_w, hidden), pn.f2_b)
-        rates.append(ad.softplus(ad.row(out, 0)))         # (C,)
-        attention.append((None if alpha is None else alpha.value, bank.entries()))
-
+    for i, tok in enumerate(tokens):
+        if i:
+            h_t = ad.transpose(channels)                  # (m, C), column k = h_k
+            if bank is None and records:
+                bank = records[0] if len(records) == 1 else ad.concat_rows(records)
+            net, alpha = attend(h_t, bank, pn)
+            dt = (tok.time - tokens[i - 1].time) / config.time_scale
+            rates.append(intensity(net, dt, pn))
+            attention.append(None if alpha is None else alpha.value)
         state = lstm_step(encode_token(tok, pn, config), state, pn)
-        channels = ad.reshape(state.h, (C, m))
-        if i < len(tokens) - 1 and _bank_accepts(tok.kind, config):
-            bank.push(ad.rowslice(channels, 0, M))
+        channels = ad.reshape(state[0], (C, m))
+        # the state after the last token is never attended, so it is not recorded
+        if (depth and i < len(tokens) - 1
+                and (tok.kind is TokenKind.REAL or not config.bank_real_only)):
+            records = (records + [ad.rowslice(channels, 0, M)])[-depth:]
+            bank = None
     return ForwardResult(tape, pn, rates, attention, seq)
 
 

@@ -149,11 +149,13 @@ def _node_rates(node: NodeSpec, label_times: list, q: np.ndarray) -> np.ndarray:
     return table[index]
 
 
-def rate_at(spec: PgemSpec, stream: EventStream, t: float) -> np.ndarray:
-    """Strict-history rate vector at time t (windows [t-w, t))."""
+def rate_at(spec: PgemSpec, stream: EventStream, times) -> np.ndarray:
+    """(len(times), M) strict-history rate vectors at the query times (windows [t-w, t))."""
     label_times = _label_times(spec, stream)
-    q = np.array([t], dtype=np.float64)
-    return np.concatenate([_node_rates(node, label_times, q) for node in spec.nodes])
+    q = np.asarray(times, dtype=np.float64)
+    if q.ndim != 1:
+        raise ValueError(f"rate_at takes a 1-d array of times, got shape {q.shape}")
+    return np.column_stack([_node_rates(node, label_times, q) for node in spec.nodes])
 
 
 def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:

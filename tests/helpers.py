@@ -1,5 +1,5 @@
-"""Shared test utilities: finite-difference oracles, gradient comparison, tape leaks
-and a brute-force PGEM reference."""
+"""Shared test utilities: finite-difference oracles, gradient comparison, tape leaks,
+a per-channel model reference and a brute-force PGEM reference."""
 
 import gc
 import math
@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 import tppkit.autodiff as ad
+from tppkit.streams import TokenKind
 
 
 def numerical_grad(f, x, h=1e-5):
@@ -54,6 +55,56 @@ def assert_frees_its_tapes(call):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def _sigmoid(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def forward_by_definition(seq, params, cfg):
+    """model.forward's rates and attention in plain numpy, with no tape: one token,
+    one channel and one bank entry at a time.
+
+    Returns the (len(tokens)-1, M+1) rate array and, per rate row, the
+    (entries, M+1) alignment array (None while the bank is empty), its rows
+    ordered oldest record first and by label within a record.
+    """
+    m, M, C, H = cfg.channel_width, cfg.label_count, cfg.channel_count, cfg.hidden_dim
+    p = params
+    h, c = np.zeros(H), np.zeros(H)
+    records = []  # each: the M real-label channel slices of one recorded state
+    rates, attention = [], []
+    for i, tok in enumerate(seq.tokens):
+        if i:
+            dt = (tok.time - seq.tokens[i - 1].time) / cfg.time_scale
+            entries = [e for record in records for e in record]
+            alpha = np.zeros((len(entries), C))
+            row = np.zeros(C)
+            for k in range(C):
+                h_k = h[k * m:(k + 1) * m]
+                context = np.zeros(m)
+                if entries:
+                    scores = np.array([float(e @ h_k) for e in entries])
+                    weights = np.exp(scores - scores.max())
+                    alpha[:, k] = weights / weights.sum()
+                    for a, e in zip(alpha[:, k], entries):
+                        context = context + a * e
+                net = np.tanh(p.attn_w @ np.concatenate([context, h_k]))
+                hidden = np.maximum(p.f1_w @ np.append(net, dt) + p.f1_b, 0.0)
+                out = float((p.f2_w @ hidden + p.f2_b)[0])
+                row[k] = math.log1p(math.exp(-abs(out))) + max(out, 0.0)
+            rates.append(row)
+            attention.append(alpha if entries else None)
+        label = tok.label if tok.kind is TokenKind.REAL else M
+        x = np.append(p.embedding[label], tok.time / cfg.time_scale)
+        z = p.lstm_wx @ x + p.lstm_b + p.lstm_wh @ h
+        gi, gf, gg, go = (z[g * H:(g + 1) * H] for g in range(4))
+        c = _sigmoid(gf) * c + _sigmoid(gi) * np.tanh(gg)
+        h = _sigmoid(go) * np.tanh(c)
+        if cfg.memory_depth and (tok.kind is TokenKind.REAL or not cfg.bank_real_only):
+            records.append([h[q * m:(q + 1) * m] for q in range(M)])
+            records = records[-cfg.memory_depth:]
+    return np.array(rates), attention
 
 
 def pgem_rates_by_definition(spec, stream, q):

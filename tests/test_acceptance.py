@@ -90,8 +90,7 @@ def test_criterion_3_quadrature_vs_oracle():
         exact = exact_ll(spec, stream)
         seq = augment(stream, 20)
         rates = np.ones((len(seq.tokens) - 1, spec.label_count + 1))
-        for i, tok in enumerate(seq.tokens[1:]):
-            rates[i, :spec.label_count] = rate_at(spec, stream, tok.time)
+        rates[:, :spec.label_count] = rate_at(spec, stream, [tok.time for tok in seq.tokens[1:]])
         rel = abs(quadrature_ll(seq, rates) - exact) / abs(exact)
         worst_rel = max(worst_rel, rel)
         checked += 1
@@ -202,7 +201,7 @@ def test_criterion_6_structural_invariants():
         labels = rng.integers(0, 3, size=len(times))
         stream = EventStream(tuple(Epoch(t, l) for t, l in zip(times, labels)), 20.0, 3)
         res = forward(augment(stream, 1), params, cfg)
-        for alpha, _entries in res.attention:
+        for alpha in res.attention:
             if alpha is None:
                 continue
             worst_simplex = max(worst_simplex,
@@ -217,12 +216,15 @@ def test_criterion_6_structural_invariants():
         p = ModelParams.init(small, seed=trial)
         for a in p.arrays():
             a *= rng.uniform(0.2, 5.0)
-        tape = ad.Tape()
-        pn = ParamNodes.create(tape, p)
+        nets, dts = [], []
         for _ in range(100):
-            lam = intensity(tape.const(rng.normal(scale=3.0, size=3)),
-                            float(rng.uniform(0.0, 50.0)), pn)
-            n_pos += lam.value > 0.0
+            nets.append(rng.normal(scale=3.0, size=3))
+            dts.append(float(rng.uniform(0.0, 50.0)))
+        # one column per draw through the batched rate head
+        tape = ad.Tape()
+        lam = intensity(tape.const(np.column_stack(nets)), np.array(dts),
+                        ParamNodes.create(tape, p))
+        n_pos += int(np.sum(lam.value > 0.0))
     positivity_ok = n_pos == 10_000
 
     # fake-epoch token-count formula on 1000 random streams

@@ -8,16 +8,6 @@ import tppkit.autodiff as ad
 from helpers import assert_grads_close, max_rel_err, numerical_grad
 
 
-def test_tensor_rejects_nonfinite_when_checked():
-    with pytest.raises(ValueError):
-        ad.tensor([1.0, np.nan])
-    with pytest.raises(ValueError):
-        ad.tensor([np.inf])
-    # unchecked construction passes through
-    arr = ad.tensor([np.inf], checked=False)
-    assert np.isinf(arr[0])
-
-
 def test_softplus_and_relu_values():
     t = ad.Tape()
     assert ad.softplus(t.leaf(0.0)).value == pytest.approx(math.log(2.0), abs=1e-12)
@@ -84,42 +74,45 @@ def test_linear_gradient_wrt_weights():
 
 def test_softmax_symmetry_and_stability():
     t = ad.Tape()
-    for c in (-5.0, 0.0, 123.4):
-        s = ad.softmax(t.leaf([c, c, c])).value
-        assert np.allclose(s, [1 / 3] * 3, atol=1e-15)
-    s = ad.softmax(t.leaf([1000.0, 0.0])).value
+    s = ad.softmax_cols(t.leaf([[-5.0, 0.0, 123.4]] * 3)).value
+    assert np.allclose(s, 1 / 3, atol=1e-15)
+    s = ad.softmax_cols(t.leaf([[1000.0, 0.0], [0.0, 1000.0]])).value
     assert np.all(np.isfinite(s))
-    assert s[0] == pytest.approx(1.0)
-    assert s[1] == pytest.approx(0.0, abs=1e-300)
+    assert s[0, 0] == pytest.approx(1.0) and s[1, 1] == pytest.approx(1.0)
+    assert s[1, 0] == pytest.approx(0.0, abs=1e-300)
+    assert s[0, 1] == pytest.approx(0.0, abs=1e-300)
 
 
 def test_softmax_simplex():
     rng = np.random.default_rng(0)
     t = ad.Tape()
     for _ in range(50):
-        v = rng.normal(scale=5.0, size=rng.integers(1, 9))
-        s = ad.softmax(t.leaf(v)).value
-        assert abs(np.sum(s) - 1.0) < 1e-12
+        v = rng.normal(scale=5.0, size=(rng.integers(1, 9), rng.integers(1, 4)))
+        s = ad.softmax_cols(t.leaf(v)).value
+        assert np.all(np.abs(np.sum(s, axis=0) - 1.0) < 1e-12)
         assert np.all(s > 0.0) and np.all(s < 1.0 + 1e-15)
 
 
 def test_softmax_empty_errors():
     t = ad.Tape()
     with pytest.raises(ValueError):
-        ad.softmax(t.leaf(np.zeros(0)))
+        ad.softmax_cols(t.leaf(np.zeros((0, 2))))
+    with pytest.raises(ValueError):
+        ad.softmax_cols(t.leaf(np.zeros(3)))
 
 
 def test_softmax_jacobian_finite_differences():
-    xv = np.array([0.2, -0.4, 1.0])
-    for j in range(3):
-        def comp(v, j=j):
-            e = np.exp(v - np.max(v))
-            return (e / e.sum())[j]
+    xv = np.array([[0.2, 1.5], [-0.4, 0.3], [1.0, -2.0]])
+    for i in range(3):
+        for j in range(2):
+            def comp(v, i=i, j=j):
+                e = np.exp(v - np.max(v, axis=0))
+                return (e / e.sum(axis=0))[i, j]
 
-        t = ad.Tape()
-        x = t.leaf(xv)
-        ad.backward(t, ad.pick(ad.softmax(x), j))
-        assert_grads_close(x.grad, numerical_grad(comp, xv.copy()))
+            t = ad.Tape()
+            x = t.leaf(xv)
+            ad.backward(t, ad.pick(ad.softmax_cols(x), (np.array(i), np.array(j))))
+            assert_grads_close(x.grad, numerical_grad(comp, xv.copy()))
 
 
 def test_backward_requires_scalar_root():
@@ -213,12 +206,6 @@ def test_add_shape_mismatch_errors():
         ad.add(t.leaf([1.0, 2.0]), t.leaf([1.0, 2.0, 3.0]))
 
 
-def test_log_checked_mode_rejects_nonpositive():
-    t = ad.Tape(checked=True)
-    with pytest.raises(ValueError):
-        ad.log(t.leaf([1.0, -2.0]))
-
-
 def test_scalar_broadcast_gradients():
     def run(c):
         return float(np.sum(np.array([1.0, 2.0, 3.0]) * c[()]))
@@ -246,14 +233,15 @@ def test_structural_ops_gradients():
     ad.backward(t, out)
     assert_grads_close(a.grad, numerical_grad(run_concat, av.copy()))
 
-    def run_matvec_t(A):
-        return float(np.sum(A.T @ av[:4]))
+    def run_transpose_matmul(A):
+        return float(np.sum(np.tanh(A.T @ Bv)))
 
+    Bv = rng.normal(size=(4, 2))
     t = ad.Tape()
     A = t.leaf(Av)
-    out = ad.vsum(ad.matvec_t(A, t.leaf(av[:4])))
+    out = ad.vsum(ad.tanh(ad.matmul(ad.transpose(A), t.leaf(Bv))))
     ad.backward(t, out)
-    assert_grads_close(A.grad, numerical_grad(run_matvec_t, Av.copy()))
+    assert_grads_close(A.grad, numerical_grad(run_transpose_matmul, Av.copy()))
 
     def run_slice(a):
         return float(np.sum(a[1:4] ** 2))
@@ -340,7 +328,8 @@ def test_composed_functions_match_fd_many_seeds():
         total = ad.add(
             ad.vsum(ad.mul(ad.sigmoid(h), ad.softplus(h))),
             ad.add(
-                ad.vsum(ad.mul(ad.softmax(h), ad.relu(h))),
+                ad.vsum(ad.mul(ad.reshape(ad.softmax_cols(ad.reshape(h, (3, 1))), (3,)),
+                               ad.relu(h))),
                 ad.log(ad.add(ad.vsum(ad.exp(h)), 1.0)),
             ),
         )

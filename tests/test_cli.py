@@ -111,6 +111,18 @@ def test_malformed_stream_file_exits_1(tmp_path, capsys, meta, csv_bytes, named)
     assert err.startswith("error:") and str(tmp_path / named) in err
 
 
+def test_num_labels_too_large_to_allocate_exits_1(tmp_path, capsys):
+    # 10**15 labels ask for more than the user address space holds, so numpy
+    # refuses the embedding before allocating anything
+    data = tmp_path / "X.csv"
+    data.write_text("stream_id,time,label\ns0,1.0,0\n")
+    (tmp_path / "X.meta.json").write_text('{"num_labels": %d, "horizon": 10}' % 10**15)
+    code = run(["train", "--data", data, "--epochs", 1, "--out", tmp_path / "o"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "allocate" in err
+
+
 class TestTrainEvalPipeline:
     @pytest.fixture()
     def pipeline(self, tmp_path):

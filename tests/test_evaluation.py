@@ -95,6 +95,29 @@ class TestAttentionGraph:
         # cannot exceed 1/J (it is exactly 1/J once the bank is full)
         assert np.all(g.adjacency.sum(axis=1) <= 1.0 / self.cfg.memory_depth + 1e-12)
 
+    @pytest.mark.parametrize("bank_real_only", [False, True])
+    def test_adjacency_sums_attention_entry_by_entry(self, bank_real_only):
+        # row j*M + q of a recorded alignment array is label q's slice from
+        # the j-th oldest record, so its weights count toward column q
+        cfg = small_config(m=3, memory_depth=3, bank_real_only=bank_real_only)
+        params = ModelParams.init(cfg, seed=4)
+        data = random_dataset(self.rng, m=3)
+        M = cfg.label_count
+        sums = np.zeros((M, M))
+        tokens = 0
+        for stream in data.streams:
+            attention = forward(augment(stream, cfg.fake_count), params, cfg).attention
+            tokens += len(attention)
+            for alpha in attention:
+                if alpha is None:
+                    continue
+                for j in range(alpha.shape[0] // M):
+                    for q in range(M):
+                        for k in range(M):
+                            sums[k, q] += alpha[j * M + q, k]
+        g = attention_graph(cfg, params, data, threshold=0.0)
+        assert np.array_equal(g.adjacency, sums / (tokens * cfg.memory_depth))
+
     def test_above_one_threshold_empty(self):
         g = attention_graph(self.cfg, self.params, self.data, threshold=1.1)
         assert g.edges == ()

@@ -7,12 +7,11 @@ import pytest
 
 import tppkit.autodiff as ad
 from tppkit.model import (
-    CHECKPOINT_MAGIC, LstmState, MemoryBank, ModelConfig, ModelParams, ParamNodes, attend,
-    encode_token, forward, intensity, load_checkpoint, lstm_step,
-    save_checkpoint,
+    CHECKPOINT_MAGIC, ModelConfig, ModelParams, ParamNodes, attend, encode_token,
+    forward, intensity, load_checkpoint, lstm_step, save_checkpoint,
 )
 from tppkit.streams import Epoch, EventStream, Token, TokenKind, augment
-from helpers import assert_grads_close, numerical_grad
+from helpers import assert_grads_close, forward_by_definition, numerical_grad
 
 
 def tiny_config(**kw):
@@ -78,9 +77,9 @@ class TestLstmStep:
         h0 = tape.const(np.zeros(cfg.hidden_dim))
         c0 = tape.const(np.zeros(cfg.hidden_dim))
         x = tape.const(np.ones(cfg.embed_dim + 1))
-        st = lstm_step(x, LstmState(h0, c0), pn)
-        assert np.allclose(st.h.value, 0.0)
-        assert np.allclose(st.c.value, 0.0)
+        h, c = lstm_step(x, (h0, c0), pn)
+        assert np.allclose(h.value, 0.0)
+        assert np.allclose(c.value, 0.0)
 
     def test_forget_gate_saturation_retains_cell(self):
         cfg = tiny_config()
@@ -91,10 +90,10 @@ class TestLstmStep:
         pn = ParamNodes.create(tape, params)
         rng = np.random.default_rng(5)
         c0v = rng.normal(size=h)
-        st0 = LstmState(tape.const(np.zeros(h)), tape.const(c0v))
-        st = lstm_step(tape.const(np.zeros(cfg.embed_dim + 1)), st0, pn)
+        st0 = (tape.const(np.zeros(h)), tape.const(c0v))
+        _, c = lstm_step(tape.const(np.zeros(cfg.embed_dim + 1)), st0, pn)
         # i ~ 0.5 and g = 0, so c' = f*c with f = sigmoid(10)
-        assert np.max(np.abs(st.c.value - c0v)) < 1e-4 * np.max(np.abs(c0v))
+        assert np.max(np.abs(c.value - c0v)) < 1e-4 * np.max(np.abs(c0v))
 
     def test_gradients_through_chained_steps(self):
         cfg = ModelConfig(label_count=1, channel_width=2, embed_dim=2,
@@ -105,11 +104,10 @@ class TestLstmStep:
         def run_on(p):
             tape = ad.Tape()
             pn = ParamNodes.create(tape, p)
-            st = LstmState(tape.const(np.zeros(cfg.hidden_dim)),
-                           tape.const(np.zeros(cfg.hidden_dim)))
+            st = (tape.const(np.zeros(cfg.hidden_dim)), tape.const(np.zeros(cfg.hidden_dim)))
             for i in range(5):
                 st = lstm_step(tape.const(xs[i]), st, pn)
-            return tape, pn, ad.vsum(ad.tanh(st.h))
+            return tape, pn, ad.vsum(ad.tanh(st[0]))
 
         tape, pn, loss = run_on(params)
         ad.backward(tape, loss)
@@ -132,57 +130,50 @@ class TestAttend:
     def test_singleton_bank(self):
         tape = ad.Tape()
         pn = ParamNodes.create(tape, self.params)
-        bank = MemoryBank(depth=2, label_count=1)
         entry = np.array([[1.0, 2.0, 3.0]])
-        bank.push(tape.const(entry))
-        h_k = tape.const(np.array([0.5, -0.5, 1.0]))
-        net, alpha = attend(h_k, bank, pn)
-        assert alpha.value.shape == (1,)
-        assert alpha.value[0] == pytest.approx(1.0)
-        cat = np.concatenate([entry[0], h_k.value])
-        assert np.allclose(net.value, np.tanh(self.params.attn_w @ cat))
+        h_t = tape.const(np.array([[0.5], [-0.5], [1.0]]))
+        net, alpha = attend(h_t, tape.const(entry), pn)
+        assert alpha.value.shape == (1, 1)
+        assert alpha.value[0, 0] == pytest.approx(1.0)
+        cat = np.concatenate([entry[0], h_t.value[:, 0]])
+        assert np.allclose(net.value[:, 0], np.tanh(self.params.attn_w @ cat))
 
     def test_orthogonal_entries_give_uniform_alpha(self):
         tape = ad.Tape()
         pn = ParamNodes.create(tape, self.params)
-        bank = MemoryBank(depth=2, label_count=2)
-        bank.push(tape.const(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])))
-        bank.push(tape.const(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])))
-        h_k = tape.const(np.array([0.0, 0.0, 7.0]))  # orthogonal to all entries
-        _, alpha = attend(h_k, bank, pn)
+        bank = tape.const(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                    [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
+        # both channels are orthogonal to all entries
+        h_t = tape.const(np.array([[0.0, 0.0], [0.0, 0.0], [7.0, -2.0]]))
+        _, alpha = attend(h_t, bank, pn)
         assert np.allclose(alpha.value, 0.25)
 
     def test_empty_bank_zero_context(self):
         tape = ad.Tape()
         pn = ParamNodes.create(tape, self.params)
-        bank = MemoryBank(depth=2, label_count=2)
-        h_k = tape.const(np.array([0.5, -0.5, 1.0]))
-        net, alpha = attend(h_k, bank, pn)
+        hv = np.array([[0.5, 2.0], [-0.5, 0.0], [1.0, -1.0]])
+        net, alpha = attend(tape.const(hv), None, pn)
         assert alpha is None
-        cat = np.concatenate([np.zeros(3), h_k.value])
-        assert np.allclose(net.value, np.tanh(self.params.attn_w @ cat))
+        for k in range(2):
+            cat = np.concatenate([np.zeros(3), hv[:, k]])
+            assert np.allclose(net.value[:, k], np.tanh(self.params.attn_w @ cat))
 
     def test_alpha_matches_explicit_enumeration(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             tape = ad.Tape()
             pn = ParamNodes.create(tape, self.params)
-            bank = MemoryBank(depth=3, label_count=2)
-            entries = []
-            for _ in range(3):
-                step = rng.normal(size=(2, 3))
-                entries.extend(step)
-                bank.push(tape.const(step))
-            hv = rng.normal(size=3)
-            h_k = tape.const(hv)
-            _, alpha = attend(h_k, bank, pn)
+            entries = rng.normal(size=(6, 3))
+            hv = rng.normal(size=(3, 4))
+            _, alpha = attend(tape.const(hv), tape.const(entries), pn)
 
-            # independent scalar code path
-            scores = [sum(hv[d] * e[d] for d in range(3)) for e in entries]
-            mx = max(scores)
-            exps = [math.exp(s - mx) for s in scores]
-            expected = [e / sum(exps) for e in exps]
-            assert np.max(np.abs(alpha.value - np.array(expected))) < 1e-12
+            # independent scalar code path, one channel at a time
+            for k in range(4):
+                scores = [sum(hv[d, k] * e[d] for d in range(3)) for e in entries]
+                mx = max(scores)
+                exps = [math.exp(s - mx) for s in scores]
+                expected = [e / sum(exps) for e in exps]
+                assert np.max(np.abs(alpha.value[:, k] - np.array(expected))) < 1e-12
 
 
 class TestIntensity:
@@ -191,9 +182,10 @@ class TestIntensity:
         params = zero_params(cfg)
         tape = ad.Tape()
         pn = ParamNodes.create(tape, params)
-        h_net = tape.const(np.zeros(cfg.channel_width))
-        lam = intensity(h_net, 3.7, pn)
-        assert lam.value == pytest.approx(math.log(2.0), abs=1e-12)
+        net = tape.const(np.zeros((cfg.channel_width, cfg.channel_count)))
+        lam = intensity(net, 3.7, pn)
+        assert lam.value.shape == (cfg.channel_count,)
+        assert np.allclose(lam.value, math.log(2.0), atol=1e-12)
 
     def test_positive_for_random_draws(self):
         cfg = tiny_config()
@@ -204,36 +196,41 @@ class TestIntensity:
                 a *= rng.uniform(0.5, 4.0)
             tape = ad.Tape()
             pn = ParamNodes.create(tape, params)
-            h_net = tape.const(rng.normal(scale=3.0, size=cfg.channel_width))
-            lam = intensity(h_net, float(rng.uniform(0, 100)), pn)
-            assert lam.value > 0.0
+            net = tape.const(rng.normal(scale=3.0, size=(cfg.channel_width, 1)))
+            lam = intensity(net, float(rng.uniform(0, 100)), pn)
+            assert lam.value[0] > 0.0
 
     def test_rejects_negative_dt(self):
         cfg = tiny_config()
         params = ModelParams.init(cfg, seed=0)
         tape = ad.Tape()
         pn = ParamNodes.create(tape, params)
+        net = tape.const(np.zeros((cfg.channel_width, 2)))
         with pytest.raises(ValueError):
-            intensity(tape.const(np.zeros(cfg.channel_width)), -0.1, pn)
+            intensity(net, -0.1, pn)
+        with pytest.raises(ValueError):
+            intensity(net, np.array([0.5, -0.1]), pn)
 
     def test_dt_gradient_matches_fd(self):
         cfg = tiny_config()
         params = ModelParams.init(cfg, seed=23)
-        hv = np.random.default_rng(2).normal(size=cfg.channel_width)
+        hv = np.random.default_rng(2).normal(size=(cfg.channel_width, 1))
 
         def f(dt_arr):
             tape = ad.Tape()
             pn = ParamNodes.create(tape, params)
             lam = intensity(tape.const(hv), float(dt_arr[()]), pn)
-            return float(lam.value)
+            return float(lam.value[0])
 
         # route dt through a leaf to differentiate against it
         tape = ad.Tape()
         pn = ParamNodes.create(tape, params)
         dt_leaf = tape.leaf(0.8)
-        z = ad.concat([tape.const(hv), ad.stack([dt_leaf])])
-        hidden = ad.relu(ad.linear(pn.f1_w, z, pn.f1_b))
-        lam = ad.softplus(ad.vsum(ad.linear(pn.f2_w, hidden, pn.f2_b)))
+        z = ad.concat_rows([tape.const(hv), ad.reshape(dt_leaf, (1, 1))])
+        hidden = ad.relu(ad.add_col(ad.matmul(pn.f1_w, z), pn.f1_b))
+        out = ad.add_col(ad.matmul(pn.f2_w, hidden), pn.f2_b)
+        lam = ad.vsum(ad.softplus(ad.row(out, 0)))
+        assert float(lam.value) == f(np.asarray(0.8))
         ad.backward(tape, lam)
         fd = numerical_grad(f, np.asarray(0.8))
         assert_grads_close(dt_leaf.grad, fd)
@@ -287,11 +284,13 @@ class TestForward:
         seq = make_seq([1.0, 2.5, 4.0, 7.0], [0, 1, 0, 1], 8.0, cfg.label_count, k=1)
         res = forward(seq, params, cfg)
         seen = 0
-        for alpha, entries in res.attention:
+        for alpha in res.attention:
             if alpha is None:
                 continue
-            assert alpha.shape == (len(entries), cfg.channel_count)
-            assert len(entries) <= cfg.memory_depth * cfg.label_count
+            rows = alpha.shape[0]
+            assert alpha.shape == (rows, cfg.channel_count)
+            assert rows % cfg.label_count == 0
+            assert rows <= cfg.memory_depth * cfg.label_count
             for k in range(cfg.channel_count):
                 seen += 1
                 col = alpha[:, k]
@@ -304,18 +303,15 @@ class TestForward:
         params = ModelParams.init(cfg, seed=6)
         seq = make_seq([1.0, 3.0], [0, 1], 5.0, cfg.label_count, k=1)
         res = forward(seq, params, cfg)
-        for alpha, entries in res.attention:
-            assert alpha is None
-            assert entries == []
+        assert all(alpha is None for alpha in res.attention)
         # net state must equal tanh(W_c [0, h_k]); probe via a replayed LSTM
         m = cfg.channel_width
         tape = ad.Tape()
         pn = ParamNodes.create(tape, params)
-        st = LstmState(tape.const(np.zeros(cfg.hidden_dim)),
-                       tape.const(np.zeros(cfg.hidden_dim)))
-        st = lstm_step(encode_token(seq.tokens[0], pn, cfg), st, pn)
+        st = (tape.const(np.zeros(cfg.hidden_dim)), tape.const(np.zeros(cfg.hidden_dim)))
+        h, _ = lstm_step(encode_token(seq.tokens[0], pn, cfg), st, pn)
         dt = seq.tokens[1].time - seq.tokens[0].time
-        h0 = st.h.value[:m]
+        h0 = h.value[:m]
         cat = np.concatenate([np.zeros(m), h0])
         net = np.tanh(params.attn_w @ cat)
         z = np.concatenate([net, [dt]])
@@ -325,12 +321,13 @@ class TestForward:
         assert res.rates[0].value[0] == pytest.approx(lam, rel=1e-12)
 
     def test_forward_matches_per_channel_ops(self):
-        # the batched forward must agree, entry for entry, with composing the
-        # per-channel attend/intensity operations around the same LSTM run
+        # the batched forward must agree, entry for entry, with the model
+        # written out per token, per channel and per bank entry in numpy
         rng = np.random.default_rng(57)
         for trial in range(10):
             cfg = tiny_config(memory_depth=int(rng.integers(0, 4)),
-                              label_count=int(rng.integers(1, 4)))
+                              label_count=int(rng.integers(1, 4)),
+                              bank_real_only=bool(trial % 2))
             params = ModelParams.init(cfg, seed=trial)
             n = int(rng.integers(0, 6))
             times = np.unique(rng.uniform(0.5, 9.0, size=n))
@@ -338,58 +335,40 @@ class TestForward:
             seq = make_seq(times, labels, 10.0, cfg.label_count,
                            k=int(rng.integers(0, 3)))
             res = forward(seq, params, cfg)
+            rates, attention = forward_by_definition(seq, params, cfg)
 
-            m = cfg.channel_width
-            tape = ad.Tape()
-            pn = ParamNodes.create(tape, params)
-            st = LstmState(tape.const(np.zeros(cfg.hidden_dim)),
-                           tape.const(np.zeros(cfg.hidden_dim)))
-            bank = MemoryBank(cfg.memory_depth, cfg.label_count)
-
-            def push(state):
-                mat = ad.reshape(state.h, (cfg.channel_count, m))
-                bank.push(ad.rowslice(mat, 0, cfg.label_count))
-
-            st = lstm_step(encode_token(seq.tokens[0], pn, cfg), st, pn)
-            push(st)
-            for i in range(1, len(seq.tokens)):
-                tok = seq.tokens[i]
-                dt = (tok.time - seq.tokens[i - 1].time) / cfg.time_scale
-                for k in range(cfg.channel_count):
-                    h_k = ad.vslice(st.h, k * m, (k + 1) * m)
-                    net, alpha = attend(h_k, bank, pn)
-                    lam = intensity(net, dt, pn)
-                    assert abs(lam.value - res.rates[i - 1].value[k]) <= 1e-12 * max(1.0, lam.value)
-                    recorded = res.attention[i - 1][0]
-                    if alpha is None:
-                        assert recorded is None
-                    else:
-                        assert np.max(np.abs(alpha.value - recorded[:, k])) < 1e-12
-                st = lstm_step(encode_token(tok, pn, cfg), st, pn)
-                push(st)
+            got = res.rate_values()
+            assert got.shape == rates.shape
+            assert np.all(np.abs(got - rates) <= 1e-12 * np.maximum(1.0, np.abs(rates)))
+            assert len(res.attention) == len(attention)
+            for recorded, want in zip(res.attention, attention):
+                if want is None:
+                    assert recorded is None
+                else:
+                    assert recorded.shape == want.shape
+                    assert np.max(np.abs(recorded - want)) < 1e-12
 
     def test_channel_gradient_isolation(self):
-        # within one attend/intensity evaluation, the rate of channel k reads
-        # only channel k's slice of the current hidden state
+        # within one attend/intensity evaluation over all channels, the rate
+        # of channel k reads only channel k's slice of the current hidden state
         cfg = tiny_config(memory_depth=2)
         params = ModelParams.init(cfg, seed=9)
         rng = np.random.default_rng(41)
-        tape = ad.Tape()
-        pn = ParamNodes.create(tape, params)
-        h_full = tape.leaf(rng.normal(size=cfg.hidden_dim))
-        bank = MemoryBank(cfg.memory_depth, cfg.label_count)
-        bank.push(tape.const(rng.normal(size=(cfg.label_count, cfg.channel_width))))
-        k = 1
         m = cfg.channel_width
-        h_k = ad.vslice(h_full, k * m, (k + 1) * m)
-        net, _ = attend(h_k, bank, pn)
-        lam = intensity(net, 0.7, pn)
-        ad.backward(tape, lam)
-        grad = h_full.grad
-        mask = np.zeros(cfg.hidden_dim, dtype=bool)
-        mask[k * m:(k + 1) * m] = True
-        assert np.any(grad[mask] != 0.0)
-        assert np.all(grad[~mask] == 0.0)
+        for k in range(cfg.channel_count):
+            tape = ad.Tape()
+            pn = ParamNodes.create(tape, params)
+            h_full = tape.leaf(rng.normal(size=cfg.hidden_dim))
+            h_t = ad.transpose(ad.reshape(h_full, (cfg.channel_count, m)))
+            bank = tape.const(rng.normal(size=(cfg.label_count, m)))
+            net, _ = attend(h_t, bank, pn)
+            lam = intensity(net, 0.7, pn)
+            ad.backward(tape, ad.pick(lam, k))
+            grad = h_full.grad
+            mask = np.zeros(cfg.hidden_dim, dtype=bool)
+            mask[k * m:(k + 1) * m] = True
+            assert np.any(grad[mask] != 0.0)
+            assert np.all(grad[~mask] == 0.0)
 
     def test_bank_real_only_switch(self):
         cfg_all = tiny_config(memory_depth=5)
@@ -399,7 +378,7 @@ class TestForward:
         res_all = forward(seq, params, cfg_all)
         res_real = forward(seq, params, cfg_real)
         # with fakes included the bank fills faster
-        assert len(res_all.attention[-1][1]) > len(res_real.attention[-1][1])
+        assert res_all.attention[-1].shape[0] > res_real.attention[-1].shape[0]
 
     def test_label_count_mismatch_rejected(self):
         cfg = tiny_config()

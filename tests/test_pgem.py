@@ -169,9 +169,8 @@ class TestBuildTrace:
             spec = sample_spec(3, seed=seed)
             s = simulate(spec, 150.0, seed=seed + 7)
             trace = build_trace(spec, s)
-            log_sum = sum(
-                math.log(rate_at(spec, s, e.time)[e.label]) for e in s.epochs
-            )
+            at_events = rate_at(spec, s, s.times())[np.arange(len(s)), s.labels()]
+            log_sum = float(np.sum(np.log(at_events)))
             assert abs((log_sum - trace.integral()) - exact_ll(spec, s)) < 1e-9
 
 
@@ -198,25 +197,20 @@ class TestExactLL:
         spec = chain_spec()
         s = simulate(spec, 300.0, seed=3)
         exact = exact_ll(spec, s)
+        at_events = rate_at(spec, s, s.times())[np.arange(len(s)), s.labels()]
+        log_sum = float(np.sum(np.log(at_events)))
         errs = []
         for n_grid in (50, 200, 800, 3200):
             grid = np.linspace(0.0, 300.0, n_grid + 1)
-            integral = sum(
-                (b - a) * float(np.sum(rate_at(spec, s, b)))
-                for a, b in zip(grid[:-1], grid[1:])
-            )
-            log_sum = sum(math.log(rate_at(spec, s, e.time)[e.label]) for e in s.epochs)
+            integral = float(np.diff(grid) @ rate_at(spec, s, grid[1:]).sum(axis=1))
             errs.append(abs((log_sum - integral) - exact))
         assert errs[-1] < errs[0]
         assert errs[-1] < 0.05 * abs(exact)
 
         # a grid containing every change point is exact
-        trace = build_trace(spec, s)
-        integral = sum(
-            (b - a) * float(np.sum(rate_at(spec, s, 0.5 * (a + b))))
-            for a, b in zip(trace.breaks[:-1], trace.breaks[1:])
-        )
-        log_sum = sum(math.log(rate_at(spec, s, e.time)[e.label]) for e in s.epochs)
+        breaks = build_trace(spec, s).breaks
+        mids = 0.5 * (breaks[:-1] + breaks[1:])
+        integral = float(np.diff(breaks) @ rate_at(spec, s, mids).sum(axis=1))
         assert abs((log_sum - integral) - exact) < 1e-6
 
     def test_dominates_homogeneous_fit_with_active_edge(self):
@@ -253,8 +247,12 @@ class TestAgainstDefinition:
         for e in s.epochs[:30]:
             queries.append(e.time)
             queries += [e.time + w for w in self.WINDOWS]
-        for q in queries:
-            assert np.array_equal(rate_at(spec, s, q), pgem_rates_by_definition(spec, s, q))
+        got = rate_at(spec, s, queries)
+        assert got.shape == (len(queries), labels)
+        for q, rates in zip(queries, got):
+            assert np.array_equal(rates, pgem_rates_by_definition(spec, s, q))
+        with pytest.raises(ValueError, match="1-d"):
+            rate_at(spec, s, queries[0])
 
     @pytest.mark.parametrize("labels, seed, horizon", CASES)
     def test_build_trace_and_exact_ll(self, labels, seed, horizon):
@@ -269,10 +267,11 @@ class TestAgainstDefinition:
         # parent event at s=1.0, window w=2.0: active for q in (1.0, 3.0]
         spec = chain_spec(window=2.0)
         s = EventStream((Epoch(1.0, 0), Epoch(3.0, 1)), 5.0, 2)
-        for q, active in ((1.0, False), (2.0, True), (3.0, True),
-                          (math.nextafter(3.0, 4.0), False)):
+        queries = (1.0, 2.0, 3.0, math.nextafter(3.0, 4.0))
+        for q, active, rates in zip(queries, (False, True, True, False),
+                                    rate_at(spec, s, queries)):
             want = 0.2 if active else 0.001
-            assert rate_at(spec, s, q)[1] == want
+            assert rates[1] == want
             assert pgem_rates_by_definition(spec, s, q)[1] == want
         # the child event at exactly q = s + w sees its parent
         expected = math.log(0.05) + math.log(0.2) - 0.05 * 5.0 - (0.001 * 3.0 + 0.2 * 2.0)

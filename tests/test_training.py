@@ -63,8 +63,7 @@ class TestQuadratureLL:
             for k in (1, 5, 20):
                 seq = augment(stream, k)
                 rates = np.ones((len(seq.tokens) - 1, 4))
-                for i, tok in enumerate(seq.tokens[1:]):
-                    rates[i, :3] = rate_at(spec, stream, tok.time)
+                rates[:, :3] = rate_at(spec, stream, [tok.time for tok in seq.tokens[1:]])
                 errs.append(abs(quadrature_ll(seq, rates) - exact))
             assert errs[-1] <= errs[0] + 1e-9
             assert errs[-1] < 0.01 * abs(exact)
