@@ -2,14 +2,17 @@
 
 Everything is desk-scale: values are small numpy arrays (scalars, vectors,
 matrices), the tape is rebuilt per sequence, and backward is a single reverse
-walk over the tape. Adjoints are computed in fresh per-call buffers. An
-interior node sums its adjoint as the walk reaches it; a leaf (a weight) that
-is a matrix operand of ``linear``, ``matvec`` or ``matmul``
-keeps each such adjoint as its two factors, and ``backward`` reduces them all
-with one matrix product at the end of the walk. A weight used once per token
-thus costs one matmul over all tokens, not one outer product per token. The
-results are added into ``Node.grad``, so repeated ``backward`` calls
-accumulate.
+walk over the tape. A forward op computes only its value; any factor that
+only its derivative needs (a sigmoid, a relu mask, a slice offset) is
+computed in the reverse walk, so a forward that is never differentiated pays
+nothing for it. Adjoints are computed in fresh per-call buffers and never
+mutated in place. An interior node sums its adjoint as the walk reaches it; a
+leaf (a weight) that is a matrix operand of ``linear``, ``matvec`` or
+``matmul`` keeps each such adjoint as its two factors, and ``backward``
+reduces them all with one matrix product at the end of the walk. A weight
+used once per token thus costs one matmul over all tokens, not one outer
+product per token. The results are added into ``Node.grad``, so repeated
+``backward`` calls accumulate.
 
 Tape lifetime: every node holds its tape and the tape lists every node, so a
 tape is one large reference cycle. Left alone, the cyclic garbage collector
@@ -44,7 +47,10 @@ class Node:
 
     ``value`` and ``grad`` always share a shape; ``parents`` point backwards
     to the inputs of the producing operation, so the tape order is already
-    topological.
+    topological. After ``backward``, a leaf's ``grad`` is a private array
+    that callers may add into in place; an interior node's ``grad`` is its
+    adjoint itself, no copy, which may be shared with other nodes and must be
+    treated as read-only.
     """
 
     __slots__ = ("tape", "value", "parents", "op", "_grad", "_bw", "_adj", "_prods")
@@ -191,8 +197,13 @@ def backward(tape: Tape, root: Node):
                 lefts, rights = zip(*n._prods)
                 _acc(n, np.concatenate(lefts, axis=1) @ np.concatenate(rights, axis=0))
                 n._prods = None
-            if n._adj is not None:
-                n._grad = n._adj.copy() if n._grad is None else n._grad + n._adj
+            adj = n._adj
+            if adj is not None:
+                if n._grad is not None:
+                    n._grad = n._grad + adj
+                else:
+                    # a leaf's grad may be added into in place; an interior one is not
+                    n._grad = adj.copy() if n._bw is None else adj
                 n._adj = None
 
 
@@ -206,10 +217,19 @@ def _coerce(tape: Tape, x):
     return tape.const(np.asarray(x, dtype=np.float64))
 
 
-def _binary_shapes(xv: np.ndarray, yv: np.ndarray, op: str):
-    if xv.shape == yv.shape or xv.shape == () or yv.shape == ():
-        return
-    raise ValueError(f"{op}: shape mismatch {xv.shape} vs {yv.shape}")
+def _operands(x, y, op: str):
+    """(tape, x, y) of a binary op: constants wrapped as nodes, tapes and shapes checked."""
+    if x.__class__ is Node and y.__class__ is Node:
+        tape = x.tape
+        if y.tape is not tape:
+            raise ValueError("operands belong to different tapes")
+    else:
+        tape = _same_tape(*(n for n in (x, y) if isinstance(n, Node)))
+        x, y = _coerce(tape, x), _coerce(tape, y)
+    xs, ys = x.value.shape, y.value.shape
+    if xs != ys and xs != () and ys != ():
+        raise ValueError(f"{op}: shape mismatch {xs} vs {ys}")
+    return tape, x, y
 
 
 def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
@@ -219,9 +239,7 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
     return np.sum(g).reshape(shape) if shape == () else g
 
 def add(x, y) -> Node:
-    tape = _same_tape(*(n for n in (x, y) if isinstance(n, Node)))
-    x, y = _coerce(tape, x), _coerce(tape, y)
-    _binary_shapes(x.value, y.value, "add")
+    tape, x, y = _operands(x, y, "add")
     val = x.value + y.value
 
     def bw(adj):
@@ -232,9 +250,7 @@ def add(x, y) -> Node:
 
 
 def sub(x, y) -> Node:
-    tape = _same_tape(*(n for n in (x, y) if isinstance(n, Node)))
-    x, y = _coerce(tape, x), _coerce(tape, y)
-    _binary_shapes(x.value, y.value, "sub")
+    tape, x, y = _operands(x, y, "sub")
     val = x.value - y.value
 
     def bw(adj):
@@ -245,9 +261,7 @@ def sub(x, y) -> Node:
 
 
 def mul(x, y) -> Node:
-    tape = _same_tape(*(n for n in (x, y) if isinstance(n, Node)))
-    x, y = _coerce(tape, x), _coerce(tape, y)
-    _binary_shapes(x.value, y.value, "mul")
+    tape, x, y = _operands(x, y, "mul")
     xv, yv = x.value, y.value
     val = xv * yv
 
@@ -298,8 +312,9 @@ def tanh(x: Node) -> Node:
 
 
 def _sigmoid_val(v: np.ndarray) -> np.ndarray:
-    t = np.exp(-np.abs(v))
-    return np.where(v >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+    # 1 / (1 + e^-v) = exp(-softplus(-v)): no overflow, and full relative
+    # precision where the value underflows towards 0 (unlike 0.5*(1+tanh(v/2)))
+    return np.exp(-np.logaddexp(0.0, -v))
 
 
 def sigmoid(x: Node) -> Node:
@@ -312,23 +327,21 @@ def sigmoid(x: Node) -> Node:
 
 
 def relu(x: Node) -> Node:
-    mask = x.value > 0.0
-    val = np.where(mask, x.value, 0.0)
+    xv = x.value
 
     def bw(adj):
-        _acc(x, adj * mask)
+        _acc(x, adj * (xv > 0.0))
 
-    return Node(x.tape, val, (x,), "relu", bw)
+    return Node(x.tape, np.maximum(xv, 0.0), (x,), "relu", bw)
 
 
 def softplus(x: Node) -> Node:
     xv = x.value
     # log1p(exp(-|x|)) + max(x, 0): stable for large |x|, strictly positive
     val = np.log1p(np.exp(-np.abs(xv))) + np.maximum(xv, 0.0)
-    sig = _sigmoid_val(xv)
 
     def bw(adj):
-        _acc(x, adj * sig)
+        _acc(x, adj * _sigmoid_val(xv))
 
     return Node(x.tape, val, (x,), "softplus", bw)
 
@@ -388,6 +401,15 @@ def sumsq(x: Node) -> Node:
     return Node(x.tape, val, (x,), "sumsq", bw)
 
 
+def _split_acc(parts, adj: np.ndarray):
+    # hand each part its leading-axis block of a concatenation's adjoint
+    off = 0
+    for p in parts:
+        end = off + p.value.shape[0]
+        _acc(p, adj[off:end])
+        off = end
+
+
 def concat(parts) -> Node:
     """Concatenate 1-d nodes."""
     parts = list(parts)
@@ -396,17 +418,7 @@ def concat(parts) -> Node:
         if p.value.ndim != 1:
             raise ValueError("concat expects vectors")
     val = np.concatenate([p.value for p in parts])
-    bounds = []
-    off = 0
-    for p in parts:
-        bounds.append((off, off + p.value.shape[0]))
-        off = bounds[-1][1]
-
-    def bw(adj):
-        for p, (a, b) in zip(parts, bounds):
-            _acc(p, adj[a:b])
-
-    return Node(tape, val, tuple(parts), "concat", bw)
+    return Node(tape, val, tuple(parts), "concat", lambda adj: _split_acc(parts, adj))
 
 
 def stack(rows) -> Node:
@@ -433,7 +445,7 @@ def vslice(x: Node, start: int, stop: int) -> Node:
     val = x.value[start:stop]
 
     def bw(adj):
-        g = np.zeros_like(x.value)
+        g = np.zeros(n)
         g[start:stop] = adj
         _acc(x, g)
 
@@ -448,7 +460,7 @@ def row(A: Node, i: int) -> Node:
     val = A.value[i]
 
     def bw(adj):
-        g = np.zeros_like(A.value)
+        g = np.zeros(A.value.shape)
         g[i] = adj
         _acc(A, g)
 
@@ -480,13 +492,11 @@ def log_softmax(x: Node) -> Node:
     xv = x.value
     if xv.ndim == 0 or xv.shape[-1] == 0:
         raise ValueError("log_softmax expects a non-empty last axis")
-    m = np.max(xv, axis=-1, keepdims=True)
-    lse = m + np.log(np.sum(np.exp(xv - m), axis=-1, keepdims=True))
-    val = xv - lse
-    soft = np.exp(val)
+    m = xv.max(axis=-1, keepdims=True)
+    val = xv - (m + np.log(np.exp(xv - m).sum(axis=-1, keepdims=True)))
 
     def bw(adj):
-        _acc(x, adj - soft * np.sum(adj, axis=-1, keepdims=True))
+        _acc(x, adj - np.exp(val) * adj.sum(axis=-1, keepdims=True))
 
     return Node(x.tape, val, (x,), "log_softmax", bw)
 
@@ -554,17 +564,7 @@ def concat_rows(parts) -> Node:
         if p.value.ndim != 2 or p.value.shape[1] != cols:
             raise ValueError("concat_rows expects matrices with equal column counts")
     val = np.concatenate([p.value for p in parts], axis=0)
-    bounds = []
-    off = 0
-    for p in parts:
-        bounds.append((off, off + p.value.shape[0]))
-        off = bounds[-1][1]
-
-    def bw(adj):
-        for p, (a, b) in zip(parts, bounds):
-            _acc(p, adj[a:b])
-
-    return Node(tape, val, tuple(parts), "concat_rows", bw)
+    return Node(tape, val, tuple(parts), "concat_rows", lambda adj: _split_acc(parts, adj))
 
 
 def rowslice(A: Node, start: int, stop: int) -> Node:
@@ -576,7 +576,7 @@ def rowslice(A: Node, start: int, stop: int) -> Node:
     val = A.value[start:stop]
 
     def bw(adj):
-        g = np.zeros_like(A.value)
+        g = np.zeros(A.value.shape)
         g[start:stop] = adj
         _acc(A, g)
 
@@ -588,10 +588,10 @@ def softmax_cols(S: Node) -> Node:
     Sv = S.value
     if Sv.ndim != 2 or Sv.shape[0] == 0:
         raise ValueError("softmax_cols expects a matrix with at least one row")
-    e = np.exp(Sv - np.max(Sv, axis=0, keepdims=True))
-    val = e / np.sum(e, axis=0, keepdims=True)
+    e = np.exp(Sv - Sv.max(axis=0, keepdims=True))
+    val = e / e.sum(axis=0, keepdims=True)
 
     def bw(adj):
-        _acc(S, val * (adj - np.sum(val * adj, axis=0, keepdims=True)))
+        _acc(S, val * (adj - (val * adj).sum(axis=0, keepdims=True)))
 
     return Node(S.tape, val, (S,), "softmax_cols", bw)

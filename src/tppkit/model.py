@@ -249,9 +249,9 @@ def intensity(net: ad.Node, dt_scaled, pn: ParamNodes) -> ad.Node:
     dt_scaled is one elapsed time for every column, or an array of one per
     column.
     """
-    dts = np.full((1, net.value.shape[1]), dt_scaled)
-    if np.any(dts < 0.0):
+    if dt_scaled < 0.0 if isinstance(dt_scaled, float) else np.any(np.asarray(dt_scaled) < 0.0):
         raise ValueError("elapsed time must be >= 0")
+    dts = np.full((1, net.value.shape[1]), dt_scaled)
     z = ad.concat_rows([net, net.tape.const(dts)])
     hidden = ad.relu(ad.add_col(ad.matmul(pn.f1_w, z), pn.f1_b))
     out = ad.add_col(ad.matmul(pn.f2_w, hidden), pn.f2_b)

@@ -14,6 +14,7 @@ exact_ll costs O((events + segments) log events) per node; the simulator uses
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -62,6 +63,12 @@ class NodeSpec:
                 raise ValueError(f"rate must be positive, got {rate}")
             clean[bits] = rate
         object.__setattr__(self, "rates", clean)
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """Rates indexed by the activation bits read as a number, first parent most significant."""
+        bits = itertools.product((0, 1), repeat=len(self.parents))
+        return np.array([self.rates[b] for b in bits])
 
 
 @dataclass(frozen=True)
@@ -134,19 +141,13 @@ def _label_times(spec: PgemSpec, stream: EventStream) -> list:
     return [times[labels == k] for k in range(spec.label_count)]
 
 
-def _rate_table(node: NodeSpec) -> list:
-    """Rates indexed by the activation bits read as a number, first parent most significant."""
-    return [node.rates[bits] for bits in itertools.product((0, 1), repeat=len(node.parents))]
-
-
 def _node_rates(node: NodeSpec, label_times: list, q: np.ndarray) -> np.ndarray:
     """Strict-history rate of one node at each query time in q (windows [q-w, q))."""
-    table = np.array(_rate_table(node), dtype=np.float64)
     index = np.zeros(len(q), dtype=np.intp)
     for p, w in zip(node.parents, node.windows):
         times = label_times[p]
-        index = 2 * index + (np.searchsorted(times, q) > np.searchsorted(times, q - w))
-    return table[index]
+        index = 2 * index + (times.searchsorted(q) > times.searchsorted(q - w))
+    return node.table[index]
 
 
 def rate_at(spec: PgemSpec, stream: EventStream, times) -> np.ndarray:
@@ -169,7 +170,7 @@ def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:
     ``seed`` is anything accepted by ``numpy.random.default_rng``.
     """
     rng = np.random.default_rng(seed)
-    nodes = [(_rate_table(node), tuple(zip(node.parents, node.windows))) for node in spec.nodes]
+    nodes = [(node.table.tolist(), tuple(zip(node.parents, node.windows))) for node in spec.nodes]
     last = [-math.inf] * spec.label_count  # latest event time per label
     parent_windows = spec.parent_windows()
     expiries: list[float] = []

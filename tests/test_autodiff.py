@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,44 @@ def test_softplus_derivative_matches_sigmoid():
     assert abs(x.grad - sig) / sig < 1e-12
     fd = numerical_grad(lambda v: np.log1p(np.exp(v[()])), np.asarray(1.2))
     assert abs(x.grad - fd) / abs(fd) < 1e-6
+
+
+def _sigmoid_reference(x):
+    xl = np.asarray(x, dtype=np.longdouble)
+    return 1.0 / (1.0 + np.exp(-xl))
+
+
+def _sigmoid_and_softplus_grad(x):
+    t = ad.Tape()
+    sig = ad.sigmoid(t.leaf(x)).value
+    leaf = t.leaf(x)
+    ad.backward(t, ad.vsum(ad.softplus(leaf)))
+    return sig, leaf.grad
+
+
+def test_sigmoid_relative_accuracy_down_to_underflow():
+    # relative, not absolute, accuracy: a sigmoid built on tanh rounds to 0
+    # below about -37 and would zero the gradient of rates near underflow
+    x = np.linspace(-700.0, 700.0, 14001)
+    ref = _sigmoid_reference(x)
+    for got in _sigmoid_and_softplus_grad(x):
+        assert float(np.max(np.abs((got - ref) / ref))) <= 1e-14
+    for v in (-40.0, -700.0):
+        assert _sigmoid_and_softplus_grad(np.array([v]))[1][0] > 0.0
+
+
+def test_sigmoid_extremes_finite_and_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for got in _sigmoid_and_softplus_grad(np.array([-745.0, 745.0])):
+            assert np.all(np.isfinite(got)) and np.all((got >= 0.0) & (got <= 1.0))
+
+
+def test_relu_gradient_zero_at_and_below_zero():
+    t = ad.Tape()
+    x = t.leaf([-2.0, -0.0, 0.0, 1e-300, 3.0])
+    ad.backward(t, ad.vsum(ad.relu(x)))
+    assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 1.0, 1.0])
 
 
 def test_linear_identity_and_hand_arithmetic():

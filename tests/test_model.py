@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -386,6 +387,36 @@ class TestForward:
         seq = make_seq([1.0], [0], 4.0, 3, k=0)
         with pytest.raises(ValueError):
             forward(seq, params, cfg)
+
+
+def tape_ops(M, **kw):
+    """len(tape) and sha256 of the op sequence of forward's tape on a fixed stream."""
+    times = 1.0 + 1.7 * np.arange(14)
+    labels = (7 * np.arange(14)) % M
+    cfg = ModelConfig(label_count=M, channel_width=8, memory_depth=kw.pop("memory_depth", 3),
+                      fake_count=1, time_scale=30.0, **kw)
+    seq = make_seq(times, labels, 30.0, M, k=cfg.fake_count)
+    with ad.tape_scope():
+        tape = forward(seq, ModelParams.init(cfg, seed=0), cfg).tape
+        ops = "\n".join(n.op for n in tape.nodes())
+        return len(tape), hashlib.sha256(ops.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("M, kw, n_nodes, digest", [
+    (5, {}, 1200, "310acd630ac12fd4daeb9a8515850f96e38109438fb06ebf7e854902c50266de"),
+    (20, {}, 1200, "310acd630ac12fd4daeb9a8515850f96e38109438fb06ebf7e854902c50266de"),
+    (5, {"memory_depth": 0}, 1051,
+     "2a5b489db13dae21712cbe741afe8df2dc2a515c0a4172c3483bb789409473c1"),
+    (5, {"bank_real_only": True}, 1162,
+     "bded4b5003611d8f898f53cca04e81a793e3c108d283ea699993d9fa6eb9fc3e"),
+    (20, {"bank_real_only": True}, 1162,
+     "bded4b5003611d8f898f53cca04e81a793e3c108d283ea699993d9fa6eb9fc3e"),
+])
+def test_tape_structure_pinned(M, kw, n_nodes, digest):
+    # the benchmark's traced runs compare the tape node count exactly, so
+    # forward must build the same ops in the same order (benchmark shapes:
+    # channels 8, memory 3, K=1)
+    assert tape_ops(M, **kw) == (n_nodes, digest)
 
 
 def test_ll_gradient_three_labels_five_events():
