@@ -6,13 +6,10 @@ walk over the tape. A forward op computes only its value; any factor that
 only its derivative needs (a sigmoid, a relu mask, a slice offset) is
 computed in the reverse walk, so a forward that is never differentiated pays
 nothing for it. Adjoints are computed in fresh per-call buffers and never
-mutated in place. An interior node sums its adjoint as the walk reaches it; a
-leaf (a weight) that is a matrix operand of ``linear``, ``matvec`` or
-``matmul`` keeps each such adjoint as its two factors, and ``backward``
-reduces them all with one matrix product at the end of the walk. A weight
-used once per token thus costs one matmul over all tokens, not one outer
-product per token. The results are added into ``Node.grad``, so repeated
-``backward`` calls accumulate.
+mutated in place; every node sums its adjoint as the walk reaches it. The
+results are added into ``Node.grad``, so repeated ``backward`` calls
+accumulate. Training walks only a small tape over the model's rate matrix;
+``model.backward`` carries that adjoint on to the weights by hand.
 
 Tape lifetime: every node holds its tape and the tape lists every node, so a
 tape is one large reference cycle. Left alone, the cyclic garbage collector
@@ -53,7 +50,7 @@ class Node:
     treated as read-only.
     """
 
-    __slots__ = ("tape", "value", "parents", "op", "_grad", "_bw", "_adj", "_prods")
+    __slots__ = ("tape", "value", "parents", "op", "_grad", "_bw", "_adj")
 
     def __init__(self, tape, value, parents=(), op="leaf", bw=None):
         self.tape = tape
@@ -63,7 +60,6 @@ class Node:
         self._grad = None
         self._bw = bw
         self._adj = None
-        self._prods = None
         nodes = tape._nodes
         if nodes is None:
             raise ValueError(_RELEASED)
@@ -162,30 +158,13 @@ def _acc(node: Node, g: np.ndarray):
     node._adj = g if node._adj is None else node._adj + g
 
 
-def _acc_prod(node: Node, left: np.ndarray, right: np.ndarray):
-    # the adjoint left @ right; a leaf defers it to one product in backward
-    if node._bw is not None:
-        _acc(node, left @ right)
-    elif node._prods is None:
-        node._prods = [(left, right)]
-    else:
-        node._prods.append((left, right))
-
-
 def backward(tape: Tape, root: Node):
-    """Accumulate d(root)/d(node) into every node's grad; root must be scalar.
-
-    A leaf's matrix-product adjoints are kept as factor pairs during the
-    reverse walk and summed at its end by one product of the concatenated
-    factors, so a gradient differs from per-use accumulation only in
-    summation order.
-    """
+    """Accumulate d(root)/d(node) into every node's grad; root must be scalar."""
     if root.value.shape != ():
         raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
     nodes = tape._live_nodes()
     for n in nodes:
         n._adj = None
-        n._prods = None
     root._adj = np.ones((), dtype=np.float64)
     # non-finite adjoints are reported by the caller's gradient check, by name
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -193,10 +172,6 @@ def backward(tape: Tape, root: Node):
             if n._adj is not None and n._bw is not None:
                 n._bw(n._adj)
         for n in nodes:
-            if n._prods is not None:
-                lefts, rights = zip(*n._prods)
-                _acc(n, np.concatenate(lefts, axis=1) @ np.concatenate(rights, axis=0))
-                n._prods = None
             adj = n._adj
             if adj is not None:
                 if n._grad is not None:
@@ -361,7 +336,7 @@ def linear(W: Node, x: Node, b: Node) -> Node:
     val = Wv @ xv + bv
 
     def bw(adj):
-        _acc_prod(W, adj[:, None], xv[None, :])
+        _acc(W, adj[:, None] @ xv[None, :])
         _acc(x, Wv.T @ adj)
         _acc(b, adj)
 
@@ -376,7 +351,7 @@ def matvec(A: Node, x: Node) -> Node:
     val = Av @ xv
 
     def bw(adj):
-        _acc_prod(A, adj[:, None], xv[None, :])
+        _acc(A, adj[:, None] @ xv[None, :])
         _acc(x, Av.T @ adj)
 
     return Node(tape, val, (A, x), "matvec", bw)
@@ -534,8 +509,8 @@ def matmul(A: Node, B: Node) -> Node:
     val = Av @ Bv
 
     def bw(adj):
-        _acc_prod(A, adj, Bv.T)
-        _acc_prod(B, Av.T, adj)
+        _acc(A, adj @ Bv.T)
+        _acc(B, Av.T @ adj)
 
     return Node(tape, val, (A, B), "matmul", bw)
 

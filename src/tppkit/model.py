@@ -9,6 +9,11 @@ their net hidden states (``attend``); a small feed-forward stack then maps
 each column [net state, elapsed time] to a positive rate via softplus
 (``intensity``).
 Rates for token i are always computed from the state strictly before token i.
+
+``forward`` builds these ops on an autodiff tape, token by token, and keeps
+each token's LSTM values. Training does not walk that tape: ``backward``
+takes the rate matrix's adjoint to the parameters with one batched pass over
+the attention-and-rate head and one reverse loop over the LSTM.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from .streams import AugmentedSequence, Token, TokenKind
 
 __all__ = [
     "ModelConfig", "ModelParams", "ParamNodes", "ForwardResult", "encode_token",
-    "lstm_step", "attend", "intensity", "forward", "save_checkpoint", "load_checkpoint",
+    "lstm_step", "attend", "intensity", "forward", "backward", "save_checkpoint",
+    "load_checkpoint",
 ]
 
 CHECKPOINT_MAGIC = b"TPPKIT\x00\x01"
@@ -209,7 +215,8 @@ def lstm_step(x: ad.Node, state, pn: ParamNodes):
     """One LSTM cell update over the full multi-channel hidden vector.
 
     state is the (h, c) pair of vectors of length m*(M+1), channel k being
-    slice [k*m, (k+1)*m); returns the next (h, c).
+    slice [k*m, (k+1)*m); returns the next h and c nodes and the tuple of
+    values ``backward`` reads: h, c, the gates i, f, g, o and tanh(c).
     """
     h_prev, c_prev = state
     h_dim = h_prev.value.shape[0]
@@ -219,8 +226,9 @@ def lstm_step(x: ad.Node, state, pn: ParamNodes):
     g = ad.tanh(ad.vslice(z, 2 * h_dim, 3 * h_dim))
     o = ad.sigmoid(ad.vslice(z, 3 * h_dim, 4 * h_dim))
     c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
-    return h, c
+    tanh_c = ad.tanh(c)
+    h = ad.mul(o, tanh_c)
+    return h, c, (h.value, c.value, i.value, f.value, g.value, o.value, tanh_c.value)
 
 
 def attend(h_t: ad.Node, bank: ad.Node | None, pn: ParamNodes):
@@ -266,7 +274,8 @@ class ForwardResult:
     tokens[i+1]; attention[i] is the (rows, M+1) array of per-channel
     alignment weights recorded before tokens[i+1], or None while the bank is
     empty. Row j*M + q holds label q's channel slice from the j-th oldest
-    record in the bank.
+    record in the bank. cells[i] holds the LSTM values after tokens[i] (see
+    ``lstm_step``), read by ``backward``.
     """
 
     tape: ad.Tape
@@ -274,6 +283,7 @@ class ForwardResult:
     rates: list
     attention: list
     seq: AugmentedSequence
+    cells: list
 
     def rate_values(self) -> np.ndarray:
         """(len(tokens)-1, M+1) array of rate values."""
@@ -300,13 +310,14 @@ def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) ->
     depth = config.memory_depth
     tape = ad.Tape()
     pn = ParamNodes.create(tape, params)
-    state = (tape.const(np.zeros(config.hidden_dim)), tape.const(np.zeros(config.hidden_dim)))
+    h, c = tape.const(np.zeros(config.hidden_dim)), tape.const(np.zeros(config.hidden_dim))
     records = []      # (M, m) row-slice nodes of the last `depth` records, oldest first
     bank = None       # records stacked into one node; None until rebuilt after a record
 
     tokens = seq.tokens
     rates = []
     attention = []
+    cells = []
     for i, tok in enumerate(tokens):
         if i:
             h_t = ad.transpose(channels)                  # (m, C), column k = h_k
@@ -316,14 +327,147 @@ def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) ->
             dt = (tok.time - tokens[i - 1].time) / config.time_scale
             rates.append(intensity(net, dt, pn))
             attention.append(None if alpha is None else alpha.value)
-        state = lstm_step(encode_token(tok, pn, config), state, pn)
-        channels = ad.reshape(state[0], (C, m))
+        h, c, cell = lstm_step(encode_token(tok, pn, config), (h, c), pn)
+        cells.append(cell)
+        channels = ad.reshape(h, (C, m))
         # the state after the last token is never attended, so it is not recorded
         if (depth and i < len(tokens) - 1
                 and (tok.kind is TokenKind.REAL or not config.bank_real_only)):
             records = (records + [ad.rowslice(channels, 0, M)])[-depth:]
             bank = None
-    return ForwardResult(tape, pn, rates, attention, seq)
+    return ForwardResult(tape, pn, rates, attention, seq, cells)
+
+
+def backward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,
+             cells: list, rate_adj: np.ndarray) -> ModelParams:
+    """Fresh parameter gradients from the adjoint of forward's (N, M+1) rates.
+
+    cells is ForwardResult.cells. The head is recomputed and reversed for all
+    N rows at once, each step one product batched over the rows in the
+    shapes and layouts of forward's per-row products; row r attends over the
+    last J recorded tokens at or before r, one (N, J) index array with
+    padding slots masked. One reverse loop over the LSTM follows. Elementwise
+    steps use the tape's formulas in its order and sums over rows run from
+    the last row, as the tape's reverse walk adds them: in the default bank
+    mode every per-token adjoint equals the tape's to the last bit.
+    """
+    m, M, C, H = config.channel_width, config.label_count, config.channel_count, config.hidden_dim
+    p, tokens = params, seq.tokens
+    n = len(tokens) - 1
+    hs, cs, gi, gf, gg, go, tanh_c = np.array(cells[:n]).transpose(1, 0, 2)
+    times = np.array([tok.time for tok in tokens])
+    labels = [tok.label if tok.kind is TokenKind.REAL else M for tok in tokens[:n]]
+    recorded = np.flatnonzero([tok.kind is TokenKind.REAL or not config.bank_real_only
+                               for tok in tokens[:n]])
+    depth = config.memory_depth if recorded.size else 0
+    slots = recorded.searchsorted(np.arange(n), side="right")[:, None] + np.arange(-depth, 0)
+    idx = recorded[np.maximum(slots, 0)]                       # (n, J) bank token positions
+    bank = hs[idx, :M * m].reshape(n, depth * M, m)            # row j*M + q: slot j, label q
+    chans = hs.reshape(n, C, m)
+    query = chans.transpose(0, 2, 1)                           # (n, m, C), column k = h_k
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # masked softmax over each row's bank, in place; a row with an empty
+        # bank keeps all-zero weights and so a zero context
+        alpha = np.matmul(bank, query)
+        np.copyto(alpha, -np.inf, where=np.repeat(slots < 0, M, axis=1)[:, :, None])
+        top = alpha.max(axis=1, keepdims=True, initial=-np.inf)
+        alpha -= np.where(top == -np.inf, 0.0, top)
+        np.exp(alpha, out=alpha)
+        alpha /= np.maximum(alpha.sum(axis=1, keepdims=True), 1.0)  # a bank's max entry is 1
+        u = np.concatenate([np.matmul(bank.transpose(0, 2, 1), alpha), query], axis=1)
+        net = np.tanh(np.matmul(p.attn_w, u))
+        dts = np.diff(times) / config.time_scale
+        z = np.concatenate([net, np.broadcast_to(dts[:, None, None], (n, 1, C))], axis=1)
+        hidden = np.maximum(np.matmul(p.f1_w, z) + p.f1_b[:, None], 0.0)
+
+        # reverse through the head, taking each weight's gradient as soon as
+        # its operands are final and then dropping them; d_alpha becomes the
+        # score adjoint in place
+        d_out = rate_adj[:, None, :] * ad._sigmoid_val(np.matmul(p.f2_w, hidden) + p.f2_b[:, None])
+        grads = {"f2_w": _rows_product(d_out, hidden), "f2_b": _sum_last_first(d_out.sum(axis=2))}
+        d_z1 = p.f2_w.T * d_out
+        d_z1 *= hidden > 0.0                                   # relu's mask, as z1 > 0
+        del hidden
+        grads["f1_w"], grads["f1_b"] = _rows_product(d_z1, z), _sum_last_first(d_z1.sum(axis=2))
+        d_pre = np.matmul(p.f1_w.T, d_z1)[:, :m] * (1.0 - net * net)
+        del z, d_z1, net
+        grads["attn_w"] = _rows_product(d_pre, u)
+        d_u = np.matmul(p.attn_w.T, d_pre)
+        del u, d_pre
+        d_alpha = np.matmul(bank, d_u[:, :m])
+        d_ctx_bank = np.matmul(d_u[:, :m], alpha.transpose(0, 2, 1)).transpose(0, 2, 1)
+        rowdot = np.zeros((n, C))
+        for j in range(depth * M):               # summed bank row by bank row, as the tape does
+            rowdot += alpha[:, j] * d_alpha[:, j]
+        d_alpha -= rowdot[:, None]
+        d_alpha *= alpha
+        del alpha
+        d_score_bank = np.matmul(d_alpha, chans).reshape(n, depth, M * m)
+        d_h = (d_u[:, m:] + np.matmul(bank.transpose(0, 2, 1), d_alpha)).transpose(0, 2, 1)
+        del d_alpha, d_u, bank
+        # a row whose bank is one record hands it the context and the score
+        # part one after the other (on the tape that bank is the record's own
+        # node); other rows hand each record the sum of the two
+        single = (slots >= 0).sum(axis=1) == 1
+        d_bank = d_ctx_bank.reshape(n, depth, M * m) + d_score_bank * ~single[:, None, None]
+        records = np.zeros((n, M * m))
+        np.add.at(records, _last_first(idx), _last_first(d_bank))
+        np.add.at(records, _last_first(idx[single]), _last_first(d_score_bank[single]))
+        del d_ctx_bank, d_score_bank, d_bank
+        d_h = d_h.reshape(n, H)
+        d_h[:, :M * m] += records
+
+        # one reverse loop over the LSTM; d_z rows are the (i, f, g, o)
+        # pre-activation adjoints, each ((dc or dh) * a) * b * c as on the tape
+        c_prev = np.concatenate([np.zeros((1, H)), cs[:-1]])
+        a = np.stack([gg, c_prev, gi, tanh_c], axis=1)
+        b = np.stack([gi, gf, np.ones((n, H)), go], axis=1)
+        c = np.stack([1.0 - gi, 1.0 - gf, 1.0 - gg * gg, 1.0 - go], axis=1)
+        keep_c = 1.0 - tanh_c * tanh_c
+        d_z = np.empty((n, 4, H))
+        dz, dc = np.zeros(4 * H), np.zeros(H)
+        for t in range(n - 1, -1, -1):
+            dh = d_h[t] + p.lstm_wh.T @ dz
+            dc = dc + dh * go[t] * keep_c[t]
+            np.multiply(a[t, :3], dc, out=d_z[t, :3])
+            np.multiply(a[t, 3], dh, out=d_z[t, 3])
+            d_z[t] *= b[t]
+            d_z[t] *= c[t]
+            dc = dc * gf[t]
+            dz = d_z[t].reshape(4 * H)
+        del a, b, c
+        d_z = d_z.reshape(n, 4 * H, 1)
+        x = np.concatenate([p.embedding[labels], times[:n, None] / config.time_scale], axis=1)
+        h_prev = np.concatenate([np.zeros((1, H)), hs[:-1]])
+        d_emb = np.zeros_like(p.embedding)
+        np.add.at(d_emb, labels[::-1], _last_first(np.matmul(p.lstm_wx.T, d_z)[:, :-1, 0]))
+        grads["lstm_b"] = _sum_last_first(d_z[:, :, 0])
+        d_z = _blocks(d_z)
+        grads["lstm_wx"], grads["lstm_wh"] = d_z @ _last_first(x), d_z @ _last_first(h_prev)
+        return ModelParams(embedding=d_emb, **grads)
+
+
+# A weight's gradient is one product of the per-row adjoints, last row first,
+# by the per-row operands stacked F-ordered (head) or C-ordered (LSTM vectors).
+# BLAS rounds differently per layout, and long trainings such as acceptance
+# criterion 2 turn on last-bit rounding, so the order and layouts are fixed.
+
+def _last_first(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a[::-1])
+
+
+def _blocks(a: np.ndarray) -> np.ndarray:
+    """(N, k, C) -> C-ordered (k, N*C) whose column block N-1-r is a[r]."""
+    return np.ascontiguousarray(a[::-1].transpose(1, 0, 2)).reshape(a.shape[1], -1)
+
+
+def _rows_product(adj: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    return _blocks(adj) @ _blocks(operand).T
+
+
+def _sum_last_first(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, one row at a time from the last row."""
+    return np.add.accumulate(a[::-1], axis=0)[-1].copy()
 
 
 # ---------------------------------------------------------------------------

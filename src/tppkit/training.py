@@ -7,8 +7,10 @@ oppose the maximized LL: a next-label cross-entropy (fake label included,
 EOS excluded) and the squared weights of the two rate layers.
 
 Each term is written once, as a few vectorized tape ops over the stacked
-(N, M+1) rate matrix. Training differentiates them on the forward tape;
-scoring evaluates the same functions on a rate array wrapped as a constant.
+(N, M+1) rate matrix. Training evaluates them on a small tape whose leaf is
+that matrix, releases the forward tape, and hands the rate adjoint to
+``model.backward`` for the parameter gradients; scoring evaluates the same
+functions on a rate array wrapped as a constant.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .model import ForwardResult, ModelConfig, ModelParams, ParamNodes, forward
+from .model import ForwardResult, ModelConfig, ModelParams, ParamNodes, backward, forward
 from .streams import AugmentedSequence, Dataset, TokenKind, augment
 
 __all__ = [
@@ -155,49 +157,58 @@ def weight_penalty(params: ModelParams) -> float:
         return float(weight_penalty_node(ParamNodes.create(ad.Tape(), params)).value)
 
 
-def _objective_nodes(fwd: ForwardResult, cfg: TrainConfig):
+def _objective_nodes(seq: AugmentedSequence, rates: ad.Node, pn: ParamNodes,
+                     cfg: TrainConfig):
     """(objective, LL) nodes: LL minus the weighted prediction and weight penalties."""
-    rates = ad.stack(fwd.rates)
-    ll = quadrature_ll_node(fwd.seq, rates)
+    ll = quadrature_ll_node(seq, rates)
     obj = ll
     if cfg.pred_weight > 0.0:
-        obj = ad.sub(obj, ad.scale(prediction_loss_node(fwd.seq, rates), cfg.pred_weight))
+        obj = ad.sub(obj, ad.scale(prediction_loss_node(seq, rates), cfg.pred_weight))
     if cfg.l2_weight > 0.0:
-        obj = ad.sub(obj, ad.scale(weight_penalty_node(fwd.params), cfg.l2_weight))
+        obj = ad.sub(obj, ad.scale(weight_penalty_node(pn), cfg.l2_weight))
     return obj, ll
+
+
+def _rate_objective(seq, rates: np.ndarray, params: ModelParams, cfg: TrainConfig):
+    """(objective, LL, rate leaf, ParamNodes) on a fresh tape over the rate matrix."""
+    tape = ad.Tape()
+    leaf, pn = tape.leaf(rates), ParamNodes.create(tape, params)
+    return (*_objective_nodes(seq, leaf, pn, cfg), leaf, pn)
 
 
 def objective(seq: AugmentedSequence, params: ModelParams, model_cfg: ModelConfig,
               train_cfg: TrainConfig) -> float:
     """The training objective (to maximize) for one sequence."""
     with ad.tape_scope():
-        return float(_objective_nodes(forward(seq, params, model_cfg), train_cfg)[0].value)
+        rates = forward(seq, params, model_cfg).rate_values()
+        return float(_rate_objective(seq, rates, params, train_cfg)[0].value)
 
 
 def objective_with_grads(seq: AugmentedSequence, params: ModelParams,
                          model_cfg: ModelConfig, train_cfg: TrainConfig):
     """Returns (objective value, LL value, list of parameter gradients).
 
-    Raises TrainingError when the objective or any gradient is non-finite.
+    The gradients are fresh arrays. Raises TrainingError when the objective
+    or any gradient is non-finite.
     """
     with ad.tape_scope():
-        return _objective_with_grads(seq, params, model_cfg, train_cfg)
-
-
-def _objective_with_grads(seq, params, model_cfg, train_cfg):
-    fwd = forward(seq, params, model_cfg)
-    obj, ll = _objective_nodes(fwd, train_cfg)
-    value = float(obj.value)
-    if not math.isfinite(value):
-        raise TrainingError(_diagnose_nonfinite(fwd))
-    ad.backward(fwd.tape, obj)
-    grads = fwd.params.grads()
-    for name, g in zip(params.names(), grads):
+        fwd = forward(seq, params, model_cfg)
+        obj, ll, rates, pn = _rate_objective(seq, fwd.rate_values(), params, train_cfg)
+        value = float(obj.value)
+        if not math.isfinite(value):
+            raise TrainingError(_diagnose_nonfinite(fwd))
+        ad.backward(obj.tape, obj)
+        cells = fwd.cells
+        del fwd   # the scope's exit then frees the forward tape's nodes
+    grads = backward(seq, params, model_cfg, cells, rates.grad)
+    grads.f1_w += pn.f1_w.grad
+    grads.f2_w += pn.f2_w.grad
+    for name, g in zip(params.names(), grads.arrays()):
         if not np.all(np.isfinite(g)):
             raise TrainingError(
                 f"non-finite gradient for {name} (objective {value}, "
-                f"minimum rate {np.min(fwd.rate_values())})")
-    return value, float(ll.value), grads
+                f"minimum rate {np.min(rates.value)})")
+    return value, float(ll.value), grads.arrays()
 
 
 def _diagnose_nonfinite(fwd: ForwardResult) -> str:

@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference oracles, gradient comparison, tape leaks,
-a per-channel model reference and a brute-force PGEM reference."""
+a tape-walking gradient reference, a per-channel model reference and a
+brute-force PGEM reference."""
 
 import gc
 import math
@@ -7,7 +8,9 @@ import math
 import numpy as np
 
 import tppkit.autodiff as ad
+from tppkit.model import forward
 from tppkit.streams import TokenKind
+from tppkit.training import _objective_nodes
 
 
 def numerical_grad(f, x, h=1e-5):
@@ -55,6 +58,19 @@ def assert_frees_its_tapes(call):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def objective_with_grads_on_tape(seq, params, model_cfg, train_cfg):
+    """training.objective_with_grads the slow way: the objective on the forward
+    tape, differentiated by walking that whole tape.
+
+    Returns (objective value, LL value, list of the 9 parameter gradients).
+    """
+    with ad.tape_scope():
+        fwd = forward(seq, params, model_cfg)
+        obj, ll = _objective_nodes(seq, ad.stack(fwd.rates), fwd.params, train_cfg)
+        ad.backward(fwd.tape, obj)
+        return float(obj.value), float(ll.value), fwd.params.grads()
 
 
 def _sigmoid(v):

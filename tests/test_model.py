@@ -78,7 +78,7 @@ class TestLstmStep:
         h0 = tape.const(np.zeros(cfg.hidden_dim))
         c0 = tape.const(np.zeros(cfg.hidden_dim))
         x = tape.const(np.ones(cfg.embed_dim + 1))
-        h, c = lstm_step(x, (h0, c0), pn)
+        h, c, _ = lstm_step(x, (h0, c0), pn)
         assert np.allclose(h.value, 0.0)
         assert np.allclose(c.value, 0.0)
 
@@ -92,7 +92,7 @@ class TestLstmStep:
         rng = np.random.default_rng(5)
         c0v = rng.normal(size=h)
         st0 = (tape.const(np.zeros(h)), tape.const(c0v))
-        _, c = lstm_step(tape.const(np.zeros(cfg.embed_dim + 1)), st0, pn)
+        _, c, _ = lstm_step(tape.const(np.zeros(cfg.embed_dim + 1)), st0, pn)
         # i ~ 0.5 and g = 0, so c' = f*c with f = sigmoid(10)
         assert np.max(np.abs(c.value - c0v)) < 1e-4 * np.max(np.abs(c0v))
 
@@ -107,7 +107,7 @@ class TestLstmStep:
             pn = ParamNodes.create(tape, p)
             st = (tape.const(np.zeros(cfg.hidden_dim)), tape.const(np.zeros(cfg.hidden_dim)))
             for i in range(5):
-                st = lstm_step(tape.const(xs[i]), st, pn)
+                st = lstm_step(tape.const(xs[i]), st, pn)[:2]
             return tape, pn, ad.vsum(ad.tanh(st[0]))
 
         tape, pn, loss = run_on(params)
@@ -310,7 +310,7 @@ class TestForward:
         tape = ad.Tape()
         pn = ParamNodes.create(tape, params)
         st = (tape.const(np.zeros(cfg.hidden_dim)), tape.const(np.zeros(cfg.hidden_dim)))
-        h, _ = lstm_step(encode_token(seq.tokens[0], pn, cfg), st, pn)
+        h, _, _ = lstm_step(encode_token(seq.tokens[0], pn, cfg), st, pn)
         dt = seq.tokens[1].time - seq.tokens[0].time
         h0 = h.value[:m]
         cat = np.concatenate([np.zeros(m), h0])

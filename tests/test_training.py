@@ -14,7 +14,9 @@ from tppkit.training import (
     prediction_loss, prediction_loss_node, quadrature_ll, quadrature_ll_node,
     train, weight_penalty, weight_penalty_node,
 )
-from helpers import assert_frees_its_tapes, assert_grads_close, numerical_grad
+from helpers import (
+    assert_frees_its_tapes, assert_grads_close, numerical_grad, objective_with_grads_on_tape,
+)
 
 
 def constant_rate_vectors(seq, rates_by_channel):
@@ -272,6 +274,95 @@ class TestObjective:
             assert_frees_its_tapes(call)
             call()
             assert gc.isenabled()
+
+
+def random_stream(m, n_events, horizon, seed):
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.choice(np.linspace(0.0, horizon, 400)[1:-1], n_events, replace=False))
+    return make_stream(times, rng.integers(0, m, size=n_events), horizon, m)
+
+
+def assert_matches_tape(seq, cfg, tc, seed=0):
+    """objective_with_grads against the tape walk: objective and LL bit-identical,
+    each gradient within 1e-12 of its own largest entry. In the default bank
+    mode, the gradients the walk sums one term at a time in reverse token
+    order (the embedding and the biases) are bit-identical too, which holds
+    only if every per-token adjoint is. Returns the gradients."""
+    params = ModelParams.init(cfg, seed=seed)
+    value, ll, grads = objective_with_grads(seq, params, cfg, tc)
+    ref_value, ref_ll, ref_grads = objective_with_grads_on_tape(seq, params, cfg, tc)
+    assert value == ref_value and ll == ref_ll
+    for name, g, ref in zip(params.names(), grads, ref_grads):
+        assert g.shape == ref.shape
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(g - ref)) <= 1e-12 * scale, name
+        if name in ("embedding", "lstm_b", "f1_b", "f2_b") and not cfg.bank_real_only:
+            assert np.array_equal(g, ref), name
+    return grads
+
+
+class TestHandBackward:
+    """The hand-written backward against the slow reference: the same objective
+    on the forward tape, differentiated by walking the whole tape."""
+
+    @pytest.mark.parametrize("real_only", [False, True])
+    @pytest.mark.parametrize("fakes", [0, 1, 3])
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    @pytest.mark.parametrize("labels", [1, 5, 20])
+    def test_matches_tape_walk(self, labels, depth, fakes, real_only):
+        cfg = ModelConfig(label_count=labels, channel_width=3, embed_dim=4, memory_depth=depth,
+                          fake_count=fakes, hidden_width=5, time_scale=10.0,
+                          bank_real_only=real_only)
+        seq = augment(random_stream(labels, 7, 10.0, seed=labels + depth), fakes)
+        assert_matches_tape(seq, cfg, TrainConfig(pred_weight=0.7, l2_weight=0.05),
+                            seed=depth + fakes)
+
+    @pytest.mark.parametrize("real_only", [False, True])
+    @pytest.mark.parametrize("times", [[], [4.0], [0.0, 10.0]])
+    def test_short_streams(self, times, real_only):
+        # no events, a single event, and events on both ends of the horizon
+        cfg = ModelConfig(label_count=2, channel_width=3, embed_dim=4, memory_depth=2,
+                          fake_count=1, hidden_width=5, time_scale=10.0,
+                          bank_real_only=real_only)
+        seq = augment(make_stream(times, [1] * len(times), 10.0, 2), 1)
+        assert_matches_tape(seq, cfg, TrainConfig(pred_weight=0.7, l2_weight=0.05))
+
+    @pytest.mark.parametrize("pred_weight, l2_weight", [(0.0, 0.05), (0.7, 0.0), (0.0, 0.0)])
+    def test_without_a_penalty(self, pred_weight, l2_weight):
+        cfg = ModelConfig(label_count=3, channel_width=3, embed_dim=4, memory_depth=2,
+                          hidden_width=5, time_scale=10.0)
+        seq = augment(random_stream(3, 6, 10.0, seed=4), 1)
+        assert_matches_tape(seq, cfg, TrainConfig(pred_weight=pred_weight, l2_weight=l2_weight))
+
+    def test_returned_gradients_are_private(self):
+        # train adds later streams' gradients into the first stream's arrays
+        cfg = ModelConfig(label_count=2, channel_width=3, embed_dim=4, memory_depth=2,
+                          hidden_width=5, time_scale=10.0)
+        params = ModelParams.init(cfg, seed=1)
+        seq = augment(random_stream(2, 5, 10.0, seed=2), 1)
+        _, _, first = objective_with_grads(seq, params, cfg, TrainConfig())
+        _, _, second = objective_with_grads(seq, params, cfg, TrainConfig())
+        for i, g in enumerate(first):
+            assert g.flags.writeable
+            others = first[:i] + first[i + 1:] + params.arrays() + second
+            assert not any(np.shares_memory(g, o) for o in others)
+
+    @pytest.mark.parametrize("depth, real_only", [(3, True), (0, False)])
+    def test_rows_with_an_empty_bank(self, depth, real_only):
+        # bank_real_only with a late first event leaves every row before it
+        # with an empty bank; J = 0 leaves every row with one
+        cfg = ModelConfig(label_count=2, channel_width=3, embed_dim=4, memory_depth=depth,
+                          fake_count=3, hidden_width=5, time_scale=10.0,
+                          bank_real_only=real_only)
+        seq = augment(make_stream([8.0, 8.5, 9.0], [0, 1, 0], 10.0, 2), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grads = assert_matches_tape(seq, cfg, TrainConfig())
+            empty = augment(make_stream([], [], 10.0, 2), 3)
+            no_context = assert_matches_tape(empty, cfg, TrainConfig())
+        assert all(np.all(np.isfinite(g)) for g in grads)
+        # a zero context passes no gradient to attn_w's context columns
+        assert np.all(no_context[4][:, :cfg.channel_width] == 0.0)
 
 
 class TestTrain:
