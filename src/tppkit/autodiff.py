@@ -8,8 +8,9 @@ computed in the reverse walk, so a forward that is never differentiated pays
 nothing for it. Adjoints are computed in fresh per-call buffers and never
 mutated in place; every node sums its adjoint as the walk reaches it. The
 results are added into ``Node.grad``, so repeated ``backward`` calls
-accumulate. Training walks only a small tape over the model's rate matrix;
-``model.backward`` carries that adjoint on to the weights by hand.
+accumulate. The package only records forward graphs (``model.forward``):
+training takes its gradients from ``model.backward`` by hand, and only the
+tests walk a tape, as the slow reference of that backward.
 
 Tape lifetime: every node holds its tape and the tape lists every node, so a
 tape is one large reference cycle. Left alone, the cyclic garbage collector
@@ -31,11 +32,9 @@ import numpy as np
 
 __all__ = [
     "Tape", "Node", "backward", "tape_scope",
-    "add", "sub", "mul", "scale", "exp", "log", "tanh", "sigmoid",
-    "relu", "softplus", "linear", "matvec", "vsum",
-    "sumsq", "concat", "stack", "vslice", "row", "pick",
-    "log_softmax", "reshape", "transpose", "matmul", "add_col",
-    "concat_rows", "rowslice", "softmax_cols",
+    "add", "mul", "tanh", "sigmoid", "relu", "softplus", "linear", "matvec",
+    "vsum", "concat", "stack", "vslice", "row", "reshape", "transpose",
+    "matmul", "add_col", "concat_rows", "rowslice", "softmax_cols",
 ]
 
 
@@ -74,9 +73,6 @@ class Node:
     @property
     def shape(self):
         return self.value.shape
-
-    def zero_grad(self):
-        self._grad = None
 
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
@@ -224,17 +220,6 @@ def add(x, y) -> Node:
     return Node(tape, val, (x, y), "add", bw)
 
 
-def sub(x, y) -> Node:
-    tape, x, y = _operands(x, y, "sub")
-    val = x.value - y.value
-
-    def bw(adj):
-        _acc(x, _reduce_to(adj, x.value.shape))
-        _acc(y, _reduce_to(-adj, y.value.shape))
-
-    return Node(tape, val, (x, y), "sub", bw)
-
-
 def mul(x, y) -> Node:
     tape, x, y = _operands(x, y, "mul")
     xv, yv = x.value, y.value
@@ -245,36 +230,6 @@ def mul(x, y) -> Node:
         _acc(y, _reduce_to(adj * xv, yv.shape))
 
     return Node(tape, val, (x, y), "mul", bw)
-
-
-def scale(x: Node, c: float) -> Node:
-    """Multiply by a plain float constant (no constant node, no grad for c)."""
-    c = float(c)
-
-    def bw(adj):
-        _acc(x, adj * c)
-
-    return Node(x.tape, x.value * c, (x,), "scale", bw)
-
-
-def exp(x: Node) -> Node:
-    val = np.exp(x.value)
-
-    def bw(adj):
-        _acc(x, adj * val)
-
-    return Node(x.tape, val, (x,), "exp", bw)
-
-
-def log(x: Node) -> Node:
-    xv = x.value
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.log(xv)
-
-    def bw(adj):
-        _acc(x, adj / xv)
-
-    return Node(x.tape, val, (x,), "log", bw)
 
 
 def tanh(x: Node) -> Node:
@@ -366,16 +321,6 @@ def vsum(x: Node) -> Node:
     return Node(x.tape, val, (x,), "vsum", bw)
 
 
-def sumsq(x: Node) -> Node:
-    xv = x.value
-    val = np.asarray(np.sum(xv * xv))
-
-    def bw(adj):
-        _acc(x, (2.0 * adj) * xv)
-
-    return Node(x.tape, val, (x,), "sumsq", bw)
-
-
 def _split_acc(parts, adj: np.ndarray):
     # hand each part its leading-axis block of a concatenation's adjoint
     off = 0
@@ -440,40 +385,6 @@ def row(A: Node, i: int) -> Node:
         _acc(A, g)
 
     return Node(A.tape, val, (A,), "row", bw)
-
-
-def pick(x: Node, index) -> Node:
-    """Entries of x at an int index (vector x) or a tuple of index arrays, one per axis."""
-    xv = x.value
-    idx = index if isinstance(index, tuple) else (index,)
-    if len(idx) != xv.ndim:
-        raise ValueError(f"pick needs {xv.ndim} index arrays, got {len(idx)}")
-    for ix, n in zip(idx, xv.shape):
-        ix = np.asarray(ix)
-        if ix.size and (ix.min() < 0 or ix.max() >= n):
-            raise ValueError(f"pick index out of range for axis of length {n}")
-    val = np.asarray(xv[idx])
-
-    def bw(adj):
-        g = np.zeros_like(xv)
-        np.add.at(g, idx, adj)
-        _acc(x, g)
-
-    return Node(x.tape, val, (x,), "pick", bw)
-
-
-def log_softmax(x: Node) -> Node:
-    """Log-softmax along the last axis (each row of a matrix separately)."""
-    xv = x.value
-    if xv.ndim == 0 or xv.shape[-1] == 0:
-        raise ValueError("log_softmax expects a non-empty last axis")
-    m = xv.max(axis=-1, keepdims=True)
-    val = xv - (m + np.log(np.exp(xv - m).sum(axis=-1, keepdims=True)))
-
-    def bw(adj):
-        _acc(x, adj - np.exp(val) * adj.sum(axis=-1, keepdims=True))
-
-    return Node(x.tape, val, (x,), "log_softmax", bw)
 
 
 # ---------------------------------------------------------------------------

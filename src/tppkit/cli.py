@@ -300,6 +300,8 @@ def run_trace(cfg: dict) -> str:
                                            fake_count=cfg["fakes"])
     except ValueError as exc:
         raise CliError(str(exc))
+    except TrainingError as exc:
+        raise TrainingError(f"stream {cfg['stream']}: {exc}") from None
     trace.to_csv(outputs["trace"])
     return f"trace: {len(trace.rows)} rows for stream {cfg['stream']} at {outputs['trace']}"
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .model import ModelConfig, ModelParams, forward
 from .streams import Dataset, EventStream, TokenKind, augment
-from .training import quadrature_ll
+from .training import TrainingError, _diagnose_nonfinite, quadrature_ll
 
 __all__ = [
     "StreamScore", "TestLLReport", "AttentionGraph", "IntensityTrace",
@@ -116,16 +117,33 @@ def _check_labels(config: ModelConfig, dataset_label_count: int):
             f"with {config.label_count}; unknown labels cannot be scored")
 
 
+def _model_rates(seq, params: ModelParams, config: ModelConfig, what: str) -> np.ndarray:
+    """forward's (N, M+1) rates; TrainingError naming the token and channel of
+    the first rate that is not finite and positive."""
+    with ad.tape_scope():
+        rates = forward(seq, params, config).rate_values()
+    if not np.all((rates > 0.0) & (rates < np.inf)):
+        raise TrainingError(_diagnose_nonfinite(seq, rates, what))
+    return rates
+
+
 def test_ll(config: ModelConfig, params: ModelParams, dataset: Dataset,
             fake_count: int | None = None) -> TestLLReport:
-    """Quadrature log-likelihood per stream and in total; params untouched."""
+    """Quadrature log-likelihood per stream and in total; params untouched.
+
+    Raises TrainingError, naming the stream, when a stream's rates or its
+    log-likelihood are not finite.
+    """
     _check_labels(config, dataset.label_count)
     k = config.fake_count if fake_count is None else fake_count
     scores = []
     for sid, stream in zip(dataset.stream_ids(), dataset.streams):
         seq = augment(stream, k)
-        with ad.tape_scope():
-            ll = quadrature_ll(seq, forward(seq, params, config).rate_values())
+        what = f"log-likelihood of stream {sid}"
+        rates = _model_rates(seq, params, config, what)
+        ll = quadrature_ll(seq, rates)
+        if not math.isfinite(ll):
+            raise TrainingError(_diagnose_nonfinite(seq, rates, what))
         scores.append(StreamScore(sid, ll, len(stream), stream.horizon))
     return TestLLReport(tuple(scores), float(sum(s.ll for s in scores)))
 
@@ -169,12 +187,14 @@ def attention_graph(config: ModelConfig, params: ModelParams, dataset: Dataset,
 
 def intensity_trace(config: ModelConfig, params: ModelParams,
                     stream: EventStream, fake_count: int | None = None) -> IntensityTrace:
-    """Rates of every real label at every augmented token time, with markers."""
+    """Rates of every real label at every augmented token time, with markers.
+
+    Raises TrainingError when a rate is not finite and positive.
+    """
     _check_labels(config, stream.label_count)
     k = config.fake_count if fake_count is None else fake_count
     seq = augment(stream, k)
-    with ad.tape_scope():
-        rates = forward(seq, params, config).rate_values()
+    rates = _model_rates(seq, params, config, "intensity trace")
     rows = []
     for i, tok in enumerate(seq.tokens[1:]):
         for label in range(config.label_count):

@@ -11,8 +11,9 @@ each column [net state, elapsed time] to a positive rate via softplus
 Rates for token i are always computed from the state strictly before token i.
 
 ``forward`` builds these ops on an autodiff tape, token by token, and keeps
-each token's LSTM values. Training does not walk that tape: ``backward``
-takes the rate matrix's adjoint to the parameters with one batched pass over
+each token's LSTM values; nothing in the package walks that tape.
+``backward`` takes the adjoint of the rate matrix, which the training
+objective's numpy terms return, to the parameters with one batched pass over
 the attention-and-rate head and one reverse loop over the LSTM.
 """
 
@@ -142,9 +143,6 @@ class ModelParams:
 
     def names(self):
         return list(_PARAM_FIELDS)
-
-    def n_params(self) -> int:
-        return sum(a.size for a in self.arrays())
 
     def copy(self) -> "ModelParams":
         return ModelParams(*(a.copy() for a in self.arrays()))
@@ -290,6 +288,7 @@ class ForwardResult:
         return np.array([vec.value for vec in self.rates])
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) -> ForwardResult:
     """Run the network over an augmented sequence.
 
@@ -299,7 +298,8 @@ def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) ->
     Token i is then encoded and stepped through the LSTM. The bank records
     the new state's real-label slices after every token kind by default, or
     only after real events when config.bank_real_only is set, and keeps the
-    last memory_depth records.
+    last memory_depth records. Overflow raises no numpy warning; it shows as
+    rates that are not finite and positive, which the callers report.
     """
     if seq.label_count != config.label_count:
         raise ValueError(

@@ -6,11 +6,12 @@ dt * (sum of the real-label rates predicted at that token). Two regularizers
 oppose the maximized LL: a next-label cross-entropy (fake label included,
 EOS excluded) and the squared weights of the two rate layers.
 
-Each term is written once, as a few vectorized tape ops over the stacked
-(N, M+1) rate matrix. Training evaluates them on a small tape whose leaf is
-that matrix, releases the forward tape, and hands the rate adjoint to
-``model.backward`` for the parameter gradients; scoring evaluates the same
-functions on a rate array wrapped as a constant.
+Each term is one numpy function that returns its value and its adjoint: the
+LL and the cross-entropy over the stacked (N, M+1) rate matrix, the penalty
+over the two weight matrices. Training composes them in ``_objective``,
+releases the forward tape, hands the rate adjoint to ``model.backward`` for
+the parameter gradients and adds the penalty's; scoring calls the same
+functions for their values. No tape is walked.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .model import ForwardResult, ModelConfig, ModelParams, ParamNodes, backward, forward
+from .model import ModelConfig, ModelParams, backward, forward
 from .streams import AugmentedSequence, Dataset, TokenKind, augment
 
 __all__ = [
@@ -35,7 +36,10 @@ __all__ = [
 
 
 class TrainingError(RuntimeError):
-    """Optimization hit a non-finite objective; message names the culprit."""
+    """A numerical failure: a non-finite objective or gradient in training, or
+    model rates or a log-likelihood that are not finite in scoring. The
+    message names the culprit (stream, token, channel or parameter); the CLI
+    exits 2 on it."""
 
 
 @dataclass(frozen=True)
@@ -85,49 +89,80 @@ class TrainReport:
 
 
 # ---------------------------------------------------------------------------
-# objective terms: each is a few tape ops over the (N, M+1) rate matrix whose
-# row i holds the channel rates predicted at tokens[i+1]
+# objective terms: each is one numpy function returning its value and its
+# adjoint. The rate terms read the (N, M+1) rate matrix whose row i holds the
+# channel rates predicted at tokens[i+1]. Each adjoint is seeded and summed
+# in a fixed order (see _objective): long trainings such as acceptance
+# criterion 2 turn on last-bit rounding.
 
 
-def quadrature_ll_node(seq: AugmentedSequence, rates: ad.Node) -> ad.Node:
-    """Piecewise-constant log-likelihood of the rate matrix.
+def _real_events(seq: AugmentedSequence):
+    """(rows, labels) of the rate entries at real events."""
+    toks = seq.tokens[1:]
+    rows = np.flatnonzero([t.kind is TokenKind.REAL for t in toks])
+    return rows, np.array([toks[r].label for r in rows], dtype=np.intp)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def quadrature_ll_node(seq: AugmentedSequence, rates: np.ndarray, adj=0.0):
+    """Piecewise-constant log-likelihood of the rate matrix, and ``adj`` plus
+    its gradient with respect to the rates.
 
     Log terms use the true label's rate at real tokens only; the integral
     term runs over every token with the elapsed time since its predecessor
-    and sums the M real channels (the fake channel never enters).
+    and sums the M real channels (the fake channel never enters). The
+    gradient, 1/rate at the log terms and minus the elapsed time on the real
+    channels, is added as (adj - widths) + log part. The ``_node`` name is
+    kept because the benchmark's tracer times this function under it.
     """
-    toks = seq.tokens
-    m = seq.label_count
-    dts = np.diff([t.time for t in toks])
-    labels = np.array([t.label for t in toks[1:]], dtype=np.intp)
-    rows = np.flatnonzero([t.kind is TokenKind.REAL for t in toks[1:]])
-    widths = np.zeros((len(dts), m + 1))
-    widths[:, :m] = dts[:, None]
-    log_terms = ad.vsum(ad.log(ad.pick(rates, (rows, labels[rows]))))
-    return ad.sub(log_terms, ad.vsum(ad.mul(rates, widths)))
+    rows, labels = _real_events(seq)
+    widths = np.zeros(rates.shape)
+    widths[:, :seq.label_count] = np.diff([t.time for t in seq.tokens])[:, None]
+    picked = rates[rows, labels]
+    value = np.sum(np.log(picked)) - np.sum(rates * widths)
+    log_part = np.zeros(rates.shape)
+    log_part[rows, labels] += 1.0 / picked
+    return float(value), (adj - widths) + log_part
 
 
-def prediction_loss_node(seq: AugmentedSequence, rates: ad.Node) -> ad.Node:
-    """Mean next-label cross-entropy of softmax over the M+1 rates.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def prediction_loss_node(seq: AugmentedSequence, rates: np.ndarray, scale=1.0):
+    """Mean next-label cross-entropy of softmax over the M+1 rates, and
+    ``scale`` times its gradient with respect to the rates.
 
     Targets are the real and fake tokens after BOS (fake tokens target the
     fake label, which every non-real token carries); EOS is excluded. Zero
-    when the sequence has no targets.
+    when the sequence has no targets. The gradient, (softmax - one-hot) per
+    target over the target count, is the log-softmax's reverse of the seed
+    scale * (-1/targets) at each target. The ``_node`` name is kept because
+    the benchmark's tracer times this function under it.
     """
     toks = seq.tokens[1:]
     rows = np.flatnonzero([t.kind is not TokenKind.EOS for t in toks])
     targets = np.array([t.label for t in toks], dtype=np.intp)[rows]
-    picked = ad.pick(ad.log_softmax(rates), (rows, targets))
-    return ad.scale(ad.vsum(picked), -1.0 / max(len(rows), 1))
+    top = rates.max(axis=-1, keepdims=True)
+    logp = rates - (top + np.log(np.exp(rates - top).sum(axis=-1, keepdims=True)))
+    weight = -1.0 / max(len(rows), 1)
+    seed = np.zeros(rates.shape)
+    seed[rows, targets] += scale * weight
+    grad = seed - np.exp(logp) * seed.sum(axis=-1, keepdims=True)
+    return float(np.sum(logp[rows, targets]) * weight), grad
 
 
-def weight_penalty_node(pn: ParamNodes) -> ad.Node:
-    """Sum of squared entries of the two rate-layer weight matrices (no biases)."""
-    return ad.add(ad.sumsq(pn.f1_w), ad.sumsq(pn.f2_w))
+@np.errstate(over="ignore", invalid="ignore")
+def weight_penalty_node(params: ModelParams, scale=1.0):
+    """Sum of squared entries of the two rate-layer weight matrices (no
+    biases), and ``scale`` times its f1_w and f2_w gradients. The ``_node``
+    name is kept because the benchmark's tracer times this function under it.
+    """
+    f1, f2 = params.f1_w, params.f2_w
+    value = np.sum(f1 * f1) + np.sum(f2 * f2)
+    return float(value), ((2.0 * scale) * f1, (2.0 * scale) * f2)
 
 
 def _rate_array(seq: AugmentedSequence, rates) -> np.ndarray:
-    rates = np.asarray(rates, dtype=np.float64)
+    # C order: a sum's rounding depends on the memory order it walks
+    rates = np.asarray(rates, dtype=np.float64, order="C")
     shape = (len(seq.tokens) - 1, seq.label_count + 1)
     if rates.shape != shape:
         raise ValueError(f"rates must have shape {shape}, got {rates.shape}")
@@ -135,53 +170,68 @@ def _rate_array(seq: AugmentedSequence, rates) -> np.ndarray:
 
 
 def quadrature_ll(seq: AugmentedSequence, rates) -> float:
-    """quadrature_ll_node on a plain (len(tokens)-1, M+1) rate array."""
+    """quadrature_ll_node's value on a plain (len(tokens)-1, M+1) rate array;
+    a rate at a real event that is not positive raises ValueError."""
     rates = _rate_array(seq, rates)
-    for i, tok in enumerate(seq.tokens[1:]):
-        if tok.kind is TokenKind.REAL and rates[i, tok.label] <= 0.0:
-            raise ValueError(f"non-positive rate {rates[i, tok.label]} at real token index {i + 1}")
-    with ad.tape_scope():
-        return float(quadrature_ll_node(seq, ad.Tape().const(rates)).value)
+    rows, labels = _real_events(seq)
+    picked = rates[rows, labels]
+    bad = np.flatnonzero(~(picked > 0.0))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"non-positive rate {picked[j]} at real token index {rows[j] + 1}")
+    return quadrature_ll_node(seq, rates)[0]
 
 
 def prediction_loss(seq: AugmentedSequence, rates) -> float:
-    """prediction_loss_node on a plain (len(tokens)-1, M+1) rate array."""
-    rates = _rate_array(seq, rates)
-    with ad.tape_scope():
-        return float(prediction_loss_node(seq, ad.Tape().const(rates)).value)
+    """prediction_loss_node's value on a plain (len(tokens)-1, M+1) rate array."""
+    return prediction_loss_node(seq, _rate_array(seq, rates))[0]
 
 
 def weight_penalty(params: ModelParams) -> float:
-    """weight_penalty_node on plain parameter arrays."""
-    with ad.tape_scope():
-        return float(weight_penalty_node(ParamNodes.create(ad.Tape(), params)).value)
+    """weight_penalty_node's value."""
+    return weight_penalty_node(params)[0]
 
 
-def _objective_nodes(seq: AugmentedSequence, rates: ad.Node, pn: ParamNodes,
-                     cfg: TrainConfig):
-    """(objective, LL) nodes: LL minus the weighted prediction and weight penalties."""
-    ll = quadrature_ll_node(seq, rates)
+def _objective(seq: AugmentedSequence, rates: np.ndarray, params: ModelParams,
+               cfg: TrainConfig):
+    """LL minus the weighted prediction and weight penalties.
+
+    Returns (objective, LL, rate adjoint, (f1_w, f2_w) penalty gradients).
+    The rate adjoint is summed as (prediction part - widths) + log part, the
+    prediction part seeded with -pred_weight and the penalty gradients with
+    -l2_weight; they are (0.0, 0.0) without a penalty.
+    """
+    pred_adj = 0.0
+    if cfg.pred_weight > 0.0:
+        pred, pred_adj = prediction_loss_node(seq, rates, -cfg.pred_weight)
+    ll, rate_adj = quadrature_ll_node(seq, rates, pred_adj)
     obj = ll
     if cfg.pred_weight > 0.0:
-        obj = ad.sub(obj, ad.scale(prediction_loss_node(seq, rates), cfg.pred_weight))
+        obj -= pred * cfg.pred_weight
+    pen_grads = (0.0, 0.0)
     if cfg.l2_weight > 0.0:
-        obj = ad.sub(obj, ad.scale(weight_penalty_node(pn), cfg.l2_weight))
-    return obj, ll
+        pen, pen_grads = weight_penalty_node(params, -cfg.l2_weight)
+        obj -= pen * cfg.l2_weight
+    return obj, ll, rate_adj, pen_grads
 
 
-def _rate_objective(seq, rates: np.ndarray, params: ModelParams, cfg: TrainConfig):
-    """(objective, LL, rate leaf, ParamNodes) on a fresh tape over the rate matrix."""
-    tape = ad.Tape()
-    leaf, pn = tape.leaf(rates), ParamNodes.create(tape, params)
-    return (*_objective_nodes(seq, leaf, pn, cfg), leaf, pn)
+def _forward_rates(seq, params, model_cfg):
+    """forward's (N, M+1) rate array and its per-token LSTM values, with the
+    forward tape already released."""
+    with ad.tape_scope():
+        fwd = forward(seq, params, model_cfg)
+        rates, cells = fwd.rate_values(), fwd.cells
+        # dropped inside the scope, so that its exit frees the tape's nodes
+        # before the cyclic GC runs again
+        del fwd
+    return rates, cells
 
 
 def objective(seq: AugmentedSequence, params: ModelParams, model_cfg: ModelConfig,
               train_cfg: TrainConfig) -> float:
     """The training objective (to maximize) for one sequence."""
-    with ad.tape_scope():
-        rates = forward(seq, params, model_cfg).rate_values()
-        return float(_rate_objective(seq, rates, params, train_cfg)[0].value)
+    rates, _ = _forward_rates(seq, params, model_cfg)
+    return _objective(seq, rates, params, train_cfg)[0]
 
 
 def objective_with_grads(seq: AugmentedSequence, params: ModelParams,
@@ -191,34 +241,32 @@ def objective_with_grads(seq: AugmentedSequence, params: ModelParams,
     The gradients are fresh arrays. Raises TrainingError when the objective
     or any gradient is non-finite.
     """
-    with ad.tape_scope():
-        fwd = forward(seq, params, model_cfg)
-        obj, ll, rates, pn = _rate_objective(seq, fwd.rate_values(), params, train_cfg)
-        value = float(obj.value)
-        if not math.isfinite(value):
-            raise TrainingError(_diagnose_nonfinite(fwd))
-        ad.backward(obj.tape, obj)
-        cells = fwd.cells
-        del fwd   # the scope's exit then frees the forward tape's nodes
-    grads = backward(seq, params, model_cfg, cells, rates.grad)
-    grads.f1_w += pn.f1_w.grad
-    grads.f2_w += pn.f2_w.grad
+    rates, cells = _forward_rates(seq, params, model_cfg)
+    value, ll, rate_adj, (d_f1, d_f2) = _objective(seq, rates, params, train_cfg)
+    if not math.isfinite(value):
+        raise TrainingError(_diagnose_nonfinite(seq, rates))
+    grads = backward(seq, params, model_cfg, cells, rate_adj)
+    grads.f1_w += d_f1
+    grads.f2_w += d_f2
     for name, g in zip(params.names(), grads.arrays()):
         if not np.all(np.isfinite(g)):
             raise TrainingError(
                 f"non-finite gradient for {name} (objective {value}, "
-                f"minimum rate {np.min(rates.value)})")
-    return value, float(ll.value), grads.arrays()
+                f"minimum rate {np.min(rates)})")
+    return value, ll, grads.arrays()
 
 
-def _diagnose_nonfinite(fwd: ForwardResult) -> str:
-    for i, vec in enumerate(fwd.rates):
-        for k, v in enumerate(vec.value):
-            if not math.isfinite(v) or v <= 0.0:
-                tok = fwd.seq.tokens[i + 1]
-                return (f"non-finite objective: rate {v} at token {i + 1} "
-                        f"(t={tok.time}, kind={tok.kind.value}), channel {k}")
-    return "non-finite objective (log/integral overflow, rates all finite)"
+def _diagnose_nonfinite(seq: AugmentedSequence, rates: np.ndarray,
+                        what: str = "objective") -> str:
+    """Why `what` is not finite: the first rate that is not finite and
+    positive, with its token and channel, or an overflow of finite rates."""
+    bad = np.flatnonzero(~((rates > 0.0) & (rates < np.inf)))
+    if not bad.size:
+        return f"non-finite {what} (log/integral overflow, rates all finite)"
+    i, k = divmod(int(bad[0]), rates.shape[1])
+    tok = seq.tokens[i + 1]
+    return (f"non-finite {what}: rate {rates[i, k]} at token {i + 1} "
+            f"(t={tok.time}, kind={tok.kind.value}), channel {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +305,7 @@ def dataset_ll(dataset_seqs, params: ModelParams, model_cfg: ModelConfig) -> flo
     """Summed quadrature LL over pre-augmented sequences; no mutation."""
     total = 0.0
     for seq in dataset_seqs:
-        with ad.tape_scope():
-            total += quadrature_ll(seq, forward(seq, params, model_cfg).rate_values())
+        total += quadrature_ll(seq, _forward_rates(seq, params, model_cfg)[0])
     return total
 
 

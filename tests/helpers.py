@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference oracles, gradient comparison, tape leaks,
-a tape-walking gradient reference, a per-channel model reference and a
-brute-force PGEM reference."""
+a tape-walking gradient reference, a per-token objective adjoint, a per-channel
+model reference and a brute-force PGEM reference."""
 
 import gc
 import math
@@ -10,7 +10,7 @@ import numpy as np
 import tppkit.autodiff as ad
 from tppkit.model import forward
 from tppkit.streams import TokenKind
-from tppkit.training import _objective_nodes
+from tppkit.training import _objective
 
 
 def numerical_grad(f, x, h=1e-5):
@@ -60,17 +60,65 @@ def assert_frees_its_tapes(call):
         gc.enable()
 
 
+def assert_frees_its_tapes_before_gc_resumes(call, monkeypatch):
+    """Whenever a tape scope in call() turns the cyclic GC back on, every Node
+    that scope made is already freed, so the collector never walks a dead
+    tape (a result that still holds one would cost a full traversal)."""
+    gc.collect()
+    before = _tracked_nodes()
+    seen = []
+    enable = gc.enable
+
+    def counting_enable():
+        seen.append(_tracked_nodes())
+        enable()
+
+    monkeypatch.setattr(gc, "enable", counting_enable)
+    try:
+        call()
+    finally:
+        monkeypatch.undo()
+    assert seen and all(n == before for n in seen), (before, seen)
+
+
 def objective_with_grads_on_tape(seq, params, model_cfg, train_cfg):
-    """training.objective_with_grads the slow way: the objective on the forward
-    tape, differentiated by walking that whole tape.
+    """training.objective_with_grads the slow way: the objective's rate adjoint
+    carried to the weights by walking the whole forward tape, from the root
+    sum(rates * adjoint), with the penalty's gradients added.
 
     Returns (objective value, LL value, list of the 9 parameter gradients).
     """
     with ad.tape_scope():
         fwd = forward(seq, params, model_cfg)
-        obj, ll = _objective_nodes(seq, ad.stack(fwd.rates), fwd.params, train_cfg)
-        ad.backward(fwd.tape, obj)
-        return float(obj.value), float(ll.value), fwd.params.grads()
+        value, ll, rate_adj, (d_f1, d_f2) = _objective(seq, fwd.rate_values(), params, train_cfg)
+        root = ad.vsum(ad.mul(ad.stack(fwd.rates), fwd.tape.const(rate_adj)))
+        ad.backward(fwd.tape, root)
+        pn = fwd.params
+        for leaf, d in ((pn.f1_w, d_f1), (pn.f2_w, d_f2)):
+            grad = leaf.grad
+            grad += d
+        return value, ll, pn.grads()
+
+
+def rate_adjoint_by_definition(seq, rates, pred_weight):
+    """The objective's gradient with respect to the (N, M+1) rates, one token at
+    a time: 1/rate at the true label of a real event, minus the elapsed time on
+    each real channel, and minus pred_weight * (softmax - one-hot) / targets on
+    every row whose token is a target (not EOS)."""
+    M = seq.label_count
+    toks = seq.tokens
+    targets = max(sum(tok.kind is not TokenKind.EOS for tok in toks[1:]), 1)
+    adj = np.zeros_like(rates)
+    for i, tok in enumerate(toks[1:]):
+        if tok.kind is TokenKind.REAL:
+            adj[i, tok.label] += 1.0 / rates[i, tok.label]
+        adj[i, :M] -= tok.time - toks[i].time
+        if tok.kind is not TokenKind.EOS:
+            e = np.exp(rates[i] - rates[i].max())
+            softmax_minus_onehot = e / e.sum()
+            softmax_minus_onehot[tok.label if tok.kind is TokenKind.REAL else M] -= 1.0
+            adj[i] -= pred_weight * softmax_minus_onehot / targets
+    return adj
 
 
 def _sigmoid(v):

@@ -150,7 +150,9 @@ def test_softmax_jacobian_finite_differences():
 
             t = ad.Tape()
             x = t.leaf(xv)
-            ad.backward(t, ad.pick(ad.softmax_cols(x), (np.array(i), np.array(j))))
+            onehot = np.zeros(xv.shape)
+            onehot[i, j] = 1.0
+            ad.backward(t, ad.vsum(ad.mul(ad.softmax_cols(x), onehot)))
             assert_grads_close(x.grad, numerical_grad(comp, xv.copy()))
 
 
@@ -158,7 +160,7 @@ def test_backward_requires_scalar_root():
     t = ad.Tape()
     x = t.leaf([1.0, 2.0])
     with pytest.raises(ValueError):
-        ad.backward(t, ad.exp(x))
+        ad.backward(t, ad.tanh(x))
 
 
 def many_use_weight(seed=5, n_matvec=60):
@@ -256,6 +258,10 @@ def test_scalar_broadcast_gradients():
     assert_grads_close(c.grad, numerical_grad(run, np.asarray(2.0)))
 
 
+def sumsq(x):
+    return ad.vsum(ad.mul(x, x))
+
+
 def test_structural_ops_gradients():
     rng = np.random.default_rng(11)
     av = rng.normal(size=5)
@@ -268,7 +274,7 @@ def test_structural_ops_gradients():
 
     t = ad.Tape()
     a = t.leaf(av)
-    out = ad.sumsq(ad.concat([a, t.leaf(bv)]))
+    out = sumsq(ad.concat([a, t.leaf(bv)]))
     ad.backward(t, out)
     assert_grads_close(a.grad, numerical_grad(run_concat, av.copy()))
 
@@ -287,7 +293,7 @@ def test_structural_ops_gradients():
 
     t = ad.Tape()
     a = t.leaf(av)
-    out = ad.sumsq(ad.vslice(a, 1, 4))
+    out = sumsq(ad.vslice(a, 1, 4))
     ad.backward(t, out)
     assert_grads_close(a.grad, numerical_grad(run_slice, av.copy()))
 
@@ -296,47 +302,30 @@ def test_structural_ops_gradients():
 
     t = ad.Tape()
     A = t.leaf(Av)
-    out = ad.sumsq(ad.row(A, 2))
+    out = sumsq(ad.row(A, 2))
     ad.backward(t, out)
     assert_grads_close(A.grad, numerical_grad(run_row, Av.copy()))
 
 
-def test_stack_and_log_softmax_gradients():
+def test_stack_gradients():
+    # rows of a matrix stacked in a new order, one row stacked twice
     rng = np.random.default_rng(13)
-    xv = rng.normal(size=4)
-
-    def run(x):
-        m = np.max(x)
-        return float((x - m - np.log(np.sum(np.exp(x - m))))[1])
-
-    t = ad.Tape()
-    x = t.leaf(xv)
-    parts = [ad.pick(x, i) for i in range(4)]
-    vec = ad.stack(parts)
-    out = ad.pick(ad.log_softmax(vec), 1)
-    ad.backward(t, out)
-    assert_grads_close(x.grad, numerical_grad(run, xv.copy()))
-
-    # matrices: row-wise log-softmax, entries picked by (row, column) arrays,
-    # one entry picked twice
     Xv = rng.normal(size=(3, 4))
-    rows, cols = np.array([0, 2, 2, 2]), np.array([1, 3, 0, 0])
+    Cv = rng.normal(size=(3, 4))
+    order = [2, 0, 2]
 
-    def run_rows(X):
-        m = np.max(X, axis=1, keepdims=True)
-        ls = X - m - np.log(np.sum(np.exp(X - m), axis=1, keepdims=True))
-        return float(np.sum(ls[rows, cols]))
+    def run(X):
+        return float(np.sum(np.tanh(X[order]) * Cv))
 
     t = ad.Tape()
     X = t.leaf(Xv)
-    out = ad.vsum(ad.pick(ad.log_softmax(X), (rows, cols)))
-    assert float(out.value) == pytest.approx(run_rows(Xv), abs=1e-12)
+    vec = ad.stack([ad.row(X, i) for i in order])
+    out = ad.vsum(ad.mul(ad.tanh(vec), Cv))
+    assert float(out.value) == pytest.approx(run(Xv), abs=1e-12)
     ad.backward(t, out)
-    assert_grads_close(X.grad, numerical_grad(run_rows, Xv.copy()))
+    assert_grads_close(X.grad, numerical_grad(run, Xv.copy()))
     with pytest.raises(ValueError):
-        ad.pick(X, (rows,))
-    with pytest.raises(ValueError):
-        ad.pick(X, (rows, cols + 1))
+        ad.stack([])
 
 
 def test_composed_functions_match_fd_many_seeds():
@@ -357,7 +346,7 @@ def test_composed_functions_match_fd_many_seeds():
             e = np.exp(h - np.max(h))
             sm = e / e.sum()
             r = np.maximum(h, 0.0)
-            return float(np.sum(s * sp) + np.sum(sm * r) + np.log(np.sum(np.exp(h)) + 1.0))
+            return float(np.sum(s * sp) + np.sum(sm * r) + (np.sum(np.tanh(h) * h) + 1.0))
 
         theta = np.concatenate([Wv.ravel(), xv, bv])
 
@@ -369,7 +358,7 @@ def test_composed_functions_match_fd_many_seeds():
             ad.add(
                 ad.vsum(ad.mul(ad.reshape(ad.softmax_cols(ad.reshape(h, (3, 1))), (3,)),
                                ad.relu(h))),
-                ad.log(ad.add(ad.vsum(ad.exp(h)), 1.0)),
+                ad.add(ad.vsum(ad.mul(ad.tanh(h), h)), 1.0),
             ),
         )
         ad.backward(t, total)
@@ -381,7 +370,7 @@ def test_composed_functions_match_fd_many_seeds():
 def test_tape_topological_order():
     t = ad.Tape()
     x = t.leaf([1.0, 2.0])
-    y = ad.exp(x)
+    y = ad.tanh(x)
     z = ad.vsum(ad.mul(y, y))
     order = t.nodes()
     pos = {id(n): i for i, n in enumerate(order)}
@@ -395,14 +384,14 @@ def test_tape_scope_releases_its_tapes():
     with ad.tape_scope():
         t = ad.Tape()
         x = t.leaf([1.0, 2.0])
-        root = ad.vsum(ad.exp(x))
+        root = ad.vsum(ad.mul(x, x))
         ad.backward(t, root)
-        assert np.allclose(x.grad, np.exp([1.0, 2.0]))
+        assert np.allclose(x.grad, [2.0, 4.0])
     # a released tape fails loudly instead of giving zero gradients
     with pytest.raises(ValueError, match="released"):
         ad.backward(t, root)
     with pytest.raises(ValueError, match="released"):
-        ad.exp(x)
+        ad.tanh(x)
     with pytest.raises(ValueError, match="released"):
         t.const(1.0)
     with pytest.raises(ValueError, match="released"):
@@ -425,7 +414,7 @@ def test_tape_scope_nesting_and_gc_state():
         assert not gc.isenabled()
         with pytest.raises(ValueError, match="released"):
             inner.leaf(3.0)
-        ad.exp(a)  # the outer tape lives until its own scope exits
+        ad.tanh(a)  # the outer tape lives until its own scope exits
         assert len(outer) == 2
     assert gc.isenabled()
     with pytest.raises(ValueError, match="released"):

@@ -1,10 +1,11 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
 from tppkit.cli import main
-from tppkit.model import load_checkpoint
+from tppkit.model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
 from tppkit.streams import load_stream
 
 
@@ -301,3 +302,40 @@ class TestNumericalFailureExitCode:
                     "--lr", "1e8", "--channels", 2, "--embed", 2, "--memory", 1,
                     "--hidden", 3, "--seed", 1, "--out", tmp_path / "t"])
         assert code == 2
+
+    @staticmethod
+    def overflowing_params(p):
+        # the first rate layer overflows to inf, and f2 takes inf - inf = nan
+        p.f1_w[:] = 0.0
+        p.f2_w[:] = 0.0
+        p.f1_b[:] = 1.7e308
+        p.f1_w[:, -1] = 1.7e308
+        p.f2_w[0, :2] = [1.0, -1.0]
+
+    @staticmethod
+    def underflowing_params(p):
+        # every rate underflows to exactly 0
+        p.f2_w[:] = 0.0
+        p.f2_b[:] = -800.0
+
+    @pytest.mark.parametrize("subcommand", ["eval", "trace"])
+    @pytest.mark.parametrize("case, rate", [("overflowing_params", "nan"),
+                                            ("underflowing_params", "0.0")])
+    def test_bad_model_rates_exit_2(self, subcommand, case, rate, tmp_path, capsys):
+        cfg = ModelConfig(label_count=2, time_scale=200.0)
+        params = ModelParams.init(cfg, seed=0)
+        getattr(self, case)(params)
+        save_checkpoint(tmp_path / "model.ckpt", cfg, params)
+        gen = tmp_path / "gen"
+        assert run(["gen-pgem", "--labels", 2, "--streams", 2, "--horizon", 200,
+                    "--seed", 1, "--out", gen]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([subcommand, "--ckpt", tmp_path / "model.ckpt",
+                        "--data", gen / "streams.csv", "--out", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "stream s0" in err and f"rate {rate} at token 1 " in err and "channel 0" in err
+        assert "RuntimeWarning" not in err

@@ -8,7 +8,7 @@ import pytest
 
 import tppkit.autodiff as ad
 from tppkit.model import (
-    CHECKPOINT_MAGIC, ModelConfig, ModelParams, ParamNodes, attend, encode_token,
+    CHECKPOINT_MAGIC, ModelConfig, ModelParams, ParamNodes, attend, backward, encode_token,
     forward, intensity, load_checkpoint, lstm_step, save_checkpoint,
 )
 from tppkit.streams import Epoch, EventStream, Token, TokenKind, augment
@@ -364,7 +364,7 @@ class TestForward:
             bank = tape.const(rng.normal(size=(cfg.label_count, m)))
             net, _ = attend(h_t, bank, pn)
             lam = intensity(net, 0.7, pn)
-            ad.backward(tape, ad.pick(lam, k))
+            ad.backward(tape, ad.vsum(ad.mul(lam, np.eye(cfg.channel_count)[k])))
             grad = h_full.grad
             mask = np.zeros(cfg.hidden_dim, dtype=bool)
             mask[k * m:(k + 1) * m] = True
@@ -421,8 +421,9 @@ def test_tape_structure_pinned(M, kw, n_nodes, digest):
 
 def test_ll_gradient_three_labels_five_events():
     # full-parameter gradient of the quadrature LL on a 3-label, 5-event
-    # sequence against central finite differences
-    from tppkit.training import quadrature_ll_node
+    # sequence, its rate adjoint carried to the weights by ``backward``,
+    # against central finite differences
+    from tppkit.training import quadrature_ll, quadrature_ll_node
 
     cfg = ModelConfig(label_count=3, channel_width=2, embed_dim=3,
                       memory_depth=2, fake_count=1, hidden_width=4,
@@ -431,14 +432,13 @@ def test_ll_gradient_three_labels_five_events():
     seq = make_seq([1.0, 2.5, 4.0, 6.5, 8.0], [0, 1, 2, 1, 0], 10.0, 3, k=1)
 
     fwd = forward(seq, params, cfg)
-    node = quadrature_ll_node(seq, ad.stack(fwd.rates))
-    ad.backward(fwd.tape, node)
-    flat = np.concatenate([g.ravel() for g in fwd.params.grads()])
+    _, rate_adj = quadrature_ll_node(seq, fwd.rate_values())
+    grads = backward(seq, params, cfg, fwd.cells, rate_adj)
+    flat = np.concatenate([g.ravel() for g in grads.arrays()])
 
     def f(theta):
         p = ModelParams.from_flat(cfg, theta)
-        res = forward(seq, p, cfg)
-        return float(quadrature_ll_node(seq, ad.stack(res.rates)).value)
+        return quadrature_ll(seq, forward(seq, p, cfg).rate_values())
 
     fd = numerical_grad(f, params.flatten())
     assert_grads_close(flat, fd)
