@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -147,8 +148,8 @@ def run_gen_pgem(cfg: dict) -> str:
         raise CliError("--labels must be >= 1")
     if cfg["streams"] < 1:
         raise CliError("--streams must be >= 1")
-    if cfg["horizon"] <= 0:
-        raise CliError("--horizon must be positive")
+    if not (0 < cfg["horizon"] < math.inf):
+        raise CliError(f"--horizon must be positive and finite, got {cfg['horizon']}")
     out = Path(cfg["out"])
     outputs = {"spec": out / "spec.json", "streams": out / "streams.csv"}
     _write_manifest(out, "gen-pgem", cfg, outputs)

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .model import ModelConfig, ModelParams, forward
-from .streams import Dataset, EventStream, TokenKind, augment
-from .training import TrainingError, _diagnose_nonfinite, quadrature_ll
+from .streams import Dataset, EventStream, augment
+from .training import TrainingError, _check_rates, _diagnose_nonfinite, quadrature_ll
 
 __all__ = [
     "StreamScore", "TestLLReport", "AttentionGraph", "IntensityTrace",
@@ -122,9 +122,7 @@ def _model_rates(seq, params: ModelParams, config: ModelConfig, what: str) -> np
     the first rate that is not finite and positive."""
     with ad.tape_scope():
         rates = forward(seq, params, config).rate_values()
-    if not np.all((rates > 0.0) & (rates < np.inf)):
-        raise TrainingError(_diagnose_nonfinite(seq, rates, what))
-    return rates
+    return _check_rates(seq, rates, what)
 
 
 def test_ll(config: ModelConfig, params: ModelParams, dataset: Dataset,
@@ -158,6 +156,8 @@ def attention_graph(config: ModelConfig, params: ModelParams, dataset: Dataset,
     """
     if config.memory_depth < 1:
         raise ValueError("attention disabled: model was built with memory_depth 0")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     _check_labels(config, dataset.label_count)
     m = config.label_count
     sums = np.zeros((m, m))
@@ -196,8 +196,9 @@ def intensity_trace(config: ModelConfig, params: ModelParams,
     seq = augment(stream, k)
     rates = _model_rates(seq, params, config, "intensity trace")
     rows = []
-    for i, tok in enumerate(seq.tokens[1:]):
+    # Python floats, whose repr the CSV writes
+    times, labels = seq.times[1:].tolist(), seq.labels[1:].tolist()
+    for i, (time, token_label) in enumerate(zip(times, labels)):
         for label in range(config.label_count):
-            is_real = tok.kind is TokenKind.REAL and tok.label == label
-            rows.append((tok.time, label, float(rates[i, label]), is_real))
+            rows.append((time, label, float(rates[i, label]), token_label == label))
     return IntensityTrace(tuple(rows))

@@ -1,13 +1,14 @@
 """Multi-channel recurrent intensity network.
 
-One shared LSTM runs over the augmented token sequence; its hidden vector of
-size m*(M+1) is read as M+1 contiguous per-label channels. The memory bank is
-one matrix of the real-label channel slices from the most recent J recorded
-tokens, oldest first (at most J*M rows of width m). All channels attend over
-it at once, as one (m, M+1) channel matrix with dot-product scores, to form
-their net hidden states (``attend``); a small feed-forward stack then maps
-each column [net state, elapsed time] to a positive rate via softplus
-(``intensity``).
+One shared LSTM runs over the augmented sequence, reading each token as the
+embedding row of its label (M for BOS, fakes and EOS) and its scaled time
+(``encode_token``); its hidden vector of size m*(M+1) is read as M+1
+contiguous per-label channels. The memory bank is one matrix of the
+real-label channel slices from the most recent J recorded tokens, oldest
+first (at most J*M rows of width m). All channels attend over it at once,
+as one (m, M+1) channel matrix with dot-product scores, to form their net
+hidden states (``attend``); a small feed-forward stack then maps each column
+[net state, elapsed time] to a positive rate via softplus (``intensity``).
 Rates for token i are always computed from the state strictly before token i.
 
 ``forward`` builds these ops on an autodiff tape, token by token, and keeps
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .streams import AugmentedSequence, Token, TokenKind
+from .streams import AugmentedSequence
 
 __all__ = [
     "ModelConfig", "ModelParams", "ParamNodes", "ForwardResult", "encode_token",
@@ -65,8 +66,8 @@ class ModelConfig:
             raise ValueError("widths must be positive")
         if self.memory_depth < 0 or self.fake_count < 0:
             raise ValueError("memory_depth and fake_count must be >= 0")
-        if not (self.time_scale > 0.0):
-            raise ValueError("time_scale must be positive")
+        if not (0.0 < self.time_scale < np.inf):
+            raise ValueError(f"time_scale must be positive and finite, got {self.time_scale}")
 
     @property
     def channel_count(self) -> int:
@@ -201,11 +202,11 @@ class ParamNodes:
         return [n.grad for n in self.all()]
 
 
-def encode_token(token: Token, pn: ParamNodes, config: ModelConfig) -> ad.Node:
-    """Embedding row for the label (fake row for BOS/EOS/FAKE) plus scaled time."""
-    label = token.label if token.kind is TokenKind.REAL else config.label_count
+def encode_token(label: int, time: float, pn: ParamNodes, config: ModelConfig) -> ad.Node:
+    """Embedding row for the token's label (M, the fake row, for BOS, fakes and
+    EOS) plus its scaled time."""
     emb = ad.row(pn.embedding, label)
-    t = emb.tape.const(np.array([token.time / config.time_scale]))
+    t = emb.tape.const(np.array([time / config.time_scale]))
     return ad.concat([emb, t])
 
 
@@ -268,11 +269,11 @@ def intensity(net: ad.Node, dt_scaled, pn: ParamNodes) -> ad.Node:
 class ForwardResult:
     """Rates and attention for one sequence, with the tape still attached.
 
-    rates[i] is the (M+1,) vector node of channel rates predicted at
-    tokens[i+1]; attention[i] is the (rows, M+1) array of per-channel
-    alignment weights recorded before tokens[i+1], or None while the bank is
-    empty. Row j*M + q holds label q's channel slice from the j-th oldest
-    record in the bank. cells[i] holds the LSTM values after tokens[i] (see
+    rates[i] is the (M+1,) vector node of channel rates predicted at token
+    i+1; attention[i] is the (rows, M+1) array of per-channel alignment
+    weights recorded before token i+1, or None while the bank is empty. Row
+    j*M + q holds label q's channel slice from the j-th oldest record in the
+    bank. cells[i] holds the LSTM values after token i (see
     ``lstm_step``), read by ``backward``.
     """
 
@@ -284,7 +285,7 @@ class ForwardResult:
     cells: list
 
     def rate_values(self) -> np.ndarray:
-        """(len(tokens)-1, M+1) array of rate values."""
+        """(len(seq)-1, M+1) array of rate values."""
         return np.array([vec.value for vec in self.rates])
 
 
@@ -295,9 +296,10 @@ def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) ->
     For every token i >= 1, the state after token i-1 is read as the (m, C)
     channel matrix, all channels attend over the bank as of i-1 at once, and
     the rate vector at t_i is produced from (net states, t_i - t_{i-1}).
-    Token i is then encoded and stepped through the LSTM. The bank records
-    the new state's real-label slices after every token kind by default, or
-    only after real events when config.bank_real_only is set, and keeps the
+    The label and time of token i are then encoded and stepped through the LSTM.
+    The bank records the new state's real-label slices after every token by
+    default, or only after real events (labels below M) when
+    config.bank_real_only is set, and keeps the
     last memory_depth records. Overflow raises no numpy warning; it shows as
     rates that are not finite and positive, which the callers report.
     """
@@ -314,25 +316,25 @@ def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) ->
     records = []      # (M, m) row-slice nodes of the last `depth` records, oldest first
     bank = None       # records stacked into one node; None until rebuilt after a record
 
-    tokens = seq.tokens
+    times, labels = seq.times.tolist(), seq.labels.tolist()
     rates = []
     attention = []
     cells = []
-    for i, tok in enumerate(tokens):
+    for i, (time, label) in enumerate(zip(times, labels)):
         if i:
             h_t = ad.transpose(channels)                  # (m, C), column k = h_k
             if bank is None and records:
                 bank = records[0] if len(records) == 1 else ad.concat_rows(records)
             net, alpha = attend(h_t, bank, pn)
-            dt = (tok.time - tokens[i - 1].time) / config.time_scale
+            dt = (time - times[i - 1]) / config.time_scale
             rates.append(intensity(net, dt, pn))
             attention.append(None if alpha is None else alpha.value)
-        h, c, cell = lstm_step(encode_token(tok, pn, config), (h, c), pn)
+        h, c, cell = lstm_step(encode_token(label, time, pn, config), (h, c), pn)
         cells.append(cell)
         channels = ad.reshape(h, (C, m))
         # the state after the last token is never attended, so it is not recorded
-        if (depth and i < len(tokens) - 1
-                and (tok.kind is TokenKind.REAL or not config.bank_real_only)):
+        if (depth and i < len(times) - 1
+                and (label < M or not config.bank_real_only)):
             records = (records + [ad.rowslice(channels, 0, M)])[-depth:]
             bank = None
     return ForwardResult(tape, pn, rates, attention, seq, cells)
@@ -352,13 +354,12 @@ def backward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,
     mode every per-token adjoint equals the tape's to the last bit.
     """
     m, M, C, H = config.channel_width, config.label_count, config.channel_count, config.hidden_dim
-    p, tokens = params, seq.tokens
-    n = len(tokens) - 1
+    p = params
+    n = len(seq) - 1
     hs, cs, gi, gf, gg, go, tanh_c = np.array(cells[:n]).transpose(1, 0, 2)
-    times = np.array([tok.time for tok in tokens])
-    labels = [tok.label if tok.kind is TokenKind.REAL else M for tok in tokens[:n]]
-    recorded = np.flatnonzero([tok.kind is TokenKind.REAL or not config.bank_real_only
-                               for tok in tokens[:n]])
+    times = seq.times
+    labels = seq.labels[:n]
+    recorded = np.flatnonzero(seq.is_real[:n]) if config.bank_real_only else np.arange(n)
     depth = config.memory_depth if recorded.size else 0
     slots = recorded.searchsorted(np.arange(n), side="right")[:, None] + np.arange(-depth, 0)
     idx = recorded[np.maximum(slots, 0)]                       # (n, J) bank token positions

@@ -3,24 +3,25 @@
 Streams are time-ordered labeled epochs on [0, T]. Augmentation interleaves a
 fixed number of evenly spaced fake epochs into every positive-length
 inter-event gap (boundary gaps included) and brackets the result with BOS/EOS
-sentinels; the augmented sequence is the unit the model consumes.
+sentinels; the augmented sequence is the unit the model consumes. It is two
+read-only arrays, token times and labels, with fakes and sentinels carrying
+label M: a token's kind follows from its place and its label, so every
+consumer reads per-token rows, widths and targets straight off the arrays.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "Epoch", "EventStream", "Dataset", "Token", "TokenKind",
-    "AugmentedSequence", "load_stream", "save_stream", "split_by_time",
-    "split_by_stream", "augment", "sidecar_path",
+    "Epoch", "EventStream", "Dataset", "AugmentedSequence", "load_stream",
+    "save_stream", "split_by_time", "split_by_stream", "augment", "sidecar_path",
 ]
 
 
@@ -108,61 +109,50 @@ class Dataset:
         return len(self.streams)
 
 
-class TokenKind(enum.Enum):
-    BOS = "bos"
-    REAL = "real"
-    FAKE = "fake"
-    EOS = "eos"
-
-
-@dataclass(frozen=True)
-class Token:
-    time: float
-    label: int
-    kind: TokenKind
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentedSequence:
-    """BOS + events + fake epochs + EOS; fake/sentinel tokens carry label M."""
+    """BOS + events + fake epochs + EOS as two read-only arrays.
 
-    tokens: tuple
-    horizon: float
+    times (float64) and labels (intp) hold one entry per token. The first
+    token is BOS, the last is EOS, and an interior token is a real event
+    exactly when its label is below M; BOS, EOS and fakes carry label M.
+    """
+
+    times: np.ndarray
+    labels: np.ndarray
     label_count: int
+    is_real: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        toks = self.tokens
+        times = np.array(self.times, dtype=np.float64)
+        labels = np.array(self.labels, dtype=np.intp)
         m = self.label_count
-        if len(toks) < 2 or toks[0].kind is not TokenKind.BOS or toks[-1].kind is not TokenKind.EOS:
-            raise ValueError("sequence must start with BOS and end with EOS")
-        if toks[0].time != 0.0 or toks[-1].time != self.horizon:
-            raise ValueError("BOS must sit at time 0 and EOS at the horizon")
-        prev_t = -1.0
-        prev_real = -1.0
-        for tok in toks:
-            if tok.time < prev_t:
-                raise ValueError("token times must be non-decreasing")
-            if tok.kind is TokenKind.REAL:
-                if tok.time <= prev_real:
-                    raise ValueError("real-token times must be strictly increasing")
-                if not (0 <= tok.label < m):
-                    raise ValueError(f"real token label {tok.label} out of range")
-                prev_real = tok.time
-            elif tok.label != m:
-                raise ValueError("sentinel/fake tokens must carry the fake label")
-            prev_t = tok.time
+        if times.ndim != 1 or labels.shape != times.shape or len(times) < 2:
+            raise ValueError("times and labels must be 1-d, of equal length, with >= 2 tokens")
+        if times[0] != 0.0 or not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0.0):
+            raise ValueError("token times must be finite and non-decreasing from 0")
+        if labels[0] != m or labels[-1] != m or np.any((labels < 0) | (labels > m)):
+            raise ValueError(f"token labels must lie in [0, {m}], with {m} at BOS and EOS")
+        is_real = labels < m
+        if np.any(np.diff(times[is_real]) <= 0.0):
+            raise ValueError("real-token times must be strictly increasing")
+        for arr in (times, labels, is_real):
+            arr.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "is_real", is_real)
 
     @property
-    def fake_label(self) -> int:
-        return self.label_count
+    def horizon(self) -> float:
+        return float(self.times[-1])
 
     def __len__(self):
-        return len(self.tokens)
+        return len(self.times)
 
     def real_events(self) -> EventStream:
         """Strip sentinels and fakes, recovering the source stream."""
-        epochs = [Epoch(t.time, t.label) for t in self.tokens if t.kind is TokenKind.REAL]
+        epochs = [Epoch(t, lab) for t, lab in zip(self.times[self.is_real].tolist(),
+                                                   self.labels[self.is_real].tolist())]
         return EventStream(tuple(epochs), self.horizon, self.label_count)
 
 
@@ -320,16 +310,14 @@ def augment(stream: EventStream, fake_count: int) -> AugmentedSequence:
     if fake_count < 0:
         raise ValueError("fake_count must be >= 0")
     m = stream.label_count
-    skeleton = [(0.0, m, TokenKind.BOS)]
-    skeleton += [(e.time, e.label, TokenKind.REAL) for e in stream.epochs]
-    skeleton += [(stream.horizon, m, TokenKind.EOS)]
-
-    tokens = []
-    for (ta, la, ka), (tb, lb, kb) in zip(skeleton, skeleton[1:]):
-        tokens.append(Token(ta, la, ka))
-        if fake_count > 0 and tb > ta:
-            width = tb - ta
-            for j in range(1, fake_count + 1):
-                tokens.append(Token(ta + j * width / (fake_count + 1), m, TokenKind.FAKE))
-    tokens.append(Token(*skeleton[-1]))
-    return AugmentedSequence(tuple(tokens), stream.horizon, m)
+    skeleton = np.concatenate([[0.0], stream.times(), [stream.horizon]])
+    a, b = skeleton[:-1, None], skeleton[1:, None]
+    # one row per gap: the token that opens it, then its fakes
+    j = np.arange(1, fake_count + 1)
+    times = np.concatenate([a, a + (j * (b - a)) / (fake_count + 1)], axis=1)
+    labels = np.full(times.shape, m, dtype=np.intp)
+    labels[:, 0] = np.append(m, stream.labels())    # BOS, then the events
+    keep = np.ones(times.shape, dtype=bool)
+    keep[:, 1:] = b > a
+    return AugmentedSequence(np.append(times[keep], stream.horizon),
+                             np.append(labels[keep], m), m)

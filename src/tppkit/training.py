@@ -25,12 +25,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .model import ModelConfig, ModelParams, backward, forward
-from .streams import AugmentedSequence, Dataset, TokenKind, augment
+from .streams import AugmentedSequence, Dataset, augment
 
 __all__ = [
     "TrainConfig", "TrainReport", "TrainingError", "quadrature_ll",
-    "quadrature_ll_node", "prediction_loss", "prediction_loss_node",
-    "weight_penalty", "weight_penalty_node", "objective",
+    "quadrature_ll_node", "prediction_loss_node", "weight_penalty_node", "objective",
     "objective_with_grads", "train",
 ]
 
@@ -57,14 +56,16 @@ class TrainConfig:
     patience: int = 0            # 0 = no early stopping
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.clip_norm <= 0 or self.eps <= 0:
-            raise ValueError("learning_rate, clip_norm, eps must be positive")
+        for name in ("learning_rate", "clip_norm", "eps"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 0 or self.patience < 0:
             raise ValueError("epochs >= 1, batch_size >= 0, patience >= 0")
-        if self.pred_weight < 0 or self.l2_weight < 0:
-            raise ValueError("regularization weights must be >= 0")
+        for name in ("pred_weight", "l2_weight"):
+            if not (0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -91,16 +92,15 @@ class TrainReport:
 # ---------------------------------------------------------------------------
 # objective terms: each is one numpy function returning its value and its
 # adjoint. The rate terms read the (N, M+1) rate matrix whose row i holds the
-# channel rates predicted at tokens[i+1]. Each adjoint is seeded and summed
+# channel rates predicted at token i+1. Each adjoint is seeded and summed
 # in a fixed order (see _objective): long trainings such as acceptance
 # criterion 2 turn on last-bit rounding.
 
 
 def _real_events(seq: AugmentedSequence):
     """(rows, labels) of the rate entries at real events."""
-    toks = seq.tokens[1:]
-    rows = np.flatnonzero([t.kind is TokenKind.REAL for t in toks])
-    return rows, np.array([toks[r].label for r in rows], dtype=np.intp)
+    rows = np.flatnonzero(seq.is_real[1:])
+    return rows, seq.labels[1:][rows]
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -117,7 +117,7 @@ def quadrature_ll_node(seq: AugmentedSequence, rates: np.ndarray, adj=0.0):
     """
     rows, labels = _real_events(seq)
     widths = np.zeros(rates.shape)
-    widths[:, :seq.label_count] = np.diff([t.time for t in seq.tokens])[:, None]
+    widths[:, :seq.label_count] = np.diff(seq.times)[:, None]
     picked = rates[rows, labels]
     value = np.sum(np.log(picked)) - np.sum(rates * widths)
     log_part = np.zeros(rates.shape)
@@ -137,9 +137,8 @@ def prediction_loss_node(seq: AugmentedSequence, rates: np.ndarray, scale=1.0):
     scale * (-1/targets) at each target. The ``_node`` name is kept because
     the benchmark's tracer times this function under it.
     """
-    toks = seq.tokens[1:]
-    rows = np.flatnonzero([t.kind is not TokenKind.EOS for t in toks])
-    targets = np.array([t.label for t in toks], dtype=np.intp)[rows]
+    rows = np.arange(len(seq) - 2)
+    targets = seq.labels[1:-1]
     top = rates.max(axis=-1, keepdims=True)
     logp = rates - (top + np.log(np.exp(rates - top).sum(axis=-1, keepdims=True)))
     weight = -1.0 / max(len(rows), 1)
@@ -163,14 +162,14 @@ def weight_penalty_node(params: ModelParams, scale=1.0):
 def _rate_array(seq: AugmentedSequence, rates) -> np.ndarray:
     # C order: a sum's rounding depends on the memory order it walks
     rates = np.asarray(rates, dtype=np.float64, order="C")
-    shape = (len(seq.tokens) - 1, seq.label_count + 1)
+    shape = (len(seq) - 1, seq.label_count + 1)
     if rates.shape != shape:
         raise ValueError(f"rates must have shape {shape}, got {rates.shape}")
     return rates
 
 
 def quadrature_ll(seq: AugmentedSequence, rates) -> float:
-    """quadrature_ll_node's value on a plain (len(tokens)-1, M+1) rate array;
+    """quadrature_ll_node's value on a plain (len(seq)-1, M+1) rate array;
     a rate at a real event that is not positive raises ValueError."""
     rates = _rate_array(seq, rates)
     rows, labels = _real_events(seq)
@@ -180,16 +179,6 @@ def quadrature_ll(seq: AugmentedSequence, rates) -> float:
         j = bad[0]
         raise ValueError(f"non-positive rate {picked[j]} at real token index {rows[j] + 1}")
     return quadrature_ll_node(seq, rates)[0]
-
-
-def prediction_loss(seq: AugmentedSequence, rates) -> float:
-    """prediction_loss_node's value on a plain (len(tokens)-1, M+1) rate array."""
-    return prediction_loss_node(seq, _rate_array(seq, rates))[0]
-
-
-def weight_penalty(params: ModelParams) -> float:
-    """weight_penalty_node's value."""
-    return weight_penalty_node(params)[0]
 
 
 def _objective(seq: AugmentedSequence, rates: np.ndarray, params: ModelParams,
@@ -264,9 +253,17 @@ def _diagnose_nonfinite(seq: AugmentedSequence, rates: np.ndarray,
     if not bad.size:
         return f"non-finite {what} (log/integral overflow, rates all finite)"
     i, k = divmod(int(bad[0]), rates.shape[1])
-    tok = seq.tokens[i + 1]
+    kind = "real" if seq.is_real[i + 1] else "eos" if i + 2 == len(seq) else "fake"
     return (f"non-finite {what}: rate {rates[i, k]} at token {i + 1} "
-            f"(t={tok.time}, kind={tok.kind.value}), channel {k}")
+            f"(t={float(seq.times[i + 1])}, kind={kind}), channel {k}")
+
+
+def _check_rates(seq: AugmentedSequence, rates: np.ndarray, what: str) -> np.ndarray:
+    """rates, or TrainingError naming the token and channel of the first rate
+    that is not finite and positive."""
+    if not np.all((rates > 0.0) & (rates < np.inf)):
+        raise TrainingError(_diagnose_nonfinite(seq, rates, what))
+    return rates
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +277,23 @@ class _Adam:
         self.v = [np.zeros_like(a) for a in params.arrays()]
         self.t = 0
 
+    @np.errstate(over="ignore", invalid="ignore")
     def ascend(self, params: ModelParams, grads):
+        """One Adam step in place; TrainingError naming the first parameter
+        that the step, or its squared-gradient average, left non-finite."""
         cfg = self.cfg
         self.t += 1
         b1c = 1.0 - cfg.beta1**self.t
         b2c = 1.0 - cfg.beta2**self.t
-        for arr, g, m, v in zip(params.arrays(), grads, self.m, self.v):
+        for name, arr, g, m, v in zip(params.names(), params.arrays(), grads, self.m, self.v):
             m *= cfg.beta1
             m += (1.0 - cfg.beta1) * g
             v *= cfg.beta2
             v += (1.0 - cfg.beta2) * g * g
             arr += cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + cfg.eps)
+            if not (np.all(np.isfinite(arr)) and np.all(np.isfinite(v))):
+                raise TrainingError(f"Adam step {self.t} left non-finite entries in {name} "
+                                    f"(learning rate {cfg.learning_rate})")
 
 
 def _clip_global_norm(grads, max_norm: float):
@@ -302,10 +305,13 @@ def _clip_global_norm(grads, max_norm: float):
 
 
 def dataset_ll(dataset_seqs, params: ModelParams, model_cfg: ModelConfig) -> float:
-    """Summed quadrature LL over pre-augmented sequences; no mutation."""
+    """Summed quadrature LL over pre-augmented validation sequences; no mutation.
+    Rates that are not finite and positive raise TrainingError naming the stream."""
     total = 0.0
-    for seq in dataset_seqs:
-        total += quadrature_ll(seq, _forward_rates(seq, params, model_cfg)[0])
+    for i, seq in enumerate(dataset_seqs):
+        rates = _forward_rates(seq, params, model_cfg)[0]
+        what = f"log-likelihood of validation stream s{i}"
+        total += quadrature_ll(seq, _check_rates(seq, rates, what))
     return total
 
 

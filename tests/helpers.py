@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference oracles, gradient comparison, tape leaks,
-a tape-walking gradient reference, a per-token objective adjoint, a per-channel
-model reference and a brute-force PGEM reference."""
+a tape-walking gradient reference, a per-token objective adjoint, a per-token
+augmentation reference, a per-channel model reference and a brute-force PGEM
+reference."""
 
 import gc
 import math
@@ -9,7 +10,6 @@ import numpy as np
 
 import tppkit.autodiff as ad
 from tppkit.model import forward
-from tppkit.streams import TokenKind
 from tppkit.training import _objective
 
 
@@ -106,19 +106,39 @@ def rate_adjoint_by_definition(seq, rates, pred_weight):
     each real channel, and minus pred_weight * (softmax - one-hot) / targets on
     every row whose token is a target (not EOS)."""
     M = seq.label_count
-    toks = seq.tokens
-    targets = max(sum(tok.kind is not TokenKind.EOS for tok in toks[1:]), 1)
+    times, labels = seq.times, seq.labels
+    eos = len(seq) - 1
+    targets = max(eos - 1, 1)
     adj = np.zeros_like(rates)
-    for i, tok in enumerate(toks[1:]):
-        if tok.kind is TokenKind.REAL:
-            adj[i, tok.label] += 1.0 / rates[i, tok.label]
-        adj[i, :M] -= tok.time - toks[i].time
-        if tok.kind is not TokenKind.EOS:
+    for i in range(eos):
+        t, label = times[i + 1], labels[i + 1]
+        if label < M:
+            adj[i, label] += 1.0 / rates[i, label]
+        adj[i, :M] -= t - times[i]
+        if i + 1 != eos:
             e = np.exp(rates[i] - rates[i].max())
             softmax_minus_onehot = e / e.sum()
-            softmax_minus_onehot[tok.label if tok.kind is TokenKind.REAL else M] -= 1.0
+            softmax_minus_onehot[label] -= 1.0
             adj[i] -= pred_weight * softmax_minus_onehot / targets
     return adj
+
+
+def augment_by_definition(stream, fake_count):
+    """streams.augment's (times, labels) one token at a time: BOS, then for each
+    gap of the skeleton BOS, events, EOS its opening token and, when the gap is
+    positive, fake_count fakes at a + j * (b - a) / (K + 1); then EOS."""
+    m = stream.label_count
+    skeleton = [(0.0, m)] + [(e.time, e.label) for e in stream.epochs] + [(stream.horizon, m)]
+    tokens = []
+    for (ta, la), (tb, _) in zip(skeleton, skeleton[1:]):
+        tokens.append((ta, la))
+        if fake_count > 0 and tb > ta:
+            width = tb - ta
+            for j in range(1, fake_count + 1):
+                tokens.append((ta + j * width / (fake_count + 1), m))
+    tokens.append(skeleton[-1])
+    times, labels = zip(*tokens)
+    return np.array(times), np.array(labels)
 
 
 def _sigmoid(v):
@@ -129,7 +149,7 @@ def forward_by_definition(seq, params, cfg):
     """model.forward's rates and attention in plain numpy, with no tape: one token,
     one channel and one bank entry at a time.
 
-    Returns the (len(tokens)-1, M+1) rate array and, per rate row, the
+    Returns the (len(seq)-1, M+1) rate array and, per rate row, the
     (entries, M+1) alignment array (None while the bank is empty), its rows
     ordered oldest record first and by label within a record.
     """
@@ -138,9 +158,9 @@ def forward_by_definition(seq, params, cfg):
     h, c = np.zeros(H), np.zeros(H)
     records = []  # each: the M real-label channel slices of one recorded state
     rates, attention = [], []
-    for i, tok in enumerate(seq.tokens):
+    for i, (t, label) in enumerate(zip(seq.times, seq.labels)):
         if i:
-            dt = (tok.time - seq.tokens[i - 1].time) / cfg.time_scale
+            dt = (t - seq.times[i - 1]) / cfg.time_scale
             entries = [e for record in records for e in record]
             alpha = np.zeros((len(entries), C))
             row = np.zeros(C)
@@ -159,13 +179,12 @@ def forward_by_definition(seq, params, cfg):
                 row[k] = math.log1p(math.exp(-abs(out))) + max(out, 0.0)
             rates.append(row)
             attention.append(alpha if entries else None)
-        label = tok.label if tok.kind is TokenKind.REAL else M
-        x = np.append(p.embedding[label], tok.time / cfg.time_scale)
+        x = np.append(p.embedding[label], t / cfg.time_scale)
         z = p.lstm_wx @ x + p.lstm_b + p.lstm_wh @ h
         gi, gf, gg, go = (z[g * H:(g + 1) * H] for g in range(4))
         c = _sigmoid(gf) * c + _sigmoid(gi) * np.tanh(gg)
         h = _sigmoid(go) * np.tanh(c)
-        if cfg.memory_depth and (tok.kind is TokenKind.REAL or not cfg.bank_real_only):
+        if cfg.memory_depth and (label < M or not cfg.bank_real_only):
             records.append([h[q * m:(q + 1) * m] for q in range(M)])
             records = records[-cfg.memory_depth:]
     return np.array(rates), attention

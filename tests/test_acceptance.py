@@ -23,7 +23,7 @@ from tppkit.pgem import (
     NodeSpec, PgemSpec, exact_ll, homogeneous_ml_ll, rate_at, sample_spec,
     simulate, simulate_dataset,
 )
-from tppkit.streams import Dataset, Epoch, EventStream, TokenKind, augment, split_by_stream, split_by_time
+from tppkit.streams import Dataset, Epoch, EventStream, augment, split_by_stream, split_by_time
 from tppkit.training import TrainConfig, objective, objective_with_grads, quadrature_ll, train
 from helpers import max_rel_err, numerical_grad
 
@@ -89,8 +89,8 @@ def test_criterion_3_quadrature_vs_oracle():
             continue
         exact = exact_ll(spec, stream)
         seq = augment(stream, 20)
-        rates = np.ones((len(seq.tokens) - 1, spec.label_count + 1))
-        rates[:, :spec.label_count] = rate_at(spec, stream, [tok.time for tok in seq.tokens[1:]])
+        rates = np.ones((len(seq) - 1, spec.label_count + 1))
+        rates[:, :spec.label_count] = rate_at(spec, stream, seq.times[1:])
         rel = abs(quadrature_ll(seq, rates) - exact) / abs(exact)
         worst_rel = max(worst_rel, rel)
         checked += 1
@@ -103,7 +103,7 @@ def test_criterion_3_quadrature_vs_oracle():
     worst_hom = 0.0
     for k in (0, 1, 3, 10, 20):
         seq = augment(s, k)
-        rates = np.full((len(seq.tokens) - 1, 2), 0.1)
+        rates = np.full((len(seq) - 1, 2), 0.1)
         worst_hom = max(worst_hom, abs(quadrature_ll(seq, rates) - hom_exact))
     ok = worst_rel < 0.01 and worst_hom <= 1e-9
     _report("criterion-3 quadrature-vs-oracle", ok,
@@ -169,7 +169,7 @@ def test_criterion_5_gradient_suite():
         stream = EventStream(tuple(Epoch(t, l) for t, l in zip(times, labels)),
                              horizon, m)
         seq = augment(stream, cfg.fake_count)
-        assert len(seq.tokens) <= 10
+        assert len(seq) <= 10
 
         params = ModelParams.init(cfg, seed=int(rng.integers(0, 1000)))
         _, _, grads = objective_with_grads(seq, params, cfg, tc)
@@ -240,7 +240,7 @@ def test_criterion_6_structural_invariants():
         seq = augment(stream, k)
         skel = [0.0] + [float(t) for t in times] + [horizon]
         gaps = sum(1 for a, b in zip(skel, skel[1:]) if b > a)
-        count_ok &= len(seq.tokens) == (len(stream) + 2) + k * gaps
+        count_ok &= len(seq) == (len(stream) + 2) + k * gaps
 
     # causality: rates before an edit position are bitwise unchanged on 100
     # random sequences
@@ -258,7 +258,7 @@ def test_criterion_6_structural_invariants():
         edited[-1] = (edited[-1] + 1) % 2
         stream2 = EventStream(tuple(Epoch(t, l) for t, l in zip(times, edited)), 10.0, 2)
         seq2 = augment(stream2, 1)
-        edit_pos = next(i for i, (a, b) in enumerate(zip(seq.tokens, seq2.tokens)) if a != b)
+        edit_pos = np.flatnonzero((seq.times != seq2.times) | (seq.labels != seq2.labels))[0]
         r1 = forward(seq, cparams, ccfg).rate_values()
         r2 = forward(seq2, cparams, ccfg).rate_values()
         causal_ok &= bool(np.array_equal(r1[:edit_pos], r2[:edit_pos]))

@@ -6,7 +6,7 @@ import pytest
 
 from tppkit.cli import main
 from tppkit.model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
-from tppkit.streams import load_stream
+from tppkit.streams import Dataset, Epoch, EventStream, load_stream, save_stream
 
 
 def run(argv):
@@ -20,6 +20,47 @@ def gen_dir(tmp_path):
                 "--seed", 7, "--out", out])
     assert code == 0
     return out
+
+
+@pytest.fixture()
+def label_split(tmp_path):
+    """train.csv: three streams of label-0 events; val.csv: one stream of
+    label-1 events; model.ckpt: an untrained model for both (M=2, T=100)."""
+    train = Dataset(tuple(
+        EventStream(tuple(Epoch(t, 0) for t in (5 + i, 20, 40, 60, 80)), 100.0, 2)
+        for i in range(3)))
+    save_stream(train, tmp_path / "train.csv")
+    save_stream(Dataset((EventStream((Epoch(10.0, 1), Epoch(50.0, 1)), 100.0, 2),)),
+                tmp_path / "val.csv")
+    cfg = ModelConfig(label_count=2, time_scale=100.0)
+    save_checkpoint(tmp_path / "model.ckpt", cfg, ModelParams.init(cfg, seed=0))
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["gen-pgem", "--horizon", "nan"], "--horizon"),
+    (["gen-pgem", "--horizon", "inf"], "--horizon"),
+    (["train", "--lr", "nan"], "learning_rate"),
+    (["train", "--lr", "inf"], "learning_rate"),
+    (["train", "--lambda-p", "nan"], "pred_weight"),
+    (["train", "--clip", "nan"], "clip_norm"),
+    (["train", "--time-scale", "inf"], "time_scale"),
+    (["train", "--lambda-w", "inf"], "l2_weight"),
+    (["attn-graph", "--threshold", "nan"], "threshold"),
+])
+def test_nonfinite_setting_exits_1(argv, setting, label_split, capsys):
+    inputs = {"gen-pgem": [],
+              "train": ["--data", label_split / "train.csv", "--epochs", 1],
+              "attn-graph": ["--ckpt", label_split / "model.ckpt",
+                             "--data", label_split / "train.csv"]}[argv[0]]
+    out = label_split / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv + inputs + ["--out", out])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and setting in err and "finite" in err
+    assert not (out / "model.ckpt").exists()
 
 
 class TestGenPgem:
@@ -302,6 +343,34 @@ class TestNumericalFailureExitCode:
                     "--lr", "1e8", "--channels", 2, "--embed", 2, "--memory", 1,
                     "--hidden", 3, "--seed", 1, "--out", tmp_path / "t"])
         assert code == 2
+
+    def test_validation_rate_underflow_exits_2(self, label_split, capsys):
+        # the model learns label 1 never fires, and its rate underflows to 0
+        # at the validation stream's label-1 events
+        out = label_split / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["train", "--data", label_split / "train.csv",
+                        "--val", label_split / "val.csv", "--lr", 1, "--epochs", 20,
+                        "--seed", 1, "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "validation stream s0" in err and "channel 1" in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert not (out / "model.ckpt").exists()
+
+    def test_overflowing_adam_step_exits_2(self, label_split, capsys):
+        out = label_split / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["train", "--data", label_split / "train.csv", "--lr", "1e308",
+                        "--epochs", 1, "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Adam step 1 left non-finite entries in ")
+        assert "Warning" not in err
+        assert not (out / "model.ckpt").exists()
 
     @staticmethod
     def overflowing_params(p):

@@ -11,7 +11,7 @@ from tppkit.model import (
     CHECKPOINT_MAGIC, ModelConfig, ModelParams, ParamNodes, attend, backward, encode_token,
     forward, intensity, load_checkpoint, lstm_step, save_checkpoint,
 )
-from tppkit.streams import Epoch, EventStream, Token, TokenKind, augment
+from tppkit.streams import Epoch, EventStream, augment
 from helpers import assert_grads_close, forward_by_definition, numerical_grad
 
 
@@ -40,7 +40,7 @@ class TestEncodeToken:
         params = ModelParams.init(cfg, seed=1)
         tape = ad.Tape()
         pn = ParamNodes.create(tape, params)
-        x = encode_token(Token(0.0, cfg.label_count, TokenKind.BOS), pn, cfg)
+        x = encode_token(cfg.label_count, 0.0, pn, cfg)
         assert np.allclose(x.value[:-1], params.embedding[cfg.label_count])
         assert x.value[-1] == 0.0
 
@@ -49,7 +49,7 @@ class TestEncodeToken:
         params = ModelParams.init(cfg, seed=1)
         tape = ad.Tape()
         pn = ParamNodes.create(tape, params)
-        x = encode_token(Token(3.2, 1, TokenKind.REAL), pn, cfg)
+        x = encode_token(1, 3.2, pn, cfg)
         assert np.allclose(x.value[:-1], params.embedding[1])
         assert x.value[-1] == pytest.approx(1.6)
 
@@ -63,7 +63,7 @@ class TestEncodeToken:
         for _ in range(100):
             lab = int(rng.integers(0, cfg.label_count))
             t = float(rng.uniform(0, 10))
-            x = encode_token(Token(t, lab, TokenKind.REAL), pn, cfg).value
+            x = encode_token(lab, t, pn, cfg).value
             for prev in seen:
                 assert not np.allclose(prev, x)
             seen.append(x)
@@ -252,7 +252,7 @@ class TestForward:
         seq = make_seq([1.0, 4.0], [0, 1], 6.0, cfg.label_count, k=2)
         res = forward(seq, params, cfg)
         vals = res.rate_values()
-        assert vals.shape == (len(seq.tokens) - 1, cfg.channel_count)
+        assert vals.shape == (len(seq) - 1, cfg.channel_count)
         assert np.all(vals > 0)
 
     def test_causality_under_suffix_edits(self):
@@ -271,8 +271,7 @@ class TestForward:
             edited_labels[-1] = (edited_labels[-1] + 1) % cfg.label_count
             seq2 = make_seq(times, edited_labels, 10.0, cfg.label_count, k=1)
 
-            edit_pos = next(i for i, (a, b) in enumerate(zip(seq.tokens, seq2.tokens))
-                            if a != b)
+            edit_pos = np.flatnonzero((seq.times != seq2.times) | (seq.labels != seq2.labels))[0]
             r1 = forward(seq, params, cfg).rate_values()
             r2 = forward(seq2, params, cfg).rate_values()
             # rates are indexed from token 1; rates[i] is produced before
@@ -310,8 +309,8 @@ class TestForward:
         tape = ad.Tape()
         pn = ParamNodes.create(tape, params)
         st = (tape.const(np.zeros(cfg.hidden_dim)), tape.const(np.zeros(cfg.hidden_dim)))
-        h, _, _ = lstm_step(encode_token(seq.tokens[0], pn, cfg), st, pn)
-        dt = seq.tokens[1].time - seq.tokens[0].time
+        h, _, _ = lstm_step(encode_token(seq.labels[0], seq.times[0], pn, cfg), st, pn)
+        dt = seq.times[1] - seq.times[0]
         h0 = h.value[:m]
         cat = np.concatenate([np.zeros(m), h0])
         net = np.tanh(params.attn_w @ cat)

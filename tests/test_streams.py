@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tppkit.streams import (
-    AugmentedSequence, Dataset, Epoch, EventStream, StreamFormatError, Token,
-    TokenKind, augment, load_stream, save_stream, split_by_stream,
-    split_by_time,
+    AugmentedSequence, Dataset, Epoch, EventStream, StreamFormatError, augment,
+    load_stream, save_stream, split_by_stream, split_by_time,
 )
+from helpers import augment_by_definition
 
 
 def make_stream(times, labels, horizon, m):
@@ -219,23 +220,22 @@ class TestAugment:
         s = make_stream([1.0, 3.0], [0, 1], 4.0, 2)
         seq = augment(s, 1)
         assert len(seq) == 7
-        fakes = [t.time for t in seq.tokens if t.kind is TokenKind.FAKE]
-        assert fakes == [0.5, 2.0, 3.5]
-        assert seq.tokens[0].kind is TokenKind.BOS
-        assert seq.tokens[-1].kind is TokenKind.EOS
-        assert all(t.label == 2 for t in seq.tokens if t.kind is not TokenKind.REAL)
+        assert seq.times.tolist() == [0.0, 0.5, 1.0, 2.0, 3.0, 3.5, 4.0]
+        assert seq.labels.tolist() == [2, 2, 0, 2, 1, 2, 2]
+        assert seq.is_real.tolist() == [False, False, True, False, True, False, False]
+        assert seq.horizon == 4.0
 
     def test_k_zero_identity(self):
         s = make_stream([1.0, 3.0], [0, 1], 4.0, 2)
         seq = augment(s, 0)
-        kinds = [t.kind for t in seq.tokens]
-        assert kinds == [TokenKind.BOS, TokenKind.REAL, TokenKind.REAL, TokenKind.EOS]
+        assert seq.times.tolist() == [0.0, 1.0, 3.0, 4.0]
+        assert seq.labels.tolist() == [2, 0, 1, 2]
 
     def test_k2_spacing(self):
         s = make_stream([2.0], [0], 5.0, 1)
         seq = augment(s, 2)
-        fakes = [t.time for t in seq.tokens if t.kind is TokenKind.FAKE and t.time > 2.0]
-        assert fakes == [pytest.approx(3.0), pytest.approx(4.0)]
+        fakes = seq.times[(seq.labels == 1) & (seq.times > 2.0)][:-1]
+        assert fakes.tolist() == [pytest.approx(3.0), pytest.approx(4.0)]
 
     def test_uniform_spacing_property(self):
         rng = np.random.default_rng(21)
@@ -243,26 +243,36 @@ class TestAugment:
             s = random_stream(rng, m=3, horizon=40.0)
             k = int(rng.integers(1, 5))
             seq = augment(s, k)
-            toks = seq.tokens
-            for i, t in enumerate(toks):
-                if t.kind is TokenKind.FAKE:
-                    # every fake is evenly spaced between its neighbors
-                    left, right = toks[i - 1], toks[i + 1]
-                    if left.kind is TokenKind.FAKE or right.kind is TokenKind.FAKE:
-                        assert abs((t.time - left.time) - (right.time - t.time)) < 1e-9 or \
-                            right.kind is not TokenKind.FAKE
-            # spacing within each run of fakes is uniform to 1e-12 relative
-            run = []
-            anchor = toks[0]
-            for t in toks[1:]:
-                if t.kind is TokenKind.FAKE:
-                    run.append(t.time)
-                else:
-                    if run:
-                        gaps = np.diff([anchor.time] + run + [t.time])
-                        assert np.max(np.abs(gaps - gaps[0])) <= 1e-12 * max(1.0, t.time)
-                    run = []
-                    anchor = t
+            fake = ~seq.is_real
+            fake[[0, -1]] = False
+            # spacing within each run of fakes, with the tokens that bracket
+            # it, is uniform to 1e-12 relative
+            anchor, run = 0, []
+            for i in range(1, len(seq)):
+                if fake[i]:
+                    run.append(i)
+                    continue
+                if run:
+                    gaps = np.diff(seq.times[[anchor] + run + [i]])
+                    assert len(run) == k
+                    assert np.max(np.abs(gaps - gaps[0])) <= 1e-12 * max(1.0, seq.times[i])
+                anchor, run = i, []
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4), k=st.integers(0, 5),
+           horizon=st.sampled_from([0.0, 1.0, 37.5]) | st.floats(0.0, 1e6))
+    def test_matches_per_token_reference(self, data, m, k, horizon):
+        # events anywhere in [0, T], at 0 and at T included, or none at all
+        drawn = data.draw(st.lists(st.floats(0.0, horizon) | st.sampled_from([0.0, horizon]),
+                                   max_size=12))
+        times = sorted({t + 0.0 for t in drawn})  # + 0.0 folds -0.0 into 0.0
+        labels = data.draw(st.lists(st.integers(0, m - 1), min_size=len(times),
+                                    max_size=len(times)))
+        s = make_stream(times, labels, horizon, m)
+        seq = augment(s, k)
+        want_times, want_labels = augment_by_definition(s, k)
+        assert np.array_equal(seq.times, want_times)
+        assert np.array_equal(seq.labels, want_labels)
 
     def test_token_count_formula(self):
         rng = np.random.default_rng(11)
@@ -277,10 +287,10 @@ class TestAugment:
     def test_zero_length_boundary_gaps(self):
         s = make_stream([0.0, 10.0], [0, 1], 10.0, 2)
         seq = augment(s, 3)
-        fakes = [t for t in seq.tokens if t.kind is TokenKind.FAKE]
+        fakes = seq.times[1:-1][~seq.is_real[1:-1]]
         # only the single interior gap receives fakes
         assert len(fakes) == 3
-        assert all(0.0 < t.time < 10.0 for t in fakes)
+        assert np.all((0.0 < fakes) & (fakes < 10.0))
 
     def test_strip_recovers_source(self):
         rng = np.random.default_rng(3)
@@ -294,13 +304,38 @@ class TestAugment:
 
 class TestAugmentedSequenceInvariants:
     def test_rejects_missing_bos(self):
-        with pytest.raises(ValueError):
-            AugmentedSequence((Token(0.0, 1, TokenKind.REAL), Token(4.0, 2, TokenKind.EOS)), 4.0, 2)
+        # the first label is a real label, not M
+        with pytest.raises(ValueError, match="with 2 at BOS and EOS"):
+            AugmentedSequence([0.0, 4.0], [1, 2], 2)
 
-    def test_rejects_real_with_fake_label(self):
+    def test_interior_label_m_marks_a_fake(self):
+        # a token at 1.0 carrying label M is a fake, so the stream it strips
+        # back to has no events: no label marks a real event as the fake label
+        seq = AugmentedSequence([0.0, 1.0, 4.0], [2, 2, 2], 2)
+        assert not seq.is_real.any() and len(seq.real_events()) == 0
+
+    @pytest.mark.parametrize("times, labels", [
+        ([0.0], [2]),                          # fewer than 2 tokens
+        ([0.0, 1.0, 4.0], [2, 2]),             # unequal lengths
+        ([[0.0, 4.0]], [[2, 2]]),              # not 1-d
+        ([1.0, 4.0], [2, 2]),                  # BOS not at time 0
+        ([0.0, 3.0, 2.0, 4.0], [2, 0, 1, 2]),  # times decreasing
+        ([0.0, np.nan, 4.0], [2, 0, 2]),       # time not finite
+        ([0.0, 1.0, 4.0], [2, 0, 1]),          # EOS carries a real label
+        ([0.0, 1.0, 4.0], [2, 3, 2]),          # label above M
+        ([0.0, 1.0, 4.0], [2, -1, 2]),         # negative label
+        ([0.0, 1.0, 1.0, 4.0], [2, 0, 1, 2]),  # two real events at one time
+    ], ids=["short", "unequal", "2d", "bos-time", "decreasing", "nan", "eos-label",
+            "label-above-m", "negative-label", "real-tie"])
+    def test_rejects_malformed_arrays(self, times, labels):
         with pytest.raises(ValueError):
-            AugmentedSequence(
-                (Token(0.0, 2, TokenKind.BOS), Token(1.0, 2, TokenKind.REAL),
-                 Token(4.0, 2, TokenKind.EOS)),
-                4.0, 2,
-            )
+            AugmentedSequence(times, labels, 2)
+
+    def test_arrays_are_read_only_copies(self):
+        times, labels = np.array([0.0, 1.0, 4.0]), np.array([2, 0, 2])
+        seq = AugmentedSequence(times, labels, 2)
+        times[1] = 2.0
+        assert seq.times[1] == 1.0
+        for arr in (seq.times, seq.labels, seq.is_real):
+            with pytest.raises(ValueError):
+                arr[0] = 1

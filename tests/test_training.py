@@ -8,11 +8,10 @@ import pytest
 
 from tppkit.model import ModelConfig, ModelParams, forward
 from tppkit.pgem import exact_ll, rate_at, sample_spec, simulate
-from tppkit.streams import Dataset, Epoch, EventStream, TokenKind, augment
+from tppkit.streams import Dataset, Epoch, EventStream, augment
 from tppkit.training import (
     TrainConfig, TrainingError, _objective, dataset_ll, objective, objective_with_grads,
-    prediction_loss, prediction_loss_node, quadrature_ll, quadrature_ll_node,
-    train, weight_penalty, weight_penalty_node,
+    prediction_loss_node, quadrature_ll, quadrature_ll_node, train, weight_penalty_node,
 )
 from helpers import (
     assert_frees_its_tapes, assert_frees_its_tapes_before_gc_resumes, assert_grads_close,
@@ -23,7 +22,7 @@ from helpers import (
 def constant_rate_vectors(seq, rates_by_channel):
     """One identical rate vector per token after BOS."""
     return np.tile(np.asarray(rates_by_channel, dtype=np.float64),
-                   (len(seq.tokens) - 1, 1))
+                   (len(seq) - 1, 1))
 
 
 def make_stream(times, labels, horizon, m):
@@ -65,8 +64,8 @@ class TestQuadratureLL:
             errs = []
             for k in (1, 5, 20):
                 seq = augment(stream, k)
-                rates = np.ones((len(seq.tokens) - 1, 4))
-                rates[:, :3] = rate_at(spec, stream, [tok.time for tok in seq.tokens[1:]])
+                rates = np.ones((len(seq) - 1, 4))
+                rates[:, :3] = rate_at(spec, stream, seq.times[1:])
                 errs.append(abs(quadrature_ll(seq, rates) - exact))
             assert errs[-1] <= errs[0] + 1e-9
             assert errs[-1] < 0.01 * abs(exact)
@@ -94,11 +93,11 @@ class TestQuadratureLL:
         value, adj = quadrature_ll_node(seq, r)
 
         expected, grad = 0.0, np.zeros_like(r)
-        for i, tok in enumerate(seq.tokens[1:]):
-            dt = tok.time - seq.tokens[i].time
-            if tok.kind is TokenKind.REAL:
-                expected += math.log(r[i, tok.label])
-                grad[i, tok.label] += 1.0 / r[i, tok.label]
+        for i, (t, label) in enumerate(zip(seq.times[1:], seq.labels[1:])):
+            dt = t - seq.times[i]
+            if label < 2:
+                expected += math.log(r[i, label])
+                grad[i, label] += 1.0 / r[i, label]
             expected -= dt * float(np.sum(r[i, :2]))
             grad[i, :2] -= dt
         assert value == pytest.approx(expected, abs=1e-12)
@@ -113,14 +112,14 @@ class TestPredictionLoss:
         s = make_stream([2.0, 5.0], [0, 1], 10.0, 2)
         seq = augment(s, 1)
         rates = constant_rate_vectors(seq, [0.3, 0.3, 0.3])
-        assert prediction_loss(seq, rates) == pytest.approx(math.log(3.0), abs=1e-12)
+        assert prediction_loss_node(seq, rates)[0] == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_confident_rates_drive_loss_to_zero(self):
         s = make_stream([2.0], [0], 10.0, 1)
         seq = augment(s, 0)  # single REAL target with label 0
         rates = constant_rate_vectors(seq, [1.0, 1.0])
         rates[0, 0] = 1e4
-        assert prediction_loss(seq, rates) < 1e-6
+        assert prediction_loss_node(seq, rates)[0] < 1e-6
 
     def test_matches_independent_cross_entropy(self):
         rng = np.random.default_rng(4)
@@ -130,20 +129,18 @@ class TestPredictionLoss:
             labels = rng.integers(0, m, size=len(times))
             s = make_stream(times, labels, 10.0, m)
             seq = augment(s, int(rng.integers(0, 3)))
-            rates = rng.uniform(0.01, 5.0, size=(len(seq.tokens) - 1, m + 1))
+            rates = rng.uniform(0.01, 5.0, size=(len(seq) - 1, m + 1))
 
-            # independently coded scalar cross-entropy
+            # independently coded scalar cross-entropy over the tokens between
+            # BOS and EOS, each targeting its own label (M for a fake)
             total, count = 0.0, 0
-            for i, tok in enumerate(seq.tokens[1:]):
-                if tok.kind is TokenKind.EOS:
-                    continue
-                target = tok.label if tok.kind is TokenKind.REAL else m
+            for i, target in enumerate(seq.labels[1:-1]):
                 probs = [math.exp(v) for v in rates[i]]
                 z = sum(probs)
                 total += -math.log(probs[target] / z)
                 count += 1
             expected = total / count if count else 0.0
-            assert abs(prediction_loss(seq, rates) - expected) < 1e-12
+            assert abs(prediction_loss_node(seq, rates)[0] - expected) < 1e-12
 
     def test_node_version_matches_values(self):
         # the node on a forward pass's rates against a per-token
@@ -158,10 +155,7 @@ class TestPredictionLoss:
 
         def cross_entropy(r):
             losses = []
-            for i, tok in enumerate(seq.tokens[1:]):
-                if tok.kind is TokenKind.EOS:
-                    continue
-                target = tok.label if tok.kind is TokenKind.REAL else 2
+            for i, target in enumerate(seq.labels[1:-1]):
                 losses.append(math.log(sum(math.exp(v) for v in r[i])) - r[i, target])
             return sum(losses) / len(losses)
 
@@ -177,20 +171,20 @@ class TestWeightPenalty:
         params = ModelParams.init(cfg, seed=0)
         params.f1_w[:] = 0.0
         params.f2_w[:] = 0.0
-        assert weight_penalty(params) == 0.0
+        assert weight_penalty_node(params)[0] == 0.0
 
     def test_hand_arithmetic(self):
         cfg = ModelConfig(label_count=1, channel_width=1, hidden_width=2)
         params = ModelParams.init(cfg, seed=0)
         params.f1_w[:] = 0.0
         params.f2_w[:] = [[3.0, 4.0]]
-        assert weight_penalty(params) == pytest.approx(25.0, abs=1e-12)
+        assert weight_penalty_node(params)[0] == pytest.approx(25.0, abs=1e-12)
 
     def test_gradient_is_twice_weights(self):
         cfg = ModelConfig(label_count=2, channel_width=2, hidden_width=3)
         params = ModelParams.init(cfg, seed=5)
         value, (g1, g2) = weight_penalty_node(params)
-        assert value == weight_penalty(params)
+        assert value == float(np.sum(params.f1_w**2) + np.sum(params.f2_w**2))
         assert np.allclose(g1, 2.0 * params.f1_w, atol=1e-14)
         assert np.allclose(g2, 2.0 * params.f2_w, atol=1e-14)
 
@@ -270,14 +264,14 @@ class TestObjective:
         # terms' values and a per-token adjoint coded independently
         seq = augment(random_stream(labels, events, 10.0, seed=labels), fakes)
         rates = np.random.default_rng(labels + fakes).uniform(
-            0.01, 5.0, size=(len(seq.tokens) - 1, labels + 1))
+            0.01, 5.0, size=(len(seq) - 1, labels + 1))
         cfg = ModelConfig(label_count=labels, channel_width=3, hidden_width=5)
         params = ModelParams.init(cfg, seed=fakes)
         tc = TrainConfig(pred_weight=pred_weight, l2_weight=l2_weight)
         obj, ll, adj, (d_f1, d_f2) = _objective(seq, rates, params, tc)
         assert ll == quadrature_ll(seq, rates)
-        assert obj == pytest.approx(ll - pred_weight * prediction_loss(seq, rates)
-                                    - l2_weight * weight_penalty(params), abs=1e-12)
+        assert obj == pytest.approx(ll - pred_weight * prediction_loss_node(seq, rates)[0]
+                                    - l2_weight * weight_penalty_node(params)[0], abs=1e-12)
         ref = rate_adjoint_by_definition(seq, rates, pred_weight)
         assert np.allclose(adj, ref, rtol=1e-12, atol=1e-12)
         assert np.allclose(d_f1, -2.0 * l2_weight * params.f1_w, rtol=1e-15, atol=0.0)
@@ -292,8 +286,8 @@ class TestObjective:
             lambda: objective(self.seq, self.params, self.cfg, tc),
             lambda: dataset_ll([self.seq], self.params, self.cfg),
             lambda: quadrature_ll(self.seq, rates),
-            lambda: prediction_loss(self.seq, rates),
-            lambda: weight_penalty(self.params),
+            lambda: prediction_loss_node(self.seq, rates),
+            lambda: weight_penalty_node(self.params),
             lambda: train(data, self.cfg, TrainConfig(epochs=1), val_dataset=data),
         )
         for call in calls:
