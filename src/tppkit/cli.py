@@ -202,6 +202,8 @@ TRAIN_DEFAULTS = {
 def run_train(cfg: dict) -> str:
     if cfg["data"] is None:
         raise CliError("--data is required")
+    if cfg["patience"] > 0 and not cfg["val"]:
+        raise CliError("--patience needs --val: early stopping watches the validation LL")
     data = _load_dataset(cfg["data"])
     if cfg["time_scale"] is None:
         cfg["time_scale"] = max(s.horizon for s in data.streams)

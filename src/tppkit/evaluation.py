@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .model import ModelConfig, ModelParams, forward
 from .streams import Dataset, EventStream, augment
-from .training import TrainingError, _check_rates, _diagnose_nonfinite, quadrature_ll
+from .training import TrainingError, _checked_ll, _diagnose_nonfinite
 
 __all__ = [
     "StreamScore", "TestLLReport", "AttentionGraph", "IntensityTrace",
@@ -117,31 +117,21 @@ def _check_labels(config: ModelConfig, dataset_label_count: int):
             f"with {config.label_count}; unknown labels cannot be scored")
 
 
-def _model_rates(seq, params: ModelParams, config: ModelConfig, what: str) -> np.ndarray:
-    """forward's (N, M+1) rates; TrainingError naming the token and channel of
-    the first rate that is not finite and positive."""
-    with ad.tape_scope():
-        rates = forward(seq, params, config).rate_values()
-    return _check_rates(seq, rates, what)
-
-
 def test_ll(config: ModelConfig, params: ModelParams, dataset: Dataset,
             fake_count: int | None = None) -> TestLLReport:
     """Quadrature log-likelihood per stream and in total; params untouched.
 
-    Raises TrainingError, naming the stream, when a stream's rates or its
-    log-likelihood are not finite.
+    Raises TrainingError, naming the stream and the first rate it cannot
+    absorb, when a stream's log-likelihood is not finite.
     """
     _check_labels(config, dataset.label_count)
     k = config.fake_count if fake_count is None else fake_count
     scores = []
     for sid, stream in zip(dataset.stream_ids(), dataset.streams):
         seq = augment(stream, k)
-        what = f"log-likelihood of stream {sid}"
-        rates = _model_rates(seq, params, config, what)
-        ll = quadrature_ll(seq, rates)
-        if not math.isfinite(ll):
-            raise TrainingError(_diagnose_nonfinite(seq, rates, what))
+        with ad.tape_scope():
+            rates = forward(seq, params, config).rate_values()
+        ll = _checked_ll(seq, rates, f"log-likelihood of stream {sid}")
         scores.append(StreamScore(sid, ll, len(stream), stream.horizon))
     return TestLLReport(tuple(scores), float(sum(s.ll for s in scores)))
 
@@ -189,12 +179,15 @@ def intensity_trace(config: ModelConfig, params: ModelParams,
                     stream: EventStream, fake_count: int | None = None) -> IntensityTrace:
     """Rates of every real label at every augmented token time, with markers.
 
-    Raises TrainingError when a rate is not finite and positive.
+    Raises TrainingError when a real label's rate is not finite and positive.
     """
     _check_labels(config, stream.label_count)
     k = config.fake_count if fake_count is None else fake_count
     seq = augment(stream, k)
-    rates = _model_rates(seq, params, config, "intensity trace")
+    with ad.tape_scope():
+        rates = forward(seq, params, config).rate_values()[:, :config.label_count]
+    if not np.all((rates > 0.0) & (rates < np.inf)):
+        raise TrainingError(_diagnose_nonfinite(seq, rates, "intensity trace"))
     rows = []
     # Python floats, whose repr the CSV writes
     times, labels = seq.times[1:].tolist(), seq.labels[1:].tolist()

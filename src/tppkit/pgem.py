@@ -6,10 +6,10 @@ Rates are therefore piecewise constant in time, which makes simulation exact
 (exponential candidates redrawn at every structural change point, valid by
 memorylessness) and the log-likelihood computable in closed form.
 
-The oracle (rate_at, build_trace, exact_ll) reads the rate at t from the
-strict history [t-w, t) with binary searches over per-label time arrays, so
-exact_ll costs O((events + segments) log events) per node; the simulator uses
-(t-w, t], the rate on the interval just after t.
+The oracle (rate_at, build_trace) reads the rate at t from the strict history
+[t-w, t) with binary searches over per-label time arrays, and exact_ll reads
+its event rates off build_trace, in O((events + segments) log events) per
+node; the simulator uses (t-w, t], the rate on the interval just after t.
 """
 
 from __future__ import annotations
@@ -221,19 +221,25 @@ def exact_ll(spec: PgemSpec, stream: EventStream) -> float:
     """Closed-form log-likelihood of the stream under the spec.
 
     Sum of log strict-history rates at the events minus the integral of the
-    summed rate vector over [0, T]. An event sitting where its own rate is
-    zero yields -inf deliberately (not via a numpy warning).
+    summed rate vector over [0, T], both read off one build_trace: activation
+    changes only at breaks, so an event's rate is that of the segment ending
+    at it. An event sitting where its own rate is zero yields -inf
+    deliberately (not via a numpy warning).
     """
     if stream.label_count != spec.label_count:
         raise ValueError("stream and spec disagree on label_count")
-    label_times = _label_times(spec, stream)
+    trace = build_trace(spec, stream)
+    # row i: the rates on the segment ending at breaks[i]; row 0 (no history) serves t = 0
+    rates = np.vstack([[node.table[0] for node in spec.nodes], trace.rates])
+    at = trace.breaks.searchsorted(stream.times())
+    labels = stream.labels()
     log_sum = 0.0
-    for node, times in zip(spec.nodes, label_times):
-        r = _node_rates(node, label_times, times)
+    for k in range(spec.label_count):
+        r = rates[at[labels == k], k]
         if np.any(r <= 0.0):
             return -math.inf
         log_sum += float(np.sum(np.log(r)))
-    return log_sum - build_trace(spec, stream).integral()
+    return log_sum - trace.integral()
 
 
 def homogeneous_ml_ll(stream: EventStream) -> float:

@@ -149,12 +149,6 @@ class AugmentedSequence:
     def __len__(self):
         return len(self.times)
 
-    def real_events(self) -> EventStream:
-        """Strip sentinels and fakes, recovering the source stream."""
-        epochs = [Epoch(t, lab) for t, lab in zip(self.times[self.is_real].tolist(),
-                                                   self.labels[self.is_real].tolist())]
-        return EventStream(tuple(epochs), self.horizon, self.label_count)
-
 
 # ---------------------------------------------------------------------------
 # serialization

@@ -44,9 +44,6 @@ class TrainingError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 5.0
     epochs: int = 50
     batch_size: int = 0          # 0 = all streams per step
@@ -56,11 +53,9 @@ class TrainConfig:
     patience: int = 0            # 0 = no early stopping
 
     def __post_init__(self):
-        for name in ("learning_rate", "clip_norm", "eps"):
+        for name in ("learning_rate", "clip_norm"):
             if not (0 < getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 0 or self.patience < 0:
             raise ValueError("epochs >= 1, batch_size >= 0, patience >= 0")
         for name in ("pred_weight", "l2_weight"):
@@ -159,19 +154,14 @@ def weight_penalty_node(params: ModelParams, scale=1.0):
     return float(value), ((2.0 * scale) * f1, (2.0 * scale) * f2)
 
 
-def _rate_array(seq: AugmentedSequence, rates) -> np.ndarray:
+def quadrature_ll(seq: AugmentedSequence, rates) -> float:
+    """quadrature_ll_node's value on a plain (len(seq)-1, M+1) rate array;
+    a rate at a real event that is not positive raises ValueError."""
     # C order: a sum's rounding depends on the memory order it walks
     rates = np.asarray(rates, dtype=np.float64, order="C")
     shape = (len(seq) - 1, seq.label_count + 1)
     if rates.shape != shape:
         raise ValueError(f"rates must have shape {shape}, got {rates.shape}")
-    return rates
-
-
-def quadrature_ll(seq: AugmentedSequence, rates) -> float:
-    """quadrature_ll_node's value on a plain (len(seq)-1, M+1) rate array;
-    a rate at a real event that is not positive raises ValueError."""
-    rates = _rate_array(seq, rates)
     rows, labels = _real_events(seq)
     picked = rates[rows, labels]
     bad = np.flatnonzero(~(picked > 0.0))
@@ -246,24 +236,34 @@ def objective_with_grads(seq: AugmentedSequence, params: ModelParams,
 
 
 def _diagnose_nonfinite(seq: AugmentedSequence, rates: np.ndarray,
-                        what: str = "objective") -> str:
-    """Why `what` is not finite: the first rate that is not finite and
-    positive, with its token and channel, or an overflow of finite rates."""
-    bad = np.flatnonzero(~((rates > 0.0) & (rates < np.inf)))
+                        what: str = "objective", bad=None) -> str:
+    """Why `what` is not finite: the first rate that `bad` flags (by default
+    every rate that is not finite and positive), with its token and channel,
+    or an overflow of the rates when it flags none."""
+    bad = np.flatnonzero(~((rates > 0.0) & (rates < np.inf)) if bad is None else bad)
     if not bad.size:
-        return f"non-finite {what} (log/integral overflow, rates all finite)"
+        return f"non-finite {what} (log/integral overflow of finite rates)"
     i, k = divmod(int(bad[0]), rates.shape[1])
     kind = "real" if seq.is_real[i + 1] else "eos" if i + 2 == len(seq) else "fake"
     return (f"non-finite {what}: rate {rates[i, k]} at token {i + 1} "
             f"(t={float(seq.times[i + 1])}, kind={kind}), channel {k}")
 
 
-def _check_rates(seq: AugmentedSequence, rates: np.ndarray, what: str) -> np.ndarray:
-    """rates, or TrainingError naming the token and channel of the first rate
-    that is not finite and positive."""
-    if not np.all((rates > 0.0) & (rates < np.inf)):
-        raise TrainingError(_diagnose_nonfinite(seq, rates, what))
-    return rates
+def _checked_ll(seq: AugmentedSequence, rates: np.ndarray, what: str) -> float:
+    """quadrature_ll_node's value on model rates, or TrainingError naming the
+    first rate in token order that the LL cannot absorb: a real event's own
+    rate that is not finite and positive, or a real-channel rate that is not
+    finite. The fake channel is zeroed first, as its zero widths times NaN or
+    inf would be NaN."""
+    rates = np.array(rates, dtype=np.float64, order="C")
+    rates[:, seq.label_count] = 0.0
+    ll = quadrature_ll_node(seq, rates)[0]
+    if not math.isfinite(ll):
+        rows, labels = _real_events(seq)
+        bad = ~np.isfinite(rates)
+        bad[rows, labels] |= ~(rates[rows, labels] > 0.0)
+        raise TrainingError(_diagnose_nonfinite(seq, rates, what, bad))
+    return ll
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +271,8 @@ def _check_rates(seq: AugmentedSequence, rates: np.ndarray, what: str) -> np.nda
 
 
 class _Adam:
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
     def __init__(self, params: ModelParams, cfg: TrainConfig):
         self.cfg = cfg
         self.m = [np.zeros_like(a) for a in params.arrays()]
@@ -283,14 +285,14 @@ class _Adam:
         that the step, or its squared-gradient average, left non-finite."""
         cfg = self.cfg
         self.t += 1
-        b1c = 1.0 - cfg.beta1**self.t
-        b2c = 1.0 - cfg.beta2**self.t
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
         for name, arr, g, m, v in zip(params.names(), params.arrays(), grads, self.m, self.v):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            arr += cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + cfg.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            arr += cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
             if not (np.all(np.isfinite(arr)) and np.all(np.isfinite(v))):
                 raise TrainingError(f"Adam step {self.t} left non-finite entries in {name} "
                                     f"(learning rate {cfg.learning_rate})")
@@ -306,12 +308,11 @@ def _clip_global_norm(grads, max_norm: float):
 
 def dataset_ll(dataset_seqs, params: ModelParams, model_cfg: ModelConfig) -> float:
     """Summed quadrature LL over pre-augmented validation sequences; no mutation.
-    Rates that are not finite and positive raise TrainingError naming the stream."""
+    A stream's LL that is not finite raises TrainingError naming the stream."""
     total = 0.0
     for i, seq in enumerate(dataset_seqs):
         rates = _forward_rates(seq, params, model_cfg)[0]
-        what = f"log-likelihood of validation stream s{i}"
-        total += quadrature_ll(seq, _check_rates(seq, rates, what))
+        total += _checked_ll(seq, rates, f"log-likelihood of validation stream s{i}")
     return total
 
 
@@ -325,6 +326,8 @@ def train(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
     best validation LL and the best-validation parameters are returned.
     Returns (ModelParams, TrainReport).
     """
+    if train_cfg.patience > 0 and val_dataset is None:
+        raise ValueError("patience needs a validation set")
     seqs = [augment(s, model_cfg.fake_count) for s in dataset.streams]
     val_seqs = ([augment(s, model_cfg.fake_count) for s in val_dataset.streams]
                 if val_dataset is not None else None)
@@ -366,7 +369,7 @@ def train(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
         report.val_ll.append(vll)
         report.seconds.append(time.perf_counter() - t0)
 
-        if val_seqs is not None and train_cfg.patience > 0:
+        if train_cfg.patience > 0:
             if vll > best_val:
                 best_val = vll
                 best_params = params.copy()

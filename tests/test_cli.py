@@ -63,6 +63,16 @@ def test_nonfinite_setting_exits_1(argv, setting, label_split, capsys):
     assert not (out / "model.ckpt").exists()
 
 
+def test_patience_without_val_exits_1(label_split, capsys):
+    out = label_split / "out"
+    code = run(["train", "--data", label_split / "train.csv", "--epochs", 3,
+                "--patience", 1, "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --patience needs --val")
+    assert not out.exists()
+
+
 class TestGenPgem:
     def test_writes_spec_streams_manifest(self, gen_dir):
         assert (gen_dir / "spec.json").exists()
@@ -356,7 +366,9 @@ class TestNumericalFailureExitCode:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
-        assert "validation stream s0" in err and "channel 1" in err
+        # the LL breaks at the first real label-1 event, not at the fake
+        # token before it, whose zero rate the LL never reads
+        assert "validation stream s0: rate 0.0 at token 2 (t=10.0, kind=real), channel 1" in err
         assert "Warning" not in err and "Traceback" not in err
         assert not (out / "model.ckpt").exists()
 
@@ -406,5 +418,10 @@ class TestNumericalFailureExitCode:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
-        assert "stream s0" in err and f"rate {rate} at token 1 " in err and "channel 0" in err
+        # eval names the first rate its LL cannot absorb: with every rate 0,
+        # that is s0's first real event (token 2, label 1)
+        culprit = ("at token 2 (t=", "kind=real), channel 1")
+        if (subcommand, case) != ("eval", "underflowing_params"):
+            culprit = ("at token 1 ", "channel 0")
+        assert "stream s0" in err and f"rate {rate} {culprit[0]}" in err and culprit[1] in err
         assert "RuntimeWarning" not in err

@@ -281,6 +281,38 @@ class TestAgainstDefinition:
         assert trace.breaks.tolist() == [0.0, 1.0, 3.0, 5.0]
         assert trace.rates[:, 1].tolist() == [0.001, 0.2, 0.001]
 
+    @pytest.mark.parametrize("times, labels", [
+        ((), ()),                    # no events
+        ((0.0, 2.5), (1, 0)),        # the child at 0, with no history
+        ((0.0, 1.0), (0, 1)),        # the parent at 0, the child inside its window
+        ((4.0, 5.0), (0, 1)),        # the child at T, its parent active
+        ((1.0, 3.0), (0, 1)),        # the child at the expiry s + w, (s + w) - w == s
+    ])
+    def test_exact_ll_edges(self, times, labels):
+        spec = chain_spec(window=2.0)
+        s = EventStream(tuple(map(Epoch, times, labels)), 5.0, 2)
+        want = pgem_ll_by_definition(spec, s)
+        assert abs(exact_ll(spec, s) - want) <= 1e-12 * abs(want)
+
+    def test_event_at_inexact_expiry_reads_the_trace(self):
+        # parent at p = 0.1, window w = 0.2: q = p + w rounds so that q - w > p,
+        # and the literal test q - w <= p finds the parent inactive at q. The
+        # trace's break at q ends the active segment there, and exact_ll reads
+        # the child's log term off that segment, as its integral does.
+        p, w = 0.1, 0.2
+        q = p + w
+        assert q - w > p
+        spec = chain_spec(window=w)
+        s = EventStream((Epoch(p, 0), Epoch(q, 1)), 1.0, 2)
+        trace = build_trace(spec, s)
+        assert trace.breaks.tolist() == [0.0, p, q, 1.0]
+        assert trace.rates[:, 1].tolist() == [0.001, 0.2, 0.001]
+        assert pgem_rates_by_definition(spec, s, q)[1] == 0.001
+        integral = 0.05 * 1.0 + 0.001 * (1.0 - (q - p)) + 0.2 * (q - p)
+        expected = math.log(0.05) + math.log(0.2) - integral
+        assert exact_ll(spec, s) == pytest.approx(expected, rel=1e-12)
+        assert trace.integral() == pytest.approx(integral, rel=1e-12)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):

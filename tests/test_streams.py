@@ -297,9 +297,10 @@ class TestAugment:
         for _ in range(200):
             s = random_stream(rng, m=4, horizon=15.0)
             k = int(rng.integers(0, 4))
-            back = augment(s, k).real_events()
-            assert back.epochs == s.epochs
-            assert back.horizon == s.horizon
+            seq = augment(s, k)
+            assert seq.times[seq.is_real].tolist() == s.times().tolist()
+            assert seq.labels[seq.is_real].tolist() == s.labels().tolist()
+            assert seq.horizon == s.horizon
 
 
 class TestAugmentedSequenceInvariants:
@@ -309,10 +310,10 @@ class TestAugmentedSequenceInvariants:
             AugmentedSequence([0.0, 4.0], [1, 2], 2)
 
     def test_interior_label_m_marks_a_fake(self):
-        # a token at 1.0 carrying label M is a fake, so the stream it strips
-        # back to has no events: no label marks a real event as the fake label
+        # a token at 1.0 carrying label M is a fake, so stripping the fakes
+        # leaves no events: no label marks a real event as the fake label
         seq = AugmentedSequence([0.0, 1.0, 4.0], [2, 2, 2], 2)
-        assert not seq.is_real.any() and len(seq.real_events()) == 0
+        assert not seq.is_real.any() and len(seq.times[seq.is_real]) == 0
 
     @pytest.mark.parametrize("times, labels", [
         ([0.0], [2]),                          # fewer than 2 tokens

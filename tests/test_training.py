@@ -10,8 +10,9 @@ from tppkit.model import ModelConfig, ModelParams, forward
 from tppkit.pgem import exact_ll, rate_at, sample_spec, simulate
 from tppkit.streams import Dataset, Epoch, EventStream, augment
 from tppkit.training import (
-    TrainConfig, TrainingError, _objective, dataset_ll, objective, objective_with_grads,
-    prediction_loss_node, quadrature_ll, quadrature_ll_node, train, weight_penalty_node,
+    TrainConfig, TrainingError, _checked_ll, _objective, dataset_ll, objective,
+    objective_with_grads, prediction_loss_node, quadrature_ll, quadrature_ll_node, train,
+    weight_penalty_node,
 )
 from helpers import (
     assert_frees_its_tapes, assert_frees_its_tapes_before_gc_resumes, assert_grads_close,
@@ -105,6 +106,31 @@ class TestQuadratureLL:
         seed = np.random.default_rng(0).normal(size=r.shape)
         assert np.allclose(quadrature_ll_node(seq, r, seed)[1], seed + grad,
                            rtol=1e-12, atol=1e-14)
+
+    def test_scoring_check_ignores_rates_the_ll_never_reads(self):
+        # zero rates at the fake and EOS rows and NaN in the fake channel
+        # leave the LL finite and equal to the LL with a finite fake channel
+        s = make_stream([2.0, 5.0], [0, 1], 10.0, 2)
+        seq = augment(s, 2)
+        rates = constant_rate_vectors(seq, [0.1, 0.2, 1.0])
+        rates[~seq.is_real[1:]] = 0.0
+        finite = rates.copy()
+        rates[:, 2] = math.nan
+        ll = _checked_ll(seq, rates, "LL")
+        assert math.isfinite(ll) and ll == quadrature_ll(seq, finite)
+
+    def test_scoring_check_names_the_first_rate_that_breaks_the_ll(self):
+        s = make_stream([2.0, 5.0], [0, 1], 10.0, 2)
+        seq = augment(s, 1)  # BOS, fake 1.0, 2.0, fake 3.5, 5.0, fake 7.5, EOS
+        rates = constant_rate_vectors(seq, [0.1, 0.2, 1.0])
+        rates[:, 2] = math.nan
+        rates[0, 1] = rates[3, 1] = 0.0  # a fake row's rate, then an event's own
+        with pytest.raises(TrainingError, match=r"non-finite LL: rate 0\.0 at token 4 "
+                                                r"\(t=5\.0, kind=real\), channel 1$"):
+            _checked_ll(seq, rates, "LL")
+        rates[2, 0] = math.inf  # a real channel's infinite rate comes first
+        with pytest.raises(TrainingError, match=r"rate inf at token 3 \(t=3\.5, kind=fake\)"):
+            _checked_ll(seq, rates, "LL")
 
 
 class TestPredictionLoss:
@@ -465,6 +491,13 @@ class TestTrain:
         val_seqs = [augment(s, cfg.fake_count) for s in val.streams]
         assert dataset_ll(val_seqs, params, cfg) == pytest.approx(
             report.val_ll[best_epoch], abs=1e-9)
+
+    def test_patience_without_validation_set_rejected(self):
+        data = self.poisson_dataset(0.2, 40.0, seed=1)
+        cfg = ModelConfig(label_count=1, channel_width=2, embed_dim=3,
+                          memory_depth=1, hidden_width=4, time_scale=40.0)
+        with pytest.raises(ValueError, match="patience needs a validation set"):
+            train(data, cfg, TrainConfig(epochs=3, patience=1))
 
     def test_empty_dataset_unrepresentable(self):
         # the Dataset type itself guarantees train's non-empty precondition
