@@ -33,7 +33,7 @@ import numpy as np
 __all__ = [
     "Tape", "Node", "backward", "tape_scope",
     "add", "mul", "tanh", "sigmoid", "relu", "softplus", "linear", "matvec",
-    "vsum", "concat", "stack", "vslice", "row", "reshape", "transpose",
+    "vsum", "concat", "vslice", "row", "reshape", "transpose",
     "matmul", "add_col", "concat_rows", "rowslice", "softmax_cols",
 ]
 
@@ -339,21 +339,6 @@ def concat(parts) -> Node:
             raise ValueError("concat expects vectors")
     val = np.concatenate([p.value for p in parts])
     return Node(tape, val, tuple(parts), "concat", lambda adj: _split_acc(parts, adj))
-
-
-def stack(rows) -> Node:
-    """Stack same-shaped nodes along a new leading axis."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("stack of empty list")
-    tape = _same_tape(*rows)
-    val = np.stack([r.value for r in rows])
-
-    def bw(adj):
-        for i, r in enumerate(rows):
-            _acc(r, adj[i])
-
-    return Node(tape, val, tuple(rows), "stack", bw)
 
 
 def vslice(x: Node, start: int, stop: int) -> Node:

@@ -1,10 +1,12 @@
 """Command-line pipeline: generate, split, train, evaluate, inspect.
 
 Every subcommand resolves its settings (flags > optional JSON config file >
-defaults), writes a manifest with the fully resolved configuration before
-doing any work, then writes its outputs. Re-running a subcommand with
---from-manifest replays the stored configuration and reproduces the outputs
-byte for byte (the training report's wall-time column excepted).
+defaults), validates them and its inputs and computes its results, and only
+then creates the output directory, writes its outputs, and writes a manifest
+with the fully resolved configuration last: a run that exits 1 or 2 leaves
+no new manifest. Re-running a subcommand with --from-manifest replays the
+stored configuration and reproduces the outputs byte for byte (the training
+report's wall-time column excepted).
 
 Exit codes: 0 success, 1 usage or validation failure, 2 numerical failure.
 """
@@ -39,9 +41,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
     def value_types(self) -> dict:
-        """Key -> the type its flag parses to (bool for on/off switches)."""
-        return {a.dest: type(a.const) if a.nargs == 0 else a.type or str
-                for a in self._actions}
+        """Key -> the type its flag parses to."""
+        return {a.dest: a.type or str for a in self._actions}
 
 
 def _env_seed():
@@ -66,13 +67,14 @@ def _read_json_object(path: Path, what: str) -> dict:
 
 
 def _check_types(cfg: dict, types: dict, defaults: dict, source: str):
-    """Each value must have its flag's type; an int passes for a float, unconverted."""
+    """Each value must have its flag's type; an int passes for a float, unconverted,
+    and a bool for neither."""
     for key, value in cfg.items():
         want = types[key]
         if value is None and defaults[key] is None:
             continue
         accepted = (int, float) if want is float else want
-        if not isinstance(value, accepted) or isinstance(value, bool) != (want is bool):
+        if not isinstance(value, accepted) or isinstance(value, bool):
             raise CliError(f"{source}: {key} must be {want.__name__}, got {value!r}")
 
 
@@ -103,8 +105,15 @@ def _resolve(args, defaults: dict, types: dict) -> dict:
     return resolved
 
 
+def _out_dir(cfg: dict) -> Path:
+    """--out, created once the run's results are computed."""
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_manifest(out_dir: Path, subcommand: str, cfg: dict, outputs: dict):
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Written after the outputs, so that only a run that succeeded leaves one."""
     doc = {
         "subcommand": subcommand,
         "config": cfg,
@@ -150,13 +159,13 @@ def run_gen_pgem(cfg: dict) -> str:
         raise CliError("--streams must be >= 1")
     if not (0 < cfg["horizon"] < math.inf):
         raise CliError(f"--horizon must be positive and finite, got {cfg['horizon']}")
-    out = Path(cfg["out"])
-    outputs = {"spec": out / "spec.json", "streams": out / "streams.csv"}
-    _write_manifest(out, "gen-pgem", cfg, outputs)
     spec = pgem.sample_spec(cfg["labels"], cfg["seed"])
     data = pgem.simulate_dataset(spec, cfg["horizon"], cfg["streams"], cfg["seed"])
+    out = _out_dir(cfg)
+    outputs = {"spec": out / "spec.json", "streams": out / "streams.csv"}
     pgem.save_spec(spec, outputs["spec"])
     save_stream(data, outputs["streams"])
+    _write_manifest(out, "gen-pgem", cfg, outputs)
     n_events = sum(len(s) for s in data.streams)
     return f"gen-pgem: wrote {cfg['streams']} streams, {n_events} events to {out}"
 
@@ -173,9 +182,6 @@ def run_split(cfg: dict) -> str:
         raise CliError("--mode must be 'stream' or 'time'")
     if not (0.0 < cfg["fraction"] < 1.0):
         raise CliError("--fraction must lie strictly between 0 and 1")
-    out = Path(cfg["out"])
-    outputs = {"train": out / "train.csv", "test": out / "test.csv"}
-    _write_manifest(out, "split", cfg, outputs)
     data = _load_dataset(cfg["data"])
     try:
         if cfg["mode"] == "stream":
@@ -184,8 +190,11 @@ def run_split(cfg: dict) -> str:
             train_ds, test_ds = streams.split_by_time(data, cfg["fraction"])
     except ValueError as exc:
         raise CliError(str(exc))
+    out = _out_dir(cfg)
+    outputs = {"train": out / "train.csv", "test": out / "test.csv"}
     save_stream(train_ds, outputs["train"])
     save_stream(test_ds, outputs["test"])
+    _write_manifest(out, "split", cfg, outputs)
     return (f"split: {len(train_ds)} train / {len(test_ds)} test streams "
             f"({cfg['mode']}, fraction {cfg['fraction']}) to {out}")
 
@@ -193,7 +202,7 @@ def run_split(cfg: dict) -> str:
 TRAIN_DEFAULTS = {
     "data": None, "val": None, "out": "train-out", "seed": None,
     "fakes": 1, "channels": 8, "embed": 16, "memory": 3, "hidden": 32,
-    "time_scale": None, "bank_real_only": False,
+    "time_scale": None,
     "epochs": 50, "lr": 1e-3, "batch": 0, "clip": 5.0,
     "lambda_p": 1.0, "lambda_w": 1e-4, "patience": 0,
 }
@@ -207,9 +216,6 @@ def run_train(cfg: dict) -> str:
     data = _load_dataset(cfg["data"])
     if cfg["time_scale"] is None:
         cfg["time_scale"] = max(s.horizon for s in data.streams)
-    out = Path(cfg["out"])
-    outputs = {"checkpoint": out / "model.ckpt", "report": out / "report.csv"}
-    _write_manifest(out, "train", cfg, outputs)
     val_data = _load_dataset(cfg["val"]) if cfg["val"] else None
     try:
         model_cfg = ModelConfig(
@@ -220,7 +226,6 @@ def run_train(cfg: dict) -> str:
             fake_count=cfg["fakes"],
             hidden_width=cfg["hidden"],
             time_scale=cfg["time_scale"],
-            bank_real_only=cfg["bank_real_only"],
         )
         train_cfg = TrainConfig(
             learning_rate=cfg["lr"], clip_norm=cfg["clip"], epochs=cfg["epochs"],
@@ -230,9 +235,12 @@ def run_train(cfg: dict) -> str:
     except ValueError as exc:
         raise CliError(str(exc))
     params, report = training.train(data, model_cfg, train_cfg, val_dataset=val_data)
+    out = _out_dir(cfg)
+    outputs = {"checkpoint": out / "model.ckpt", "report": out / "report.csv"}
     save_checkpoint(outputs["checkpoint"], model_cfg, params,
                     steps=report.epochs_run())
     report.to_csv(outputs["report"])
+    _write_manifest(out, "train", cfg, outputs)
     return (f"train: {report.epochs_run()} epochs, final objective "
             f"{report.objective[-1]:.4f}, checkpoint at {outputs['checkpoint']}")
 
@@ -245,16 +253,16 @@ EVAL_DEFAULTS = {
 def run_eval(cfg: dict) -> str:
     if cfg["ckpt"] is None or cfg["data"] is None:
         raise CliError("--ckpt and --data are required")
-    out = Path(cfg["out"])
-    outputs = {"report": out / "eval.csv"}
-    _write_manifest(out, "eval", cfg, outputs)
     model_cfg, params, _ = _load_ckpt(cfg["ckpt"])
     data = _load_dataset(cfg["data"])
     try:
         report = evaluation.test_ll(model_cfg, params, data, fake_count=cfg["fakes"])
     except ValueError as exc:
         raise CliError(str(exc))
+    out = _out_dir(cfg)
+    outputs = {"report": out / "eval.csv"}
     report.to_csv(outputs["report"])
+    _write_manifest(out, "eval", cfg, outputs)
     return f"eval: total test LL {report.total:.4f} over {len(report.scores)} streams"
 
 
@@ -266,17 +274,17 @@ ATTN_DEFAULTS = {
 def run_attn_graph(cfg: dict) -> str:
     if cfg["ckpt"] is None or cfg["data"] is None:
         raise CliError("--ckpt and --data are required")
-    out = Path(cfg["out"])
-    outputs = {"dot": out / "attention.dot", "json": out / "attention.json"}
-    _write_manifest(out, "attn-graph", cfg, outputs)
     model_cfg, params, _ = _load_ckpt(cfg["ckpt"])
     data = _load_dataset(cfg["data"])
     try:
         graph = evaluation.attention_graph(model_cfg, params, data, cfg["threshold"])
     except ValueError as exc:
         raise CliError(str(exc))
+    out = _out_dir(cfg)
+    outputs = {"dot": out / "attention.dot", "json": out / "attention.json"}
     graph.to_dot(outputs["dot"], label_names=data.label_names)
     graph.to_json(outputs["json"])
+    _write_manifest(out, "attn-graph", cfg, outputs)
     return (f"attn-graph: {len(graph.edges)} edges at threshold "
             f"{cfg['threshold']} written to {out}")
 
@@ -289,9 +297,6 @@ TRACE_DEFAULTS = {
 def run_trace(cfg: dict) -> str:
     if cfg["ckpt"] is None or cfg["data"] is None:
         raise CliError("--ckpt and --data are required")
-    out = Path(cfg["out"])
-    outputs = {"trace": out / f"trace_{cfg['stream']}.csv"}
-    _write_manifest(out, "trace", cfg, outputs)
     model_cfg, params, _ = _load_ckpt(cfg["ckpt"])
     data = _load_dataset(cfg["data"])
     ids = data.stream_ids()
@@ -305,7 +310,10 @@ def run_trace(cfg: dict) -> str:
         raise CliError(str(exc))
     except TrainingError as exc:
         raise TrainingError(f"stream {cfg['stream']}: {exc}") from None
+    out = _out_dir(cfg)
+    outputs = {"trace": out / f"trace_{cfg['stream']}.csv"}
     trace.to_csv(outputs["trace"])
+    _write_manifest(out, "trace", cfg, outputs)
     return f"trace: {len(trace.rows)} rows for stream {cfg['stream']} at {outputs['trace']}"
 
 
@@ -364,8 +372,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--memory", type=int)
     p.add_argument("--hidden", type=int)
     p.add_argument("--time-scale", dest="time_scale", type=float)
-    p.add_argument("--bank-real-only", dest="bank_real_only",
-                   action="store_const", const=True)
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--batch", type=int)
@@ -415,7 +421,12 @@ def main(argv=None) -> int:
             missing = set(defaults) - set(cfg)
             if missing:
                 raise CliError(f"manifest lacks keys: {sorted(missing)}")
-            # keys of retired options (eval's "parallel") are dropped
+            # keys of retired options are dropped: eval's "parallel" at any
+            # value, train's "bank_real_only" only at false, the bank rule kept
+            if cfg.get("bank_real_only", False) is not False:
+                raise CliError(f"manifest {manifest_path}: bank_real_only is "
+                               f"{cfg['bank_real_only']!r}; the bank records every token, "
+                               f"so only false replays")
             cfg = {key: cfg[key] for key in defaults}
             _check_types(cfg, types, defaults, f"manifest {manifest_path}")
         else:

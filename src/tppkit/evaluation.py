@@ -158,8 +158,6 @@ def attention_graph(config: ModelConfig, params: ModelParams, dataset: Dataset,
             attention = forward(seq, params, config).attention
         token_count += len(attention)
         for alpha in attention:
-            if alpha is None:
-                continue
             # rows j..j+m-1 hold one record's labels in order; column k is channel k
             for j in range(0, alpha.shape[0], m):
                 sums += alpha[j:j + m, :m].T

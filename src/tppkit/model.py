@@ -4,10 +4,10 @@ One shared LSTM runs over the augmented sequence, reading each token as the
 embedding row of its label (M for BOS, fakes and EOS) and its scaled time
 (``encode_token``); its hidden vector of size m*(M+1) is read as M+1
 contiguous per-label channels. The memory bank is one matrix of the
-real-label channel slices from the most recent J recorded tokens, oldest
-first (at most J*M rows of width m). All channels attend over it at once,
-as one (m, M+1) channel matrix with dot-product scores, to form their net
-hidden states (``attend``); a small feed-forward stack then maps each column
+real-label channel slices from the most recent J tokens, fakes included,
+oldest first (at most J*M rows of width m). All channels attend over it at
+once, as one (m, M+1) channel matrix with dot-product scores, to form their
+net hidden states (``attend``); a small feed-forward stack then maps each column
 [net state, elapsed time] to a positive rate via softplus (``intensity``).
 Rates for token i are always computed from the state strictly before token i.
 
@@ -57,7 +57,6 @@ class ModelConfig:
     fake_count: int = 1
     hidden_width: int = 32
     time_scale: float = 1.0
-    bank_real_only: bool = False
 
     def __post_init__(self):
         if self.label_count < 1:
@@ -234,11 +233,11 @@ def attend(h_t: ad.Node, bank: ad.Node | None, pn: ParamNodes):
     """Net states of all channels: column k is tanh(W_c [context_k, h_k]).
 
     h_t is the (m, C) matrix whose column k is channel k's slice; bank is the
-    (rows, m) matrix of recorded channel slices, or None while it is empty.
+    (rows, m) matrix of recorded channel slices, or None at memory_depth 0.
     Channel k's context is the alignment-weighted average of the bank rows,
-    with dot-product scores against h_k; an empty bank yields a zero context.
-    Returns the (m, C) net states and the (rows, C) alignment node (None for
-    an empty bank).
+    with dot-product scores against h_k; no bank yields a zero context.
+    Returns the (m, C) net states and the (rows, C) alignment node (None
+    without a bank).
     """
     if bank is None:
         alpha = None
@@ -271,10 +270,11 @@ class ForwardResult:
 
     rates[i] is the (M+1,) vector node of channel rates predicted at token
     i+1; attention[i] is the (rows, M+1) array of per-channel alignment
-    weights recorded before token i+1, or None while the bank is empty. Row
-    j*M + q holds label q's channel slice from the j-th oldest record in the
-    bank. cells[i] holds the LSTM values after token i (see
-    ``lstm_step``), read by ``backward``.
+    weights over the bank as of token i, or None when memory_depth is 0 (with
+    J >= 1 the bank always holds token i's own record). Row j*M + q holds
+    label q's channel slice from the j-th oldest record in the bank.
+    cells[i] holds the LSTM values after token i (see ``lstm_step``), read
+    by ``backward``.
     """
 
     tape: ad.Tape
@@ -297,11 +297,11 @@ def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) ->
     channel matrix, all channels attend over the bank as of i-1 at once, and
     the rate vector at t_i is produced from (net states, t_i - t_{i-1}).
     The label and time of token i are then encoded and stepped through the LSTM.
-    The bank records the new state's real-label slices after every token by
-    default, or only after real events (labels below M) when
-    config.bank_real_only is set, and keeps the
-    last memory_depth records. Overflow raises no numpy warning; it shows as
-    rates that are not finite and positive, which the callers report.
+    The bank records the new state's real-label slices after every token but
+    the last (real, fake or BOS alike) and keeps the last memory_depth
+    records, so attention is None only when memory_depth is 0. Overflow
+    raises no numpy warning; it shows as rates that are not finite and
+    positive, which the callers report.
     """
     if seq.label_count != config.label_count:
         raise ValueError(
@@ -333,8 +333,7 @@ def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) ->
         cells.append(cell)
         channels = ad.reshape(h, (C, m))
         # the state after the last token is never attended, so it is not recorded
-        if (depth and i < len(times) - 1
-                and (label < M or not config.bank_real_only)):
+        if depth and i < len(times) - 1:
             records = (records + [ad.rowslice(channels, 0, M)])[-depth:]
             bank = None
     return ForwardResult(tape, pn, rates, attention, seq, cells)
@@ -347,34 +346,33 @@ def backward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,
     cells is ForwardResult.cells. The head is recomputed and reversed for all
     N rows at once, each step one product batched over the rows in the
     shapes and layouts of forward's per-row products; row r attends over the
-    last J recorded tokens at or before r, one (N, J) index array with
-    padding slots masked. One reverse loop over the LSTM follows. Elementwise
-    steps use the tape's formulas in its order and sums over rows run from
-    the last row, as the tape's reverse walk adds them: in the default bank
-    mode every per-token adjoint equals the tape's to the last bit.
+    last J tokens at or before r, one (N, J) index array with padding slots
+    masked. One reverse loop over the LSTM follows. Elementwise steps use the
+    tape's formulas in its order and sums over rows run from the last row, as
+    the tape's reverse walk adds them, so every per-token adjoint equals the
+    tape's to the last bit.
     """
     m, M, C, H = config.channel_width, config.label_count, config.channel_count, config.hidden_dim
+    J = config.memory_depth
     p = params
     n = len(seq) - 1
     hs, cs, gi, gf, gg, go, tanh_c = np.array(cells[:n]).transpose(1, 0, 2)
     times = seq.times
     labels = seq.labels[:n]
-    recorded = np.flatnonzero(seq.is_real[:n]) if config.bank_real_only else np.arange(n)
-    depth = config.memory_depth if recorded.size else 0
-    slots = recorded.searchsorted(np.arange(n), side="right")[:, None] + np.arange(-depth, 0)
-    idx = recorded[np.maximum(slots, 0)]                       # (n, J) bank token positions
-    bank = hs[idx, :M * m].reshape(n, depth * M, m)            # row j*M + q: slot j, label q
+    slots = np.arange(n)[:, None] + np.arange(1 - J, 1)
+    idx = np.maximum(slots, 0)                                 # (n, J) bank token positions
+    bank = hs[idx, :M * m].reshape(n, J * M, m)                # row j*M + q: slot j, label q
     chans = hs.reshape(n, C, m)
     query = chans.transpose(0, 2, 1)                           # (n, m, C), column k = h_k
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # masked softmax over each row's bank, in place; a row with an empty
-        # bank keeps all-zero weights and so a zero context
+        # masked softmax over each row's bank, in place: the padding slots of
+        # the first J-1 rows get zero weight, and every row's last slot holds
+        # its own token's record (the initial only serves J = 0)
         alpha = np.matmul(bank, query)
         np.copyto(alpha, -np.inf, where=np.repeat(slots < 0, M, axis=1)[:, :, None])
-        top = alpha.max(axis=1, keepdims=True, initial=-np.inf)
-        alpha -= np.where(top == -np.inf, 0.0, top)
+        alpha -= alpha.max(axis=1, keepdims=True, initial=-np.inf)
         np.exp(alpha, out=alpha)
-        alpha /= np.maximum(alpha.sum(axis=1, keepdims=True), 1.0)  # a bank's max entry is 1
+        alpha /= alpha.sum(axis=1, keepdims=True)
         u = np.concatenate([np.matmul(bank.transpose(0, 2, 1), alpha), query], axis=1)
         net = np.tanh(np.matmul(p.attn_w, u))
         dts = np.diff(times) / config.time_scale
@@ -398,19 +396,19 @@ def backward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,
         d_alpha = np.matmul(bank, d_u[:, :m])
         d_ctx_bank = np.matmul(d_u[:, :m], alpha.transpose(0, 2, 1)).transpose(0, 2, 1)
         rowdot = np.zeros((n, C))
-        for j in range(depth * M):               # summed bank row by bank row, as the tape does
+        for j in range(J * M):                   # summed bank row by bank row, as the tape does
             rowdot += alpha[:, j] * d_alpha[:, j]
         d_alpha -= rowdot[:, None]
         d_alpha *= alpha
         del alpha
-        d_score_bank = np.matmul(d_alpha, chans).reshape(n, depth, M * m)
+        d_score_bank = np.matmul(d_alpha, chans).reshape(n, J, M * m)
         d_h = (d_u[:, m:] + np.matmul(bank.transpose(0, 2, 1), d_alpha)).transpose(0, 2, 1)
         del d_alpha, d_u, bank
         # a row whose bank is one record hands it the context and the score
         # part one after the other (on the tape that bank is the record's own
         # node); other rows hand each record the sum of the two
         single = (slots >= 0).sum(axis=1) == 1
-        d_bank = d_ctx_bank.reshape(n, depth, M * m) + d_score_bank * ~single[:, None, None]
+        d_bank = d_ctx_bank.reshape(n, J, M * m) + d_score_bank * ~single[:, None, None]
         records = np.zeros((n, M * m))
         np.add.at(records, _last_first(idx), _last_first(d_bank))
         np.add.at(records, _last_first(idx[single]), _last_first(d_score_bank[single]))
@@ -492,12 +490,12 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams, steps: int =
         fh.write(blob)
 
 
-_HEADER_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+_HEADER_TYPES = {"int": (int,), "float": (int, float)}
 
 
 def _check_header_type(path, name: str, value, kind: str):
-    # bool is an int subclass, so it passes only where a bool is expected
-    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _HEADER_TYPES[kind]):
+    # bool is an int subclass, so it is rejected by name
+    if isinstance(value, bool) or not isinstance(value, _HEADER_TYPES[kind]):
         raise ValueError(f"{path}: header field {name!r} must be {kind}, got {value!r}")
 
 
@@ -505,7 +503,8 @@ def load_checkpoint(path):
     """Returns (config, params, steps); any malformed part raises ValueError.
 
     The header must carry every ModelConfig field, the step count, and the
-    parameter order with the shapes that config implies.
+    parameter order with the shapes that config implies. A retired
+    ``bank_real_only`` field loads only at false, the one bank rule kept.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -523,7 +522,11 @@ def load_checkpoint(path):
     if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
         raise ValueError(f"{path}: header lacks a config object")
     fields = {f.name for f in dataclasses.fields(ModelConfig)}
-    cfg = header["config"]
+    cfg = dict(header["config"])
+    real_only = cfg.pop("bank_real_only", False)
+    if real_only is not False:
+        raise ValueError(f"{path}: header field 'bank_real_only' is {real_only!r}; the bank "
+                         f"records every token, so only false loads")
     missing = sorted(fields - set(cfg)) + [k for k in ("steps", "order") if k not in header]
     if missing:
         raise ValueError(f"{path}: header lacks {missing}")

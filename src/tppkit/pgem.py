@@ -6,10 +6,12 @@ Rates are therefore piecewise constant in time, which makes simulation exact
 (exponential candidates redrawn at every structural change point, valid by
 memorylessness) and the log-likelihood computable in closed form.
 
-The oracle (rate_at, build_trace) reads the rate at t from the strict history
-[t-w, t) with binary searches over per-label time arrays, and exact_ll reads
-its event rates off build_trace, in O((events + segments) log events) per
-node; the simulator uses (t-w, t], the rate on the interval just after t.
+The oracle (rate_at, build_trace) reads the rate at t from the strict
+history: a parent event at s is active iff s < t <= s + w, compared with the
+same floats s + w at which build_trace breaks, by binary searches over
+per-label time arrays; exact_ll reads its event rates off build_trace, in
+O((events + segments) log events) per node. The simulator uses s <= t < s + w,
+the rate on the interval just after t.
 """
 
 from __future__ import annotations
@@ -142,16 +144,18 @@ def _label_times(spec: PgemSpec, stream: EventStream) -> list:
 
 
 def _node_rates(node: NodeSpec, label_times: list, q: np.ndarray) -> np.ndarray:
-    """Strict-history rate of one node at each query time in q (windows [q-w, q))."""
+    """Strict-history rate of one node at each query time in q: a parent
+    event at s is active iff s < q <= s + w."""
     index = np.zeros(len(q), dtype=np.intp)
     for p, w in zip(node.parents, node.windows):
         times = label_times[p]
-        index = 2 * index + (times.searchsorted(q) > times.searchsorted(q - w))
+        index = 2 * index + (times.searchsorted(q) > (times + w).searchsorted(q))
     return node.table[index]
 
 
 def rate_at(spec: PgemSpec, stream: EventStream, times) -> np.ndarray:
-    """(len(times), M) strict-history rate vectors at the query times (windows [t-w, t))."""
+    """(len(times), M) strict-history rate vectors at the query times (parent
+    events s with s < t <= s + w)."""
     label_times = _label_times(spec, stream)
     q = np.asarray(times, dtype=np.float64)
     if q.ndim != 1:

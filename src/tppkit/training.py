@@ -28,9 +28,9 @@ from .model import ModelConfig, ModelParams, backward, forward
 from .streams import AugmentedSequence, Dataset, augment
 
 __all__ = [
-    "TrainConfig", "TrainReport", "TrainingError", "quadrature_ll",
-    "quadrature_ll_node", "prediction_loss_node", "weight_penalty_node", "objective",
-    "objective_with_grads", "train",
+    "TrainConfig", "TrainReport", "TrainingError", "quadrature_ll_node",
+    "prediction_loss_node", "weight_penalty_node", "objective", "objective_with_grads",
+    "train",
 ]
 
 
@@ -152,23 +152,6 @@ def weight_penalty_node(params: ModelParams, scale=1.0):
     f1, f2 = params.f1_w, params.f2_w
     value = np.sum(f1 * f1) + np.sum(f2 * f2)
     return float(value), ((2.0 * scale) * f1, (2.0 * scale) * f2)
-
-
-def quadrature_ll(seq: AugmentedSequence, rates) -> float:
-    """quadrature_ll_node's value on a plain (len(seq)-1, M+1) rate array;
-    a rate at a real event that is not positive raises ValueError."""
-    # C order: a sum's rounding depends on the memory order it walks
-    rates = np.asarray(rates, dtype=np.float64, order="C")
-    shape = (len(seq) - 1, seq.label_count + 1)
-    if rates.shape != shape:
-        raise ValueError(f"rates must have shape {shape}, got {rates.shape}")
-    rows, labels = _real_events(seq)
-    picked = rates[rows, labels]
-    bad = np.flatnonzero(~(picked > 0.0))
-    if bad.size:
-        j = bad[0]
-        raise ValueError(f"non-positive rate {picked[j]} at real token index {rows[j] + 1}")
-    return quadrature_ll_node(seq, rates)[0]
 
 
 def _objective(seq: AugmentedSequence, rates: np.ndarray, params: ModelParams,

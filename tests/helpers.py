@@ -1,10 +1,12 @@
 """Shared test utilities: finite-difference oracles, gradient comparison, tape leaks,
 a tape-walking gradient reference, a per-token objective adjoint, a per-token
-augmentation reference, a per-channel model reference and a brute-force PGEM
-reference."""
+augmentation reference, a per-channel model reference, a brute-force PGEM
+reference and a checkpoint header editor."""
 
 import gc
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -91,7 +93,11 @@ def objective_with_grads_on_tape(seq, params, model_cfg, train_cfg):
     with ad.tape_scope():
         fwd = forward(seq, params, model_cfg)
         value, ll, rate_adj, (d_f1, d_f2) = _objective(seq, fwd.rate_values(), params, train_cfg)
-        root = ad.vsum(ad.mul(ad.stack(fwd.rates), fwd.tape.const(rate_adj)))
+        # the rate vectors stacked into one (N, M+1) node, each row handing
+        # its adjoint to its own vector
+        rates = ad.Node(fwd.tape, fwd.rate_values(), tuple(fwd.rates), "stack",
+                        lambda adj: [ad._acc(r, a) for r, a in zip(fwd.rates, adj)])
+        root = ad.vsum(ad.mul(rates, fwd.tape.const(rate_adj)))
         ad.backward(fwd.tape, root)
         pn = fwd.params
         for leaf, d in ((pn.f1_w, d_f1), (pn.f2_w, d_f2)):
@@ -150,7 +156,7 @@ def forward_by_definition(seq, params, cfg):
     one channel and one bank entry at a time.
 
     Returns the (len(seq)-1, M+1) rate array and, per rate row, the
-    (entries, M+1) alignment array (None while the bank is empty), its rows
+    (entries, M+1) alignment array (None when memory_depth is 0), its rows
     ordered oldest record first and by label within a record.
     """
     m, M, C, H = cfg.channel_width, cfg.label_count, cfg.channel_count, cfg.hidden_dim
@@ -184,18 +190,18 @@ def forward_by_definition(seq, params, cfg):
         gi, gf, gg, go = (z[g * H:(g + 1) * H] for g in range(4))
         c = _sigmoid(gf) * c + _sigmoid(gi) * np.tanh(gg)
         h = _sigmoid(go) * np.tanh(c)
-        if cfg.memory_depth and (label < M or not cfg.bank_real_only):
+        if cfg.memory_depth:
             records.append([h[q * m:(q + 1) * m] for q in range(M)])
             records = records[-cfg.memory_depth:]
     return np.array(rates), attention
 
 
 def pgem_rates_by_definition(spec, stream, q):
-    """PGEM rate vector at q: parent p with window w is active iff any(q - w <= s < q)
+    """PGEM rate vector at q: parent p with window w is active iff any(s < q <= s + w)
     over p's event times s."""
     rates = []
     for node in spec.nodes:
-        bits = tuple(int(any(e.label == p and q - w <= e.time < q for e in stream.epochs))
+        bits = tuple(int(any(e.label == p and e.time < q <= e.time + w for e in stream.epochs))
                      for p, w in zip(node.parents, node.windows))
         rates.append(node.rates[bits])
     return np.array(rates)
@@ -216,3 +222,13 @@ def pgem_ll_by_definition(spec, stream):
     log_sum = sum(math.log(pgem_rates_by_definition(spec, stream, e.time)[e.label])
                   for e in stream.epochs)
     return log_sum - integral
+
+
+def rewrite_checkpoint_header(path, edit):
+    """Apply edit to a checkpoint's parsed JSON header in place and rewrite the file."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + n])
+    edit(header)
+    head = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(head)) + head + raw[12 + n:])

@@ -24,7 +24,9 @@ from tppkit.pgem import (
     simulate, simulate_dataset,
 )
 from tppkit.streams import Dataset, Epoch, EventStream, augment, split_by_stream, split_by_time
-from tppkit.training import TrainConfig, objective, objective_with_grads, quadrature_ll, train
+from tppkit.training import (
+    TrainConfig, objective, objective_with_grads, quadrature_ll_node, train,
+)
 from helpers import max_rel_err, numerical_grad
 
 
@@ -91,7 +93,7 @@ def test_criterion_3_quadrature_vs_oracle():
         seq = augment(stream, 20)
         rates = np.ones((len(seq) - 1, spec.label_count + 1))
         rates[:, :spec.label_count] = rate_at(spec, stream, seq.times[1:])
-        rel = abs(quadrature_ll(seq, rates) - exact) / abs(exact)
+        rel = abs(quadrature_ll_node(seq, rates)[0] - exact) / abs(exact)
         worst_rel = max(worst_rel, rel)
         checked += 1
     assert checked == 10
@@ -104,7 +106,7 @@ def test_criterion_3_quadrature_vs_oracle():
     for k in (0, 1, 3, 10, 20):
         seq = augment(s, k)
         rates = np.full((len(seq) - 1, 2), 0.1)
-        worst_hom = max(worst_hom, abs(quadrature_ll(seq, rates) - hom_exact))
+        worst_hom = max(worst_hom, abs(quadrature_ll_node(seq, rates)[0] - hom_exact))
     ok = worst_rel < 0.01 and worst_hom <= 1e-9
     _report("criterion-3 quadrature-vs-oracle", ok,
             f"worst K=20 relative error {worst_rel:.5f} over 10 specs; "

@@ -307,27 +307,6 @@ def test_structural_ops_gradients():
     assert_grads_close(A.grad, numerical_grad(run_row, Av.copy()))
 
 
-def test_stack_gradients():
-    # rows of a matrix stacked in a new order, one row stacked twice
-    rng = np.random.default_rng(13)
-    Xv = rng.normal(size=(3, 4))
-    Cv = rng.normal(size=(3, 4))
-    order = [2, 0, 2]
-
-    def run(X):
-        return float(np.sum(np.tanh(X[order]) * Cv))
-
-    t = ad.Tape()
-    X = t.leaf(Xv)
-    vec = ad.stack([ad.row(X, i) for i in order])
-    out = ad.vsum(ad.mul(ad.tanh(vec), Cv))
-    assert float(out.value) == pytest.approx(run(Xv), abs=1e-12)
-    ad.backward(t, out)
-    assert_grads_close(X.grad, numerical_grad(run, Xv.copy()))
-    with pytest.raises(ValueError):
-        ad.stack([])
-
-
 def test_composed_functions_match_fd_many_seeds():
     # randomized composition sweep covering every provided op
     for seed in range(100):

@@ -7,6 +7,7 @@ import pytest
 from tppkit.cli import main
 from tppkit.model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
 from tppkit.streams import Dataset, Epoch, EventStream, load_stream, save_stream
+from helpers import rewrite_checkpoint_header
 
 
 def run(argv):
@@ -71,6 +72,68 @@ def test_patience_without_val_exits_1(label_split, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --patience needs --val")
     assert not out.exists()
+
+
+def failing_run(case, d):
+    """argv of one failing run per subcommand on label_split's files, and its exit code."""
+    ckpt, data = ["--ckpt", d / "model.ckpt"], ["--data", d / "train.csv"]
+    return {
+        # gen-pgem's spec.json is made a directory, so writing it fails
+        "gen-pgem": (["gen-pgem", "--streams", 1, "--horizon", 10], 1),
+        "split": (["split", "--data", d / "missing.csv"], 1),
+        "train": (["train", *data, "--lr", "nan"], 1),
+        "train-diverges": (["train", *data, "--lr", "1e308", "--epochs", 1], 2),
+        "eval": (["eval", "--ckpt", d / "missing.ckpt", *data], 1),
+        "attn-graph": (["attn-graph", *ckpt, *data, "--threshold", "nan"], 1),
+        "trace": (["trace", *ckpt, *data, "--stream", "s99"], 1),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["gen-pgem", "split", "train", "train-diverges", "eval",
+                                  "attn-graph", "trace"])
+def test_failed_run_writes_no_manifest(case, label_split, capsys):
+    # the manifest is written last, so a run that exits 1 or 2 leaves none;
+    # a run that fails before its outputs does not create --out either
+    argv, want = failing_run(case, label_split)
+    out = label_split / "out"
+    if case == "gen-pgem":
+        (out / "spec.json").mkdir(parents=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", out]) == want
+    assert not (out / "manifest.json").exists()
+    assert case == "gen-pgem" or not out.exists()
+
+
+def test_retired_bank_real_only_in_train_manifest(label_split, capsys):
+    # train manifests written while the bank had a real-events-only mode carry
+    # the key: false replays as the rule kept, any other value exits 1
+    out = label_split / "out"
+    assert run(["train", "--data", label_split / "train.csv", "--epochs", 1,
+                "--out", out]) == 0
+    ckpt = (out / "model.ckpt").read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    old = label_split / "old-manifest.json"
+    manifest["config"]["bank_real_only"] = False
+    old.write_text(json.dumps(manifest))
+    assert run(["train", "--from-manifest", old]) == 0
+    assert (out / "model.ckpt").read_bytes() == ckpt
+    assert "bank_real_only" not in json.loads((out / "manifest.json").read_text())["config"]
+    manifest["config"]["bank_real_only"] = True
+    old.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["train", "--from-manifest", old]) == 1
+    assert "bank_real_only is True" in capsys.readouterr().err
+
+
+def test_retired_bank_real_only_in_checkpoint(label_split, capsys):
+    ckpt, data = label_split / "model.ckpt", label_split / "train.csv"
+    rewrite_checkpoint_header(ckpt, lambda h: h["config"].update(bank_real_only=False))
+    assert run(["eval", "--ckpt", ckpt, "--data", data, "--out", label_split / "a"]) == 0
+    rewrite_checkpoint_header(ckpt, lambda h: h["config"].update(bank_real_only=True))
+    capsys.readouterr()
+    assert run(["eval", "--ckpt", ckpt, "--data", data, "--out", label_split / "b"]) == 1
+    assert "'bank_real_only' is True" in capsys.readouterr().err
 
 
 class TestGenPgem:

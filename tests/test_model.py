@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import struct
 
@@ -12,7 +11,9 @@ from tppkit.model import (
     forward, intensity, load_checkpoint, lstm_step, save_checkpoint,
 )
 from tppkit.streams import Epoch, EventStream, augment
-from helpers import assert_grads_close, forward_by_definition, numerical_grad
+from helpers import (
+    assert_grads_close, forward_by_definition, numerical_grad, rewrite_checkpoint_header,
+)
 
 
 def tiny_config(**kw):
@@ -326,8 +327,7 @@ class TestForward:
         rng = np.random.default_rng(57)
         for trial in range(10):
             cfg = tiny_config(memory_depth=int(rng.integers(0, 4)),
-                              label_count=int(rng.integers(1, 4)),
-                              bank_real_only=bool(trial % 2))
+                              label_count=int(rng.integers(1, 4)))
             params = ModelParams.init(cfg, seed=trial)
             n = int(rng.integers(0, 6))
             times = np.unique(rng.uniform(0.5, 9.0, size=n))
@@ -370,16 +370,6 @@ class TestForward:
             assert np.any(grad[mask] != 0.0)
             assert np.all(grad[~mask] == 0.0)
 
-    def test_bank_real_only_switch(self):
-        cfg_all = tiny_config(memory_depth=5)
-        cfg_real = tiny_config(memory_depth=5, bank_real_only=True)
-        params = ModelParams.init(cfg_all, seed=10)
-        seq = make_seq([2.0, 4.0], [0, 1], 6.0, 2, k=1)
-        res_all = forward(seq, params, cfg_all)
-        res_real = forward(seq, params, cfg_real)
-        # with fakes included the bank fills faster
-        assert res_all.attention[-1].shape[0] > res_real.attention[-1].shape[0]
-
     def test_label_count_mismatch_rejected(self):
         cfg = tiny_config()
         params = ModelParams.init(cfg, seed=0)
@@ -406,10 +396,6 @@ def tape_ops(M, **kw):
     (20, {}, 1200, "310acd630ac12fd4daeb9a8515850f96e38109438fb06ebf7e854902c50266de"),
     (5, {"memory_depth": 0}, 1051,
      "2a5b489db13dae21712cbe741afe8df2dc2a515c0a4172c3483bb789409473c1"),
-    (5, {"bank_real_only": True}, 1162,
-     "bded4b5003611d8f898f53cca04e81a793e3c108d283ea699993d9fa6eb9fc3e"),
-    (20, {"bank_real_only": True}, 1162,
-     "bded4b5003611d8f898f53cca04e81a793e3c108d283ea699993d9fa6eb9fc3e"),
 ])
 def test_tape_structure_pinned(M, kw, n_nodes, digest):
     # the benchmark's traced runs compare the tape node count exactly, so
@@ -422,7 +408,7 @@ def test_ll_gradient_three_labels_five_events():
     # full-parameter gradient of the quadrature LL on a 3-label, 5-event
     # sequence, its rate adjoint carried to the weights by ``backward``,
     # against central finite differences
-    from tppkit.training import quadrature_ll, quadrature_ll_node
+    from tppkit.training import quadrature_ll_node
 
     cfg = ModelConfig(label_count=3, channel_width=2, embed_dim=3,
                       memory_depth=2, fake_count=1, hidden_width=4,
@@ -437,7 +423,7 @@ def test_ll_gradient_three_labels_five_events():
 
     def f(theta):
         p = ModelParams.from_flat(cfg, theta)
-        return quadrature_ll(seq, forward(seq, p, cfg).rate_values())
+        return quadrature_ll_node(seq, forward(seq, p, cfg).rate_values())[0]
 
     fd = numerical_grad(f, params.flatten())
     assert_grads_close(flat, fd)
@@ -445,7 +431,7 @@ def test_ll_gradient_three_labels_five_events():
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        cfg = tiny_config(time_scale=123.5, bank_real_only=True)
+        cfg = tiny_config(time_scale=123.5, memory_depth=1)
         params = ModelParams.init(cfg, seed=19)
         p = tmp_path / "model.ckpt"
         save_checkpoint(p, cfg, params, steps=42)
@@ -460,15 +446,6 @@ class TestCheckpoint:
         p.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
             load_checkpoint(p)
-
-    @staticmethod
-    def rewrite_header(path, edit):
-        raw = path.read_bytes()
-        (n,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + n])
-        edit(header)
-        head = json.dumps(header).encode()
-        path.write_bytes(raw[:8] + struct.pack("<I", len(head)) + head + raw[12 + n:])
 
     @pytest.mark.parametrize("edit, field", [
         (lambda h: h.pop("steps"), "steps"),
@@ -485,9 +462,25 @@ class TestCheckpoint:
         p = tmp_path / "model.ckpt"
         cfg = tiny_config()
         save_checkpoint(p, cfg, ModelParams.init(cfg, seed=1), steps=3)
-        self.rewrite_header(p, edit)
+        rewrite_checkpoint_header(p, edit)
         with pytest.raises(ValueError, match=field):
             load_checkpoint(p)
+
+    def test_retired_bank_real_only_field(self, tmp_path):
+        # headers written while the bank had a real-events-only mode carry the
+        # field: false, the rule kept, loads; any other value is named
+        p = tmp_path / "model.ckpt"
+        cfg = tiny_config()
+        params = ModelParams.init(cfg, seed=1)
+        save_checkpoint(p, cfg, params, steps=3)
+        rewrite_checkpoint_header(p, lambda h: h["config"].update(bank_real_only=False))
+        cfg2, params2, steps = load_checkpoint(p)
+        assert cfg2 == cfg and steps == 3
+        assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), params2.arrays()))
+        for value in (True, 0, None):
+            rewrite_checkpoint_header(p, lambda h: h["config"].update(bank_real_only=value))
+            with pytest.raises(ValueError, match="'bank_real_only' is"):
+                load_checkpoint(p)
 
     def test_too_deeply_nested_header_rejected(self, tmp_path):
         p = tmp_path / "model.ckpt"

@@ -296,9 +296,11 @@ class TestAgainstDefinition:
 
     def test_event_at_inexact_expiry_reads_the_trace(self):
         # parent at p = 0.1, window w = 0.2: q = p + w rounds so that q - w > p,
-        # and the literal test q - w <= p finds the parent inactive at q. The
-        # trace's break at q ends the active segment there, and exact_ll reads
-        # the child's log term off that segment, as its integral does.
+        # and a test q - w <= p would find the parent inactive at q. The
+        # trace's break at q ends the active segment there; rate_at and the
+        # definition compare q with the same float p + w, so they read that
+        # segment, and exact_ll reads the child's log term off it, as its
+        # integral does.
         p, w = 0.1, 0.2
         q = p + w
         assert q - w > p
@@ -307,7 +309,8 @@ class TestAgainstDefinition:
         trace = build_trace(spec, s)
         assert trace.breaks.tolist() == [0.0, p, q, 1.0]
         assert trace.rates[:, 1].tolist() == [0.001, 0.2, 0.001]
-        assert pgem_rates_by_definition(spec, s, q)[1] == 0.001
+        assert rate_at(spec, s, [q])[0, 1] == 0.2
+        assert pgem_rates_by_definition(spec, s, q)[1] == 0.2
         integral = 0.05 * 1.0 + 0.001 * (1.0 - (q - p)) + 0.2 * (q - p)
         expected = math.log(0.05) + math.log(0.2) - integral
         assert exact_ll(spec, s) == pytest.approx(expected, rel=1e-12)

@@ -11,7 +11,7 @@ from tppkit.pgem import exact_ll, rate_at, sample_spec, simulate
 from tppkit.streams import Dataset, Epoch, EventStream, augment
 from tppkit.training import (
     TrainConfig, TrainingError, _checked_ll, _objective, dataset_ll, objective,
-    objective_with_grads, prediction_loss_node, quadrature_ll, quadrature_ll_node, train,
+    objective_with_grads, prediction_loss_node, quadrature_ll_node, train,
     weight_penalty_node,
 )
 from helpers import (
@@ -36,8 +36,8 @@ class TestQuadratureLL:
         seq = augment(s, 0)
         rates = constant_rate_vectors(seq, [0.1, 1.0])
         expected = 2.0 * math.log(0.1) - 0.1 * 10.0
-        assert quadrature_ll(seq, rates) == pytest.approx(expected, abs=1e-12)
-        assert quadrature_ll(seq, rates) == pytest.approx(-5.605170, abs=1e-6)
+        assert quadrature_ll_node(seq, rates)[0] == pytest.approx(expected, abs=1e-12)
+        assert quadrature_ll_node(seq, rates)[0] == pytest.approx(-5.605170, abs=1e-6)
 
     def test_constant_rates_exact_for_any_k(self):
         s = make_stream([2.0, 5.0], [0, 0], 10.0, 1)
@@ -45,7 +45,7 @@ class TestQuadratureLL:
         for k in (0, 1, 3, 7):
             seq = augment(s, k)
             rates = constant_rate_vectors(seq, [0.1, 123.0])
-            assert quadrature_ll(seq, rates) == pytest.approx(expected, abs=1e-9)
+            assert quadrature_ll_node(seq, rates)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_matches_pgem_exact_ll_homogeneous(self):
         from tppkit.pgem import NodeSpec, PgemSpec
@@ -53,7 +53,7 @@ class TestQuadratureLL:
         s = make_stream([2.0, 5.0], [0, 0], 10.0, 1)
         seq = augment(s, 3)
         rates = constant_rate_vectors(seq, [0.1, 1.0])
-        assert quadrature_ll(seq, rates) == pytest.approx(exact_ll(spec, s), abs=1e-9)
+        assert quadrature_ll_node(seq, rates)[0] == pytest.approx(exact_ll(spec, s), abs=1e-9)
 
     def test_injected_true_rates_converge_to_exact(self):
         for seed in range(5):
@@ -67,20 +67,22 @@ class TestQuadratureLL:
                 seq = augment(stream, k)
                 rates = np.ones((len(seq) - 1, 4))
                 rates[:, :3] = rate_at(spec, stream, seq.times[1:])
-                errs.append(abs(quadrature_ll(seq, rates) - exact))
+                errs.append(abs(quadrature_ll_node(seq, rates)[0] - exact))
             assert errs[-1] <= errs[0] + 1e-9
             assert errs[-1] < 0.01 * abs(exact)
 
     def test_nonpositive_rate_at_event_rejected(self):
+        # scoring names a real event's own rate that is zero or NaN
         s = make_stream([2.0], [0], 10.0, 1)
         seq = augment(s, 0)
         rates = constant_rate_vectors(seq, [0.1, 1.0])
         rates[0, 0] = 0.0
-        with pytest.raises(ValueError, match="non-positive rate 0.0 at real token index 1"):
-            quadrature_ll(seq, rates)
+        with pytest.raises(TrainingError, match=r"non-finite LL: rate 0\.0 at token 1 "
+                                                r"\(t=2\.0, kind=real\), channel 0$"):
+            _checked_ll(seq, rates, "LL")
         rates[0, 0] = math.nan
-        with pytest.raises(ValueError, match="non-positive rate nan"):
-            quadrature_ll(seq, rates)
+        with pytest.raises(TrainingError, match=r"rate nan at token 1 \(t=2\.0, kind=real\)"):
+            _checked_ll(seq, rates, "LL")
 
     def test_node_version_matches_values(self):
         # the node on a forward pass's rates against a per-token loop, its
@@ -117,7 +119,7 @@ class TestQuadratureLL:
         finite = rates.copy()
         rates[:, 2] = math.nan
         ll = _checked_ll(seq, rates, "LL")
-        assert math.isfinite(ll) and ll == quadrature_ll(seq, finite)
+        assert math.isfinite(ll) and ll == quadrature_ll_node(seq, finite)[0]
 
     def test_scoring_check_names_the_first_rate_that_breaks_the_ll(self):
         s = make_stream([2.0, 5.0], [0, 1], 10.0, 2)
@@ -236,7 +238,7 @@ class TestObjective:
         tc = TrainConfig(pred_weight=0.0, l2_weight=0.0)
         fwd = forward(self.seq, self.params, self.cfg)
         assert objective(self.seq, self.params, self.cfg, tc) == pytest.approx(
-            quadrature_ll(self.seq, fwd.rate_values()), abs=1e-12)
+            quadrature_ll_node(self.seq, fwd.rate_values())[0], abs=1e-12)
 
     def test_l2_weight_monotonicity(self):
         vals = [objective(self.seq, self.params, self.cfg,
@@ -295,7 +297,7 @@ class TestObjective:
         params = ModelParams.init(cfg, seed=fakes)
         tc = TrainConfig(pred_weight=pred_weight, l2_weight=l2_weight)
         obj, ll, adj, (d_f1, d_f2) = _objective(seq, rates, params, tc)
-        assert ll == quadrature_ll(seq, rates)
+        assert ll == quadrature_ll_node(seq, rates)[0]
         assert obj == pytest.approx(ll - pred_weight * prediction_loss_node(seq, rates)[0]
                                     - l2_weight * weight_penalty_node(params)[0], abs=1e-12)
         ref = rate_adjoint_by_definition(seq, rates, pred_weight)
@@ -311,7 +313,7 @@ class TestObjective:
             lambda: objective_with_grads(self.seq, self.params, self.cfg, tc),
             lambda: objective(self.seq, self.params, self.cfg, tc),
             lambda: dataset_ll([self.seq], self.params, self.cfg),
-            lambda: quadrature_ll(self.seq, rates),
+            lambda: quadrature_ll_node(self.seq, rates),
             lambda: prediction_loss_node(self.seq, rates),
             lambda: weight_penalty_node(self.params),
             lambda: train(data, self.cfg, TrainConfig(epochs=1), val_dataset=data),
@@ -338,10 +340,9 @@ def random_stream(m, n_events, horizon, seed):
 def assert_matches_tape(seq, cfg, tc, seed=0):
     """objective_with_grads against the tape walk: objective and LL equal (both
     come from training._objective), each gradient within 1e-12 of its own
-    largest entry. In the default bank
-    mode, the gradients the walk sums one term at a time in reverse token
-    order (the embedding and the biases) are bit-identical too, which holds
-    only if every per-token adjoint is. Returns the gradients."""
+    largest entry. The gradients the walk sums one term at a time in reverse
+    token order (the embedding and the biases) are bit-identical too, which
+    holds only if every per-token adjoint is. Returns the gradients."""
     params = ModelParams.init(cfg, seed=seed)
     value, ll, grads = objective_with_grads(seq, params, cfg, tc)
     ref_value, ref_ll, ref_grads = objective_with_grads_on_tape(seq, params, cfg, tc)
@@ -350,7 +351,7 @@ def assert_matches_tape(seq, cfg, tc, seed=0):
         assert g.shape == ref.shape
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(g - ref)) <= 1e-12 * scale, name
-        if name in ("embedding", "lstm_b", "f1_b", "f2_b") and not cfg.bank_real_only:
+        if name in ("embedding", "lstm_b", "f1_b", "f2_b"):
             assert np.array_equal(g, ref), name
     return grads
 
@@ -359,27 +360,31 @@ class TestHandBackward:
     """The hand-written backward against the slow reference: the same rate
     adjoint carried to the weights by walking the whole forward tape."""
 
-    @pytest.mark.parametrize("real_only", [False, True])
+    @staticmethod
+    def train_config(penalized):
+        """The objective with both regularizers, or the LL alone, whose rate
+        adjoint starts from a scalar 0.0 instead of the prediction term's."""
+        return (TrainConfig(pred_weight=0.7, l2_weight=0.05) if penalized
+                else TrainConfig(pred_weight=0.0, l2_weight=0.0))
+
+    @pytest.mark.parametrize("penalized", [False, True])
     @pytest.mark.parametrize("fakes", [0, 1, 3])
     @pytest.mark.parametrize("depth", [0, 1, 3])
     @pytest.mark.parametrize("labels", [1, 5, 20])
-    def test_matches_tape_walk(self, labels, depth, fakes, real_only):
+    def test_matches_tape_walk(self, labels, depth, fakes, penalized):
         cfg = ModelConfig(label_count=labels, channel_width=3, embed_dim=4, memory_depth=depth,
-                          fake_count=fakes, hidden_width=5, time_scale=10.0,
-                          bank_real_only=real_only)
+                          fake_count=fakes, hidden_width=5, time_scale=10.0)
         seq = augment(random_stream(labels, 7, 10.0, seed=labels + depth), fakes)
-        assert_matches_tape(seq, cfg, TrainConfig(pred_weight=0.7, l2_weight=0.05),
-                            seed=depth + fakes)
+        assert_matches_tape(seq, cfg, self.train_config(penalized), seed=depth + fakes)
 
-    @pytest.mark.parametrize("real_only", [False, True])
+    @pytest.mark.parametrize("penalized", [False, True])
     @pytest.mark.parametrize("times", [[], [4.0], [0.0, 10.0]])
-    def test_short_streams(self, times, real_only):
+    def test_short_streams(self, times, penalized):
         # no events, a single event, and events on both ends of the horizon
         cfg = ModelConfig(label_count=2, channel_width=3, embed_dim=4, memory_depth=2,
-                          fake_count=1, hidden_width=5, time_scale=10.0,
-                          bank_real_only=real_only)
+                          fake_count=1, hidden_width=5, time_scale=10.0)
         seq = augment(make_stream(times, [1] * len(times), 10.0, 2), 1)
-        assert_matches_tape(seq, cfg, TrainConfig(pred_weight=0.7, l2_weight=0.05))
+        assert_matches_tape(seq, cfg, self.train_config(penalized))
 
     @pytest.mark.parametrize("pred_weight, l2_weight", [(0.0, 0.05), (0.7, 0.0), (0.0, 0.0)])
     def test_without_a_penalty(self, pred_weight, l2_weight):
@@ -401,13 +406,11 @@ class TestHandBackward:
             others = first[:i] + first[i + 1:] + params.arrays() + second
             assert not any(np.shares_memory(g, o) for o in others)
 
-    @pytest.mark.parametrize("depth, real_only", [(3, True), (0, False)])
-    def test_rows_with_an_empty_bank(self, depth, real_only):
-        # bank_real_only with a late first event leaves every row before it
-        # with an empty bank; J = 0 leaves every row with one
-        cfg = ModelConfig(label_count=2, channel_width=3, embed_dim=4, memory_depth=depth,
-                          fake_count=3, hidden_width=5, time_scale=10.0,
-                          bank_real_only=real_only)
+    def test_rows_with_an_empty_bank(self):
+        # J = 0 leaves every row with an empty bank; with J >= 1 every row
+        # holds its own token's record
+        cfg = ModelConfig(label_count=2, channel_width=3, embed_dim=4, memory_depth=0,
+                          fake_count=3, hidden_width=5, time_scale=10.0)
         seq = augment(make_stream([8.0, 8.5, 9.0], [0, 1, 0], 10.0, 2), 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
