@@ -8,10 +8,15 @@ memorylessness) and the log-likelihood computable in closed form.
 
 The oracle (rate_at, build_trace) reads the rate at t from the strict
 history: a parent event at s is active iff s < t <= s + w, compared with the
-same floats s + w at which build_trace breaks, by binary searches over
-per-label time arrays; exact_ll reads its event rates off build_trace, in
-O((events + segments) log events) per node. The simulator uses s <= t < s + w,
-the rate on the interval just after t.
+same floats s + w at which build_trace breaks. It evaluates every node at
+once from a plan cached per spec (PgemSpec.plan): one running maximum over
+the events per distinct (parent, window) edge gives each edge's latest
+expiry s + w, one binary search of the query times in the event times picks
+the row to read, and one product of the activation matrix with the edges'
+bit weights indexes all rate tables. exact_ll reads its event rates off one
+build_trace, in O((events + segments) * (edges + labels)) after one sort of
+the breaks. The simulator uses s <= t < s + w, the rate on the interval just
+after t.
 """
 
 from __future__ import annotations
@@ -87,6 +92,23 @@ class PgemSpec:
                 if not (0 <= p < self.label_count):
                     raise ValueError(f"parent {p} out of range")
 
+    @functools.cached_property
+    def plan(self) -> _Plan:
+        """The oracle's view of the spec: its distinct (parent, window) edges,
+        their bit weights per node, and every node's rate table in one array."""
+        edges = sorted({e for node in self.nodes for e in zip(node.parents, node.windows)})
+        column = {e: i for i, e in enumerate(edges)}
+        weights = np.zeros((len(edges), self.label_count))
+        for n, node in enumerate(self.nodes):
+            k = len(node.parents)
+            for j, e in enumerate(zip(node.parents, node.windows)):
+                weights[column[e], n] = 2 ** (k - 1 - j)
+        sizes = [len(node.table) for node in self.nodes]
+        return _Plan(np.array([p for p, _ in edges], dtype=np.int64),
+                     np.array([w for _, w in edges], dtype=np.float64), weights,
+                     np.concatenate([node.table for node in self.nodes]),
+                     np.cumsum([0] + sizes[:-1]))
+
     def parent_windows(self) -> dict:
         """Map parent label -> sorted set of windows attached to its out-edges."""
         out: dict[int, set] = {}
@@ -94,6 +116,15 @@ class PgemSpec:
             for p, w in zip(node.parents, node.windows):
                 out.setdefault(p, set()).add(w)
         return {p: sorted(ws) for p, ws in out.items()}
+
+
+@dataclass(frozen=True)
+class _Plan:
+    parents: np.ndarray     # (E,) the distinct (parent, window) edges, sorted
+    windows: np.ndarray     # (E,)
+    weights: np.ndarray     # (E, M): node n's j-th of k edges weighs 2**(k-1-j)
+    tables: np.ndarray      # every node's rate table, concatenated
+    offsets: np.ndarray     # (M,) start of each node's table in tables
 
 
 @dataclass(frozen=True)
@@ -108,7 +139,7 @@ class GenConfig:
 
 @dataclass(frozen=True)
 class ChangePointTrace:
-    """Segments (t_start, t_end, rates[M]) tiling [0, T] with constant rates."""
+    """Segments (t_start, t_end] tiling (0, T], each with constant rates[M]."""
 
     breaks: np.ndarray          # length S+1, breaks[0] == 0, breaks[-1] == T
     rates: np.ndarray           # (S, M)
@@ -137,30 +168,38 @@ def sample_spec(label_count: int, seed: int, config: GenConfig = GenConfig()) ->
     return PgemSpec(label_count, tuple(nodes))
 
 
-def _label_times(spec: PgemSpec, stream: EventStream) -> list:
-    """One sorted array of event times per label."""
-    times, labels = stream.times(), stream.labels()
-    return [times[labels == k] for k in range(spec.label_count)]
+def _events(spec: PgemSpec, stream: EventStream) -> tuple:
+    """The stream's event times and labels, if its label count is the spec's."""
+    if stream.label_count != spec.label_count:
+        raise ValueError("stream and spec disagree on label_count")
+    return stream.times(), stream.labels()
 
 
-def _node_rates(node: NodeSpec, label_times: list, q: np.ndarray) -> np.ndarray:
-    """Strict-history rate of one node at each query time in q: a parent
-    event at s is active iff s < q <= s + w."""
-    index = np.zeros(len(q), dtype=np.intp)
-    for p, w in zip(node.parents, node.windows):
-        times = label_times[p]
-        index = 2 * index + (times.searchsorted(q) > (times + w).searchsorted(q))
-    return node.table[index]
+def _rates(spec: PgemSpec, times: np.ndarray, labels: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(len(q), M) strict-history rates at q, given the events' times and labels.
+
+    Edge (p, w) is active at q iff p's latest event s before q has q <= s + w:
+    s + w does not decrease with s, so that is the rule s < q <= s + w, read on
+    the same floats s + w at which build_trace breaks.
+    """
+    plan = spec.plan
+    # row i: each edge's latest expiry s + w among the first i events, -inf if none
+    ends = np.full((len(times) + 1, len(plan.parents)), -np.inf)
+    np.maximum.accumulate(np.where(labels[:, None] == plan.parents, times[:, None], -np.inf),
+                          axis=0, out=ends[1:])
+    ends += plan.windows
+    active = ends[times.searchsorted(q)] >= q[:, None]
+    index = active.astype(np.float64) @ plan.weights
+    return plan.tables[index.astype(np.intp) + plan.offsets]
 
 
 def rate_at(spec: PgemSpec, stream: EventStream, times) -> np.ndarray:
     """(len(times), M) strict-history rate vectors at the query times (parent
     events s with s < t <= s + w)."""
-    label_times = _label_times(spec, stream)
     q = np.asarray(times, dtype=np.float64)
     if q.ndim != 1:
         raise ValueError(f"rate_at takes a 1-d array of times, got shape {q.shape}")
-    return np.column_stack([_node_rates(node, label_times, q) for node in spec.nodes])
+    return _rates(spec, *_events(spec, stream), q)
 
 
 def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:
@@ -209,16 +248,20 @@ def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:
 
 
 def build_trace(spec: PgemSpec, stream: EventStream) -> ChangePointTrace:
-    """Piecewise-constant rate trace breaking at events and window expiries."""
+    """Piecewise-constant rate trace breaking at events and window expiries.
+
+    Breaks are one np.unique over 0, T, the events and every edge's expiries
+    s + w inside (0, T); each segment's rates are read at its end.
+    """
     horizon = stream.horizon
-    label_times = _label_times(spec, stream)
-    points = np.concatenate([stream.times()] + [
-        label_times[p] + w for p, ws in spec.parent_windows().items() for w in ws])
-    inner = points[(points > 0.0) & (points < horizon)].tolist()
-    breaks = np.array(sorted({0.0, horizon, *inner}), dtype=np.float64)
-    mids = 0.5 * (breaks[:-1] + breaks[1:])
-    rates = np.column_stack([_node_rates(node, label_times, mids) for node in spec.nodes])
-    return ChangePointTrace(breaks, rates)
+    times, labels = _events(spec, stream)
+    plan = spec.plan
+    expiries = (times[:, None] + plan.windows)[labels[:, None] == plan.parents]
+    points = np.concatenate([times, expiries])
+    inner = points[(points > 0.0) & (points < horizon)]
+    breaks = np.unique(np.concatenate([[0.0, horizon], inner]))
+    # no event or expiry lies inside a segment, so its rates are those at its end
+    return ChangePointTrace(breaks, _rates(spec, times, labels, breaks[1:]))
 
 
 def exact_ll(spec: PgemSpec, stream: EventStream) -> float:
@@ -227,23 +270,21 @@ def exact_ll(spec: PgemSpec, stream: EventStream) -> float:
     Sum of log strict-history rates at the events minus the integral of the
     summed rate vector over [0, T], both read off one build_trace: activation
     changes only at breaks, so an event's rate is that of the segment ending
-    at it. An event sitting where its own rate is zero yields -inf
+    at it (an event at t = 0 has no history and reads each table's first
+    entry). The trace costs one running maximum over the events per distinct
+    (parent, window) edge and one binary search of its breaks in the events,
+    with the plan cached per spec; the event rates are then one gather, one
+    log and one sum. An event sitting where its own rate is zero yields -inf
     deliberately (not via a numpy warning).
     """
-    if stream.label_count != spec.label_count:
-        raise ValueError("stream and spec disagree on label_count")
     trace = build_trace(spec, stream)
+    plan = spec.plan
     # row i: the rates on the segment ending at breaks[i]; row 0 (no history) serves t = 0
-    rates = np.vstack([[node.table[0] for node in spec.nodes], trace.rates])
-    at = trace.breaks.searchsorted(stream.times())
-    labels = stream.labels()
-    log_sum = 0.0
-    for k in range(spec.label_count):
-        r = rates[at[labels == k], k]
-        if np.any(r <= 0.0):
-            return -math.inf
-        log_sum += float(np.sum(np.log(r)))
-    return log_sum - trace.integral()
+    rows = np.vstack([plan.tables[plan.offsets], trace.rates])
+    rates = rows[trace.breaks.searchsorted(stream.times()), stream.labels()]
+    if np.any(rates <= 0.0):
+        return -math.inf
+    return float(np.sum(np.log(rates))) - trace.integral()
 
 
 def homogeneous_ml_ll(stream: EventStream) -> float:

@@ -1,9 +1,12 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tppkit.pgem as pgem
 from tppkit.pgem import (
     ChangePointTrace, GenConfig, NodeSpec, PgemSpec, build_trace, exact_ll,
     homogeneous_ml_ll, load_spec, rate_at, sample_spec, save_spec, simulate,
@@ -23,6 +26,16 @@ def chain_spec(base_a=0.05, b_active=0.2, b_inactive=0.001, window=15.0):
     return PgemSpec(2, (
         NodeSpec((), (), {(): base_a}),
         NodeSpec((0,), (window,), {(0,): b_inactive, (1,): b_active}),
+    ))
+
+
+def shared_edge_spec():
+    """Nodes 1 and 2 share the edge (0, 2.0); parent 0 also carries window 7.0."""
+    return PgemSpec(4, (
+        NodeSpec((), (), {(): 0.3}),
+        NodeSpec((0,), (2.0,), {(0,): 0.05, (1,): 0.4}),
+        NodeSpec((0, 3), (2.0, 5.0), {(0, 0): 0.02, (0, 1): 0.1, (1, 0): 0.2, (1, 1): 0.5}),
+        NodeSpec((0, 1), (7.0, 3.0), {(0, 0): 0.03, (0, 1): 0.15, (1, 0): 0.08, (1, 1): 0.25}),
     ))
 
 
@@ -315,6 +328,123 @@ class TestAgainstDefinition:
         expected = math.log(0.05) + math.log(0.2) - integral
         assert exact_ll(spec, s) == pytest.approx(expected, rel=1e-12)
         assert trace.integral() == pytest.approx(integral, rel=1e-12)
+
+    def test_segment_between_adjacent_floats(self):
+        # the segment (1, b] between two adjacent floats has its midpoint
+        # rounded onto 1.0, where the parent is not yet active; the trace
+        # reads the rates at the segment's end, so the child at b sees its
+        # parent, as rate_at and the definition do
+        b = math.nextafter(1.0, 2.0)
+        assert 0.5 * (1.0 + b) == 1.0
+        spec = chain_spec(window=2.0)
+        s = EventStream((Epoch(1.0, 0), Epoch(b, 1)), 5.0, 2)
+        trace = build_trace(spec, s)
+        assert trace.breaks.tolist() == [0.0, 1.0, b, 3.0, 5.0]
+        assert trace.rates[:, 1].tolist() == [0.001, 0.2, 0.2, 0.001]
+        assert rate_at(spec, s, [b])[0, 1] == 0.2
+        want = pgem_ll_by_definition(spec, s)
+        assert abs(exact_ll(spec, s) - want) <= 1e-12 * abs(want)
+
+
+class TestLabelCountMismatch:
+    """A stream with more labels than the spec has extra labels' events that
+    no node reads; the oracle rejects it rather than drop them."""
+
+    STREAM = EventStream((Epoch(1.0, 0), Epoch(2.0, 2)), 5.0, 3)
+
+    def test_rate_at(self):
+        with pytest.raises(ValueError, match="label_count"):
+            rate_at(chain_spec(), self.STREAM, [1.5])
+
+    def test_build_trace(self):
+        with pytest.raises(ValueError, match="label_count"):
+            build_trace(chain_spec(), self.STREAM)
+
+
+class TestPinned:
+    """build_trace's bytes and exact_ll's value, recorded before the oracle was
+    rewritten around PgemSpec.plan: the trace must hold bit for bit, exact_ll
+    within 1e-15 relative (its log terms may be summed in another order)."""
+
+    @pytest.mark.parametrize("labels, horizon, digest, ll", [
+        (1, 2000.0, "313a60326d1b21f4011798e276d36150262eb9bddfae82cf508c4132436857b1",
+         "-0x1.b6435a01a67b4p+8"),
+        (5, 3000.0, "d414a609d550dd0ac8401dda98fd99f6a3baf338eedf0fdf520c58e0093725c6",
+         "-0x1.a87ddd571557cp+9"),
+        (20, 300.0, "03a3d247df452e9c1d9829259129cf03f6e35030eccec55923c47800cd0008ca",
+         "-0x1.eda12f8f461aep+8"),
+        (None, 200.0, "8dff3f786ae8dbb7177d31110f76973489faf2027fb7005b6219c55a585e59ab",
+         "-0x1.8ae55eca5a088p+8"),
+    ])
+    def test_trace_and_ll(self, labels, horizon, digest, ll):
+        spec = shared_edge_spec() if labels is None else sample_spec(labels, seed=7)
+        s = simulate(spec, horizon, seed=3)
+        trace = build_trace(spec, s)
+        got = hashlib.sha256(trace.breaks.tobytes() + trace.rates.tobytes()).hexdigest()
+        assert got == digest
+        want = float.fromhex(ll)
+        assert abs(exact_ll(spec, s) - want) <= 1e-15 * abs(want)
+
+    def test_exact_ll_builds_one_trace(self, monkeypatch):
+        calls = []
+        build = pgem.build_trace
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(pgem, "build_trace", counting)
+        spec = shared_edge_spec()
+        exact_ll(spec, simulate(spec, 50.0, seed=3))
+        assert len(calls) == 1
+
+
+WINDOWS = (1.0, 2.5, 4.0)
+
+
+@st.composite
+def spec_and_stream(draw):
+    """A hand-built spec (M <= 6) whose windows come from three values, so that
+    edges are shared and parents carry several windows, and a stream with
+    events at 0, at T and exactly at earlier events' s + w."""
+    m = draw(st.integers(1, 6))
+    nodes = []
+    for _ in range(m):
+        parents = draw(st.lists(st.integers(0, m - 1), unique=True, max_size=min(m, 3)))
+        windows = [draw(st.sampled_from(WINDOWS)) for _ in parents]
+        rates = draw(st.lists(st.floats(0.01, 0.9), min_size=2 ** len(parents),
+                              max_size=2 ** len(parents)))
+        nodes.append(NodeSpec(tuple(parents), tuple(windows),
+                              dict(zip(itertools.product((0, 1), repeat=len(parents)), rates))))
+    horizon = 10.0
+    times = set(draw(st.lists(st.floats(0.0, horizon), max_size=10)))
+    if draw(st.booleans()):
+        times |= {0.0, horizon}
+    base = sorted(times)
+    for i, w in draw(st.lists(st.tuples(st.integers(0, 20), st.sampled_from(WINDOWS)),
+                              max_size=6)):
+        if base and base[i % len(base)] + w <= horizon:
+            times.add(base[i % len(base)] + w)
+    times = sorted(times)
+    labels = draw(st.lists(st.integers(0, m - 1), min_size=len(times), max_size=len(times)))
+    return PgemSpec(m, tuple(nodes)), EventStream(tuple(map(Epoch, times, labels)), horizon, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=spec_and_stream())
+def test_oracle_matches_definition(case):
+    """rate_at and build_trace bit for bit, exact_ll within 1e-12, against the
+    window rule written out event by event."""
+    spec, s = case
+    trace = build_trace(spec, s)
+    mids = 0.5 * (trace.breaks[:-1] + trace.breaks[1:])
+    queries = np.concatenate([trace.breaks, mids])
+    for q, rates in zip(queries, rate_at(spec, s, queries)):
+        assert np.array_equal(rates, pgem_rates_by_definition(spec, s, q))
+    for q, rates in zip(trace.breaks[1:], trace.rates):
+        assert np.array_equal(rates, pgem_rates_by_definition(spec, s, q))
+    want = pgem_ll_by_definition(spec, s)
+    assert abs(exact_ll(spec, s) - want) <= 1e-12 * abs(want)
 
 
 class TestSerialization:
