@@ -1,12 +1,16 @@
 """Command-line pipeline: generate, split, train, evaluate, inspect.
 
 Every subcommand resolves its settings (flags > optional JSON config file >
-defaults), validates them and its inputs and computes its results, and only
-then creates the output directory, writes its outputs, and writes a manifest
-with the fully resolved configuration last: a run that exits 1 or 2 leaves
-no new manifest. Re-running a subcommand with --from-manifest replays the
-stored configuration and reproduces the outputs byte for byte (the training
-report's wall-time column excepted).
+defaults), validates them and its inputs and computes its results. Only then
+does it write its outputs, and a manifest with the fully resolved
+configuration, into a staging directory beside the output directory, and
+move them in, the manifest last: a run that exits 1 or 2, also one that
+fails while writing, leaves the output directory as it was. A failure
+during the final moves can still leave part of the new files in place, and
+files of an earlier run that this one does not write stay. Re-running a
+subcommand with --from-manifest replays the stored configuration and
+reproduces the outputs byte for byte (the training report's wall-time
+column excepted).
 
 Exit codes: 0 success, 1 usage or validation failure, 2 numerical failure.
 """
@@ -17,7 +21,9 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -39,10 +45,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise CliError(message)
-
-    def value_types(self) -> dict:
-        """Key -> the type its flag parses to."""
-        return {a.dest: a.type or str for a in self._actions}
 
 
 def _env_seed():
@@ -66,33 +68,33 @@ def _read_json_object(path: Path, what: str) -> dict:
     return doc
 
 
-def _check_types(cfg: dict, types: dict, defaults: dict, source: str):
+def _check_types(cfg: dict, settings: dict, source: str):
     """Each value must have its flag's type; an int passes for a float, unconverted,
     and a bool for neither."""
     for key, value in cfg.items():
-        want = types[key]
-        if value is None and defaults[key] is None:
+        want, default = settings[key]
+        if value is None and default is None:
             continue
         accepted = (int, float) if want is float else want
         if not isinstance(value, accepted) or isinstance(value, bool):
             raise CliError(f"{source}: {key} must be {want.__name__}, got {value!r}")
 
 
-def _resolve(args, defaults: dict, types: dict) -> dict:
+def _resolve(args, settings: dict) -> dict:
     """flags > config file > defaults; returns a fully materialized dict."""
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise CliError(f"config file not found: {path}")
         file_cfg = _read_json_object(path, "config file")
-        unknown = set(file_cfg) - set(defaults)
+        unknown = set(file_cfg) - set(settings)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
-        _check_types(file_cfg, types, defaults, f"config file {path}")
+        _check_types(file_cfg, settings, f"config file {path}")
     resolved = {}
-    for key, default in defaults.items():
-        flag_val = getattr(args, key, None)
+    for key, (_, default) in settings.items():
+        flag_val = getattr(args, key)
         if flag_val is not None:
             resolved[key] = flag_val
         elif key in file_cfg:
@@ -105,24 +107,59 @@ def _resolve(args, defaults: dict, types: dict) -> dict:
     return resolved
 
 
-def _out_dir(cfg: dict) -> Path:
-    """--out, created once the run's results are computed."""
+# keys of retired settings that old manifests carry: eval's "parallel" replays
+# at any value, train's "bank_real_only" only at false, the bank rule kept
+_RETIRED = {"eval": {"parallel"}, "train": {"bank_real_only"}}
+
+
+def _replay(path, subcommand: str, settings: dict) -> dict:
+    """The configuration stored in a previous run's manifest."""
+    path = _require_file(path, hint="run manifest")
+    manifest = _read_json_object(path, "manifest")
+    if manifest.get("subcommand") != subcommand:
+        raise CliError(
+            f"manifest is for {manifest.get('subcommand')!r}, not {subcommand!r}")
+    cfg = manifest.get("config")
+    if not isinstance(cfg, dict):
+        raise CliError(f"manifest {path} lacks a config object")
+    missing = set(settings) - set(cfg)
+    if missing:
+        raise CliError(f"manifest lacks keys: {sorted(missing)}")
+    if cfg.get("bank_real_only", False) is not False:
+        raise CliError(f"manifest {path}: bank_real_only is {cfg['bank_real_only']!r}; "
+                       f"the bank records every token, so only false replays")
+    unknown = set(cfg) - set(settings) - _RETIRED.get(subcommand, set())
+    if unknown:
+        raise CliError(f"manifest {path}: unknown config keys: {sorted(unknown)}")
+    cfg = {key: cfg[key] for key in settings}
+    _check_types(cfg, settings, f"manifest {path}")
+    return cfg
+
+
+def _publish(subcommand: str, cfg: dict, files: dict):
+    """Write each output as ``{key: (file name, writer)}`` into a staging
+    directory beside --out, then move the files into --out, the manifest last."""
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(out_dir: Path, subcommand: str, cfg: dict, outputs: dict):
-    """Written after the outputs, so that only a run that succeeded leaves one."""
-    doc = {
-        "subcommand": subcommand,
-        "config": cfg,
-        "outputs": {k: str(v) for k, v in outputs.items()},
-        "version": __version__,
-    }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        for name, write in files.values():
+            write(stage / name)
+        doc = {
+            "subcommand": subcommand,
+            "config": cfg,
+            "outputs": {key: str(out / name) for key, (name, _) in files.items()},
+            "version": __version__,
+        }
+        with open(stage / "manifest.json", "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        out.mkdir(exist_ok=True)
+        # written files and their sidecars first, the manifest last
+        for staged in sorted(stage.iterdir(), key=lambda p: p.name == "manifest.json"):
+            os.replace(staged, out / staged.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _require_file(path, hint=""):
@@ -143,16 +180,21 @@ def _load_dataset(path):
         raise CliError(str(exc))
 
 
+def _load_ckpt(path):
+    p = _require_file(path, hint="model checkpoint")
+    try:
+        return load_checkpoint(p)
+    except ValueError as exc:
+        raise CliError(str(exc))
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each validates and computes, and returns its summary line and
+# its outputs as {manifest key: (file name, writer of a path)}. Writers call
+# the stream and checkpoint functions through this module's bindings.
 
 
-GEN_DEFAULTS = {
-    "labels": 5, "streams": 10, "horizon": 1000.0, "seed": None, "out": "pgem-out",
-}
-
-
-def run_gen_pgem(cfg: dict) -> str:
+def run_gen_pgem(cfg: dict):
     if cfg["labels"] < 1:
         raise CliError("--labels must be >= 1")
     if cfg["streams"] < 1:
@@ -161,23 +203,13 @@ def run_gen_pgem(cfg: dict) -> str:
         raise CliError(f"--horizon must be positive and finite, got {cfg['horizon']}")
     spec = pgem.sample_spec(cfg["labels"], cfg["seed"])
     data = pgem.simulate_dataset(spec, cfg["horizon"], cfg["streams"], cfg["seed"])
-    out = _out_dir(cfg)
-    outputs = {"spec": out / "spec.json", "streams": out / "streams.csv"}
-    pgem.save_spec(spec, outputs["spec"])
-    save_stream(data, outputs["streams"])
-    _write_manifest(out, "gen-pgem", cfg, outputs)
     n_events = sum(len(s) for s in data.streams)
-    return f"gen-pgem: wrote {cfg['streams']} streams, {n_events} events to {out}"
+    return (f"gen-pgem: wrote {cfg['streams']} streams, {n_events} events to {Path(cfg['out'])}",
+            {"spec": ("spec.json", lambda p: pgem.save_spec(spec, p)),
+             "streams": ("streams.csv", lambda p: save_stream(data, p))})
 
 
-SPLIT_DEFAULTS = {
-    "data": None, "mode": "stream", "fraction": 0.7, "seed": None, "out": "split-out",
-}
-
-
-def run_split(cfg: dict) -> str:
-    if cfg["data"] is None:
-        raise CliError("--data is required")
+def run_split(cfg: dict):
     if cfg["mode"] not in ("stream", "time"):
         raise CliError("--mode must be 'stream' or 'time'")
     if not (0.0 < cfg["fraction"] < 1.0):
@@ -190,27 +222,13 @@ def run_split(cfg: dict) -> str:
             train_ds, test_ds = streams.split_by_time(data, cfg["fraction"])
     except ValueError as exc:
         raise CliError(str(exc))
-    out = _out_dir(cfg)
-    outputs = {"train": out / "train.csv", "test": out / "test.csv"}
-    save_stream(train_ds, outputs["train"])
-    save_stream(test_ds, outputs["test"])
-    _write_manifest(out, "split", cfg, outputs)
     return (f"split: {len(train_ds)} train / {len(test_ds)} test streams "
-            f"({cfg['mode']}, fraction {cfg['fraction']}) to {out}")
+            f"({cfg['mode']}, fraction {cfg['fraction']}) to {Path(cfg['out'])}",
+            {"train": ("train.csv", lambda p: save_stream(train_ds, p)),
+             "test": ("test.csv", lambda p: save_stream(test_ds, p))})
 
 
-TRAIN_DEFAULTS = {
-    "data": None, "val": None, "out": "train-out", "seed": None,
-    "fakes": 1, "channels": 8, "embed": 16, "memory": 3, "hidden": 32,
-    "time_scale": None,
-    "epochs": 50, "lr": 1e-3, "batch": 0, "clip": 5.0,
-    "lambda_p": 1.0, "lambda_w": 1e-4, "patience": 0,
-}
-
-
-def run_train(cfg: dict) -> str:
-    if cfg["data"] is None:
-        raise CliError("--data is required")
+def run_train(cfg: dict):
     if cfg["patience"] > 0 and not cfg["val"]:
         raise CliError("--patience needs --val: early stopping watches the validation LL")
     data = _load_dataset(cfg["data"])
@@ -235,68 +253,39 @@ def run_train(cfg: dict) -> str:
     except ValueError as exc:
         raise CliError(str(exc))
     params, report = training.train(data, model_cfg, train_cfg, val_dataset=val_data)
-    out = _out_dir(cfg)
-    outputs = {"checkpoint": out / "model.ckpt", "report": out / "report.csv"}
-    save_checkpoint(outputs["checkpoint"], model_cfg, params,
-                    steps=report.epochs_run())
-    report.to_csv(outputs["report"])
-    _write_manifest(out, "train", cfg, outputs)
-    return (f"train: {report.epochs_run()} epochs, final objective "
-            f"{report.objective[-1]:.4f}, checkpoint at {outputs['checkpoint']}")
+    steps = report.epochs_run()
+    return (f"train: {steps} epochs, final objective {report.objective[-1]:.4f}, "
+            f"checkpoint at {Path(cfg['out']) / 'model.ckpt'}",
+            {"checkpoint": ("model.ckpt",
+                            lambda p: save_checkpoint(p, model_cfg, params, steps=steps)),
+             "report": ("report.csv", report.to_csv)})
 
 
-EVAL_DEFAULTS = {
-    "ckpt": None, "data": None, "out": "eval-out", "fakes": None,
-}
-
-
-def run_eval(cfg: dict) -> str:
-    if cfg["ckpt"] is None or cfg["data"] is None:
-        raise CliError("--ckpt and --data are required")
+def run_eval(cfg: dict):
     model_cfg, params, _ = _load_ckpt(cfg["ckpt"])
     data = _load_dataset(cfg["data"])
     try:
         report = evaluation.test_ll(model_cfg, params, data, fake_count=cfg["fakes"])
     except ValueError as exc:
         raise CliError(str(exc))
-    out = _out_dir(cfg)
-    outputs = {"report": out / "eval.csv"}
-    report.to_csv(outputs["report"])
-    _write_manifest(out, "eval", cfg, outputs)
-    return f"eval: total test LL {report.total:.4f} over {len(report.scores)} streams"
+    return (f"eval: total test LL {report.total:.4f} over {len(report.scores)} streams",
+            {"report": ("eval.csv", report.to_csv)})
 
 
-ATTN_DEFAULTS = {
-    "ckpt": None, "data": None, "out": "attn-out", "threshold": 0.01,
-}
-
-
-def run_attn_graph(cfg: dict) -> str:
-    if cfg["ckpt"] is None or cfg["data"] is None:
-        raise CliError("--ckpt and --data are required")
+def run_attn_graph(cfg: dict):
     model_cfg, params, _ = _load_ckpt(cfg["ckpt"])
     data = _load_dataset(cfg["data"])
     try:
         graph = evaluation.attention_graph(model_cfg, params, data, cfg["threshold"])
     except ValueError as exc:
         raise CliError(str(exc))
-    out = _out_dir(cfg)
-    outputs = {"dot": out / "attention.dot", "json": out / "attention.json"}
-    graph.to_dot(outputs["dot"], label_names=data.label_names)
-    graph.to_json(outputs["json"])
-    _write_manifest(out, "attn-graph", cfg, outputs)
     return (f"attn-graph: {len(graph.edges)} edges at threshold "
-            f"{cfg['threshold']} written to {out}")
+            f"{cfg['threshold']} written to {Path(cfg['out'])}",
+            {"dot": ("attention.dot", lambda p: graph.to_dot(p, label_names=data.label_names)),
+             "json": ("attention.json", graph.to_json)})
 
 
-TRACE_DEFAULTS = {
-    "ckpt": None, "data": None, "stream": "s0", "out": "trace-out", "fakes": None,
-}
-
-
-def run_trace(cfg: dict) -> str:
-    if cfg["ckpt"] is None or cfg["data"] is None:
-        raise CliError("--ckpt and --data are required")
+def run_trace(cfg: dict):
     model_cfg, params, _ = _load_ckpt(cfg["ckpt"])
     data = _load_dataset(cfg["data"])
     ids = data.stream_ids()
@@ -310,28 +299,36 @@ def run_trace(cfg: dict) -> str:
         raise CliError(str(exc))
     except TrainingError as exc:
         raise TrainingError(f"stream {cfg['stream']}: {exc}") from None
-    out = _out_dir(cfg)
-    outputs = {"trace": out / f"trace_{cfg['stream']}.csv"}
-    trace.to_csv(outputs["trace"])
-    _write_manifest(out, "trace", cfg, outputs)
-    return f"trace: {len(trace.rows)} rows for stream {cfg['stream']} at {outputs['trace']}"
+    name = f"trace_{cfg['stream']}.csv"
+    return (f"trace: {len(trace.rows)} rows for stream {cfg['stream']} "
+            f"at {Path(cfg['out']) / name}",
+            {"trace": (name, trace.to_csv)})
 
 
-def _load_ckpt(path):
-    p = _require_file(path, hint="model checkpoint")
-    try:
-        return load_checkpoint(p)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-
-_RUNNERS = {
-    "gen-pgem": (run_gen_pgem, GEN_DEFAULTS),
-    "split": (run_split, SPLIT_DEFAULTS),
-    "train": (run_train, TRAIN_DEFAULTS),
-    "eval": (run_eval, EVAL_DEFAULTS),
-    "attn-graph": (run_attn_graph, ATTN_DEFAULTS),
-    "trace": (run_trace, TRACE_DEFAULTS),
+# subcommand -> (runner, help, {setting: (type, default)}). A setting is the
+# flag --<setting with - for _>, a --config key and a manifest key at once.
+SUBCOMMANDS = {
+    "gen-pgem": (run_gen_pgem, "sample a generating model and simulate streams", {
+        "labels": (int, 5), "streams": (int, 10), "horizon": (float, 1000.0),
+        "seed": (int, None), "out": (str, "pgem-out")}),
+    "split": (run_split, "split a dataset into train and test", {
+        "data": (str, None), "mode": (str, "stream"), "fraction": (float, 0.7),
+        "seed": (int, None), "out": (str, "split-out")}),
+    "train": (run_train, "fit the intensity model", {
+        "data": (str, None), "val": (str, None), "out": (str, "train-out"),
+        "seed": (int, None), "fakes": (int, 1), "channels": (int, 8), "embed": (int, 16),
+        "memory": (int, 3), "hidden": (int, 32), "time_scale": (float, None),
+        "epochs": (int, 50), "lr": (float, 1e-3), "batch": (int, 0), "clip": (float, 5.0),
+        "lambda_p": (float, 1.0), "lambda_w": (float, 1e-4), "patience": (int, 0)}),
+    "eval": (run_eval, "score a dataset with a trained model", {
+        "ckpt": (str, None), "data": (str, None), "out": (str, "eval-out"),
+        "fakes": (int, None)}),
+    "attn-graph": (run_attn_graph, "export the label-influence graph", {
+        "ckpt": (str, None), "data": (str, None), "out": (str, "attn-out"),
+        "threshold": (float, 0.01)}),
+    "trace": (run_trace, "export per-token intensities for one stream", {
+        "ckpt": (str, None), "data": (str, None), "stream": (str, "s0"),
+        "out": (str, "trace-out"), "fakes": (int, None)}),
 }
 
 
@@ -339,101 +336,30 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tppkit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"tppkit {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    parser.subcommands = sub.choices
-
-    def common(p):
+    for name, (_, doc, settings) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.add_argument("--from-manifest", dest="from_manifest",
-                       help="replay a previous run's resolved configuration")
-        p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("gen-pgem", help="sample a generating model and simulate streams")
-    common(p)
-    p.add_argument("--labels", type=int)
-    p.add_argument("--streams", type=int)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("split", help="split a dataset into train and test")
-    common(p)
-    p.add_argument("--data")
-    p.add_argument("--mode", choices=("stream", "time"))
-    p.add_argument("--fraction", type=float)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("train", help="fit the intensity model")
-    common(p)
-    p.add_argument("--data")
-    p.add_argument("--val")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--fakes", type=int)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--embed", type=int)
-    p.add_argument("--memory", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--time-scale", dest="time_scale", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--clip", type=float)
-    p.add_argument("--lambda-p", dest="lambda_p", type=float)
-    p.add_argument("--lambda-w", dest="lambda_w", type=float)
-    p.add_argument("--patience", type=int)
-
-    p = sub.add_parser("eval", help="score a dataset with a trained model")
-    common(p)
-    p.add_argument("--ckpt")
-    p.add_argument("--data")
-    p.add_argument("--fakes", type=int)
-
-    p = sub.add_parser("attn-graph", help="export the label-influence graph")
-    common(p)
-    p.add_argument("--ckpt")
-    p.add_argument("--data")
-    p.add_argument("--threshold", type=float)
-
-    p = sub.add_parser("trace", help="export per-token intensities for one stream")
-    common(p)
-    p.add_argument("--ckpt")
-    p.add_argument("--data")
-    p.add_argument("--stream")
-    p.add_argument("--fakes", type=int)
-
+        p.add_argument("--from-manifest", help="replay a previous run's resolved configuration")
+        for key, (kind, _) in settings.items():
+            p.add_argument("--" + key.replace("_", "-"), type=kind)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        runner, defaults = _RUNNERS[args.subcommand]
-        types = parser.subcommands[args.subcommand].value_types()
+        args = _build_parser().parse_args(argv)
+        runner, _, settings = SUBCOMMANDS[args.subcommand]
         if args.from_manifest:
-            manifest_path = _require_file(args.from_manifest, hint="run manifest")
-            manifest = _read_json_object(manifest_path, "manifest")
-            if manifest.get("subcommand") != args.subcommand:
-                raise CliError(
-                    f"manifest is for {manifest.get('subcommand')!r}, "
-                    f"not {args.subcommand!r}")
-            cfg = manifest.get("config")
-            if not isinstance(cfg, dict):
-                raise CliError(f"manifest {manifest_path} lacks a config object")
-            missing = set(defaults) - set(cfg)
-            if missing:
-                raise CliError(f"manifest lacks keys: {sorted(missing)}")
-            # keys of retired options are dropped: eval's "parallel" at any
-            # value, train's "bank_real_only" only at false, the bank rule kept
-            if cfg.get("bank_real_only", False) is not False:
-                raise CliError(f"manifest {manifest_path}: bank_real_only is "
-                               f"{cfg['bank_real_only']!r}; the bank records every token, "
-                               f"so only false replays")
-            cfg = {key: cfg[key] for key in defaults}
-            _check_types(cfg, types, defaults, f"manifest {manifest_path}")
+            cfg = _replay(args.from_manifest, args.subcommand, settings)
         else:
-            cfg = _resolve(args, defaults, types)
+            cfg = _resolve(args, settings)
+        for key in ("ckpt", "data"):  # the inputs a subcommand reads are required
+            if key in cfg and cfg[key] is None:
+                raise CliError(f"--{key} is required")
         if cfg.get("seed") is not None and cfg["seed"] < 0:
             raise CliError(f"seed must be >= 0, got {cfg['seed']}")
-        summary = runner(cfg)
+        summary, files = runner(cfg)
+        _publish(args.subcommand, cfg, files)
     except (CliError, OSError) as exc:  # OSError: unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,12 +1,16 @@
+import argparse
 import json
 import warnings
 from pathlib import Path
 
 import pytest
 
+from tppkit import cli
 from tppkit.cli import main
+from tppkit.evaluation import AttentionGraph
 from tppkit.model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
 from tppkit.streams import Dataset, Epoch, EventStream, load_stream, save_stream
+from tppkit.training import TrainReport
 from helpers import rewrite_checkpoint_header
 
 
@@ -78,7 +82,7 @@ def failing_run(case, d):
     """argv of one failing run per subcommand on label_split's files, and its exit code."""
     ckpt, data = ["--ckpt", d / "model.ckpt"], ["--data", d / "train.csv"]
     return {
-        # gen-pgem's spec.json is made a directory, so writing it fails
+        # gen-pgem's spec.json is made a directory, so moving it into --out fails
         "gen-pgem": (["gen-pgem", "--streams", 1, "--horizon", 10], 1),
         "split": (["split", "--data", d / "missing.csv"], 1),
         "train": (["train", *data, "--lr", "nan"], 1),
@@ -103,6 +107,115 @@ def test_failed_run_writes_no_manifest(case, label_split, capsys):
         assert run(argv + ["--out", out]) == want
     assert not (out / "manifest.json").exists()
     assert case == "gen-pgem" or not out.exists()
+
+
+@pytest.mark.parametrize("first, again, owner, attr, fails_at", [
+    # gen-pgem writes spec.json, then the streams
+    (["gen-pgem", "--streams", 2, "--horizon", 20, "--seed", 1], ["--seed", 2],
+     cli, "save_stream", 0),
+    (["split", "--data", "{d}/train.csv", "--fraction", 0.5], ["--fraction", 0.2],
+     cli, "save_stream", 1),
+    (["train", "--data", "{d}/train.csv", "--epochs", 1, "--seed", 1], ["--seed", 2],
+     TrainReport, "to_csv", 0),
+    (["attn-graph", "--ckpt", "{d}/model.ckpt", "--data", "{d}/train.csv"],
+     ["--threshold", 0.5], AttentionGraph, "to_json", 0),
+], ids=["gen-pgem", "split", "train", "attn-graph"])
+def test_failed_write_leaves_out_as_it_was(first, again, owner, attr, fails_at,
+                                           label_split, monkeypatch, capsys):
+    # a run whose second output cannot be written exits 1 and leaves every
+    # file of the previous run in --out, and nothing beside it
+    argv = [str(a).format(d=label_split) for a in first] + ["--out", label_split / "out"]
+    assert run(argv) == 0
+    before = {p: p.read_bytes() for p in label_split.rglob("*") if p.is_file()}
+    original, calls = getattr(owner, attr), []
+
+    def writer(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > fails_at:
+            raise OSError("disk full")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, writer)
+    capsys.readouterr()
+    assert run(argv + again) == 1
+    assert capsys.readouterr().err.startswith("error: disk full")
+    assert {p: p.read_bytes() for p in label_split.rglob("*") if p.is_file()} == before
+    assert set(label_split.rglob("*")) == set(before) | {label_split / "out"}
+
+
+# every setting of every subcommand: its flag is --<key with - for _>, it
+# parses to the type given, and it resolves to the default given
+SURFACE = {
+    "gen-pgem": {"labels": (int, 5), "streams": (int, 10), "horizon": (float, 1000.0),
+                 "seed": (int, None), "out": (str, "pgem-out")},
+    "split": {"data": (str, None), "mode": (str, "stream"), "fraction": (float, 0.7),
+              "seed": (int, None), "out": (str, "split-out")},
+    "train": {"data": (str, None), "val": (str, None), "out": (str, "train-out"),
+              "seed": (int, None), "fakes": (int, 1), "channels": (int, 8),
+              "embed": (int, 16), "memory": (int, 3), "hidden": (int, 32),
+              "time_scale": (float, None), "epochs": (int, 50), "lr": (float, 1e-3),
+              "batch": (int, 0), "clip": (float, 5.0), "lambda_p": (float, 1.0),
+              "lambda_w": (float, 1e-4), "patience": (int, 0)},
+    "eval": {"ckpt": (str, None), "data": (str, None), "out": (str, "eval-out"),
+             "fakes": (int, None)},
+    "attn-graph": {"ckpt": (str, None), "data": (str, None), "out": (str, "attn-out"),
+                   "threshold": (float, 0.01)},
+    "trace": {"ckpt": (str, None), "data": (str, None), "stream": (str, "s0"),
+              "out": (str, "trace-out"), "fakes": (int, None)},
+}
+
+
+def test_cli_flags_pinned():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(SURFACE)
+    for name, settings in SURFACE.items():
+        want = {k: ("--" + k.replace("_", "-"), t) for k, (t, _) in settings.items()}
+        want.update(config=("--config", str), from_manifest=("--from-manifest", str))
+        got = {a.dest: (a.option_strings[-1], a.type or str)
+               for a in sub.choices[name]._actions if a.dest != "help"}
+        assert got == want, name
+        # None, so that a flag left out falls back to the config file
+        assert all(a.default is None for a in sub.choices[name]._actions
+                   if a.dest != "help"), name
+
+
+def test_cli_defaults_pinned(label_split, monkeypatch):
+    # each subcommand run with only its inputs writes its defaults to its
+    # manifest; the seed falls back to 0 and train's time scale to the horizon
+    monkeypatch.delenv("TPPKIT_SEED", raising=False)
+    monkeypatch.chdir(label_split)
+    inputs = {"split": {"data": "pgem-out/streams.csv"}, "train": {"data": "train.csv"},
+              **{name: {"ckpt": "model.ckpt", "data": "train.csv"}
+                 for name in ("eval", "attn-graph", "trace")}}
+    for name, settings in SURFACE.items():
+        given = inputs.get(name, {})
+        assert run([name] + [a for k, v in given.items() for a in (f"--{k}", v)]) == 0
+        manifest = json.loads(Path(settings["out"][1], "manifest.json").read_text())
+        want = {k: d for k, (_, d) in settings.items()}
+        want.update(given, **{"seed": 0} if "seed" in want else {})
+        if name == "train":
+            want["time_scale"] = 100.0
+        assert manifest["config"] == want, name
+
+
+@pytest.mark.parametrize("name", ["gen-pgem", "eval"])
+def test_unknown_manifest_key_exits_1(name, label_split, capsys):
+    # a key no setting has is named, as --config names it; only the retired
+    # keys that old manifests carry are dropped
+    argv = {"gen-pgem": ["gen-pgem", "--streams", 1, "--horizon", 10],
+            "eval": ["eval", "--ckpt", label_split / "model.ckpt",
+                     "--data", label_split / "train.csv"]}[name]
+    out = label_split / "out"
+    assert run(argv + ["--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["horizn"] = 10.0
+    path = label_split / "typo-manifest.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run([name, "--from-manifest", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'horizn'" in err and str(path) in err
 
 
 def test_retired_bank_real_only_in_train_manifest(label_split, capsys):

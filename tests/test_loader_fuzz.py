@@ -14,7 +14,7 @@ import struct
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tppkit.cli import GEN_DEFAULTS, SPLIT_DEFAULTS, main
+from tppkit.cli import SUBCOMMANDS, main
 from tppkit.model import (
     CHECKPOINT_MAGIC, ModelConfig, ModelParams, load_checkpoint, save_checkpoint,
 )
@@ -121,7 +121,7 @@ CONFIG_VALUES = {
 @given(data=st.data())
 def test_cli_config_file_exits_0_or_1(tmp_path, streams_csv, argv, data):
     argv = [str(streams_csv) if a is None else a for a in argv]
-    keys = SPLIT_DEFAULTS if argv[0] == "split" else GEN_DEFAULTS
+    keys = SUBCOMMANDS[argv[0]][2]
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(data.draw(document({k: CONFIG_VALUES[k] for k in keys})))
     assert main(argv + ["--out", str(tmp_path / "o"), "--config", str(cfg)]) in (0, 1)
