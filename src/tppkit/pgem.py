@@ -169,7 +169,7 @@ def sample_spec(label_count: int, seed: int, config: GenConfig = GenConfig()) ->
 
 
 def _events(spec: PgemSpec, stream: EventStream) -> tuple:
-    """The stream's event times and labels, if its label count is the spec's."""
+    """The stream's read-only event times and labels, if its label count is the spec's."""
     if stream.label_count != spec.label_count:
         raise ValueError("stream and spec disagree on label_count")
     return stream.times(), stream.labels()
@@ -274,14 +274,17 @@ def exact_ll(spec: PgemSpec, stream: EventStream) -> float:
     entry). The trace costs one running maximum over the events per distinct
     (parent, window) edge and one binary search of its breaks in the events,
     with the plan cached per spec; the event rates are then one gather, one
-    log and one sum. An event sitting where its own rate is zero yields -inf
-    deliberately (not via a numpy warning).
+    log and one sum. The event arrays are the ones the stream built once,
+    when it was validated: no call converts its epochs. An event sitting
+    where its own rate is zero yields -inf deliberately (not via a numpy
+    warning).
     """
+    times, labels = _events(spec, stream)
     trace = build_trace(spec, stream)
     plan = spec.plan
     # row i: the rates on the segment ending at breaks[i]; row 0 (no history) serves t = 0
     rows = np.vstack([plan.tables[plan.offsets], trace.rates])
-    rates = rows[trace.breaks.searchsorted(stream.times()), stream.labels()]
+    rates = rows[trace.breaks.searchsorted(times), labels]
     if np.any(rates <= 0.0):
         return -math.inf
     return float(np.sum(np.log(rates))) - trace.integral()
@@ -295,9 +298,7 @@ def homogeneous_ml_ll(stream: EventStream) -> float:
     """
     T = stream.horizon
     ll = 0.0
-    labels = stream.labels()
-    for k in range(stream.label_count):
-        n = int(np.sum(labels == k))
+    for n in np.bincount(stream.labels(), minlength=stream.label_count).tolist():
         if n > 0:
             ll += n * math.log(n / T) - n
     return ll

@@ -1,12 +1,17 @@
 """Event-stream data model: loading, saving, splitting, fake-epoch augmentation.
 
-Streams are time-ordered labeled epochs on [0, T]. Augmentation interleaves a
-fixed number of evenly spaced fake epochs into every positive-length
-inter-event gap (boundary gaps included) and brackets the result with BOS/EOS
-sentinels; the augmented sequence is the unit the model consumes. It is two
-read-only arrays, token times and labels, with fakes and sentinels carrying
-label M: a token's kind follows from its place and its label, so every
-consumer reads per-token rows, widths and targets straight off the arrays.
+Streams are time-ordered labeled epochs on [0, T]. A stream builds its event
+times and labels into two arrays once, when it is validated; they are
+read-only and shared, so every consumer (augmentation, the CSV writer, the
+PGEM oracle) reads them without converting the epochs again.
+
+Augmentation interleaves a fixed number of evenly spaced fake epochs into
+every positive-length inter-event gap (boundary gaps included) and brackets
+the result with BOS/EOS sentinels; the augmented sequence is the unit the
+model consumes. It is two read-only arrays, token times and labels, with
+fakes and sentinels carrying label M: a token's kind follows from its place
+and its label, so every consumer reads per-token rows, widths and targets
+straight off the arrays.
 """
 
 from __future__ import annotations
@@ -43,7 +48,13 @@ class Epoch:
 
 @dataclass(frozen=True)
 class EventStream:
-    """Strictly time-ordered epochs on [0, horizon] with labels < label_count."""
+    """Strictly time-ordered epochs on [0, horizon] with labels < label_count.
+
+    The epochs' times (float64) and labels (int64) are built into two arrays
+    once, here, and validated on them. times() and labels() return those
+    arrays themselves: read-only, and shared by every caller. They are kept
+    outside the fields, so == and hash compare epochs, horizon and label_count.
+    """
 
     epochs: tuple
     horizon: float
@@ -57,24 +68,37 @@ class EventStream:
             raise ValueError(f"horizon must be finite and >= 0, got {self.horizon}")
         if self.label_count < 1:
             raise ValueError("label_count must be positive")
-        prev = -1.0
-        for e in self.epochs:
-            if e.time <= prev:
-                raise ValueError(f"epoch times must be strictly increasing at t={e.time}")
-            if e.time > self.horizon:
-                raise ValueError(f"epoch time {e.time} exceeds horizon {self.horizon}")
-            if not (0 <= e.label < self.label_count):
-                raise ValueError(f"label {e.label} out of range [0, {self.label_count})")
-            prev = e.time
+        times = np.array([e.time for e in self.epochs], dtype=np.float64)
+        labels = [e.label for e in self.epochs]
+        try:
+            labels = np.array(labels, dtype=np.int64)
+        except OverflowError:  # such a label is out of range; an object array compares it exactly
+            labels = np.array(labels, dtype=object)
+        # (epochs, checks): row-major order is the order the epochs and their checks are
+        # made in, so the first True names the first failing epoch and its first failed check
+        failed = np.stack([times <= np.append(-1.0, times[:-1]), times > self.horizon,
+                           (labels < 0) | (labels >= self.label_count)], axis=1)
+        if failed.any():
+            i, check = divmod(int(failed.argmax()), 3)
+            e = self.epochs[i]
+            raise ValueError([f"epoch times must be strictly increasing at t={e.time}",
+                              f"epoch time {e.time} exceeds horizon {self.horizon}",
+                              f"label {e.label} out of range [0, {self.label_count})"][check])
+        times.flags.writeable = labels.flags.writeable = False
+        self.__dict__["_times"], self.__dict__["_labels"] = times, labels
+
+    def __reduce__(self):
+        # copies and unpickled streams are rebuilt, so their arrays are read-only too
+        return EventStream, (self.epochs, self.horizon, self.label_count)
 
     def __len__(self):
         return len(self.epochs)
 
     def times(self) -> np.ndarray:
-        return np.array([e.time for e in self.epochs], dtype=np.float64)
+        return self._times
 
     def labels(self) -> np.ndarray:
-        return np.array([e.label for e in self.epochs], dtype=np.int64)
+        return self._labels
 
 
 @dataclass(frozen=True)
@@ -169,8 +193,8 @@ def save_stream(dataset: Dataset, path):
         writer = csv.writer(fh)
         writer.writerow(["stream_id", "time", "label"])
         for sid, stream in zip(dataset.stream_ids(), dataset.streams):
-            for e in stream.epochs:
-                writer.writerow([sid, repr(e.time), e.label])
+            for time, label in zip(stream.times().tolist(), stream.labels().tolist()):
+                writer.writerow([sid, repr(time), label])
     meta = {"num_labels": dataset.label_count, "horizon": horizon}
     if dataset.label_names is not None:
         meta["label_names"] = list(dataset.label_names)
@@ -280,6 +304,9 @@ def split_by_stream(dataset: Dataset, fraction: float, seed: int):
     if n < 2:
         raise ValueError("single-stream dataset: use split_by_time instead")
     n_train = math.ceil(fraction * n)
+    if n_train == n:
+        raise ValueError(f"fraction {fraction} of {n} streams puts all {n} in train "
+                         "and leaves the test set empty")
     rng = np.random.default_rng(seed)
     chosen = set(rng.choice(n, size=n_train, replace=False).tolist())
     train = tuple(dataset.streams[i] for i in range(n) if i in chosen)

@@ -1,7 +1,7 @@
 """Shared test utilities: finite-difference oracles, gradient comparison, tape leaks,
-a tape-walking gradient reference, a per-token objective adjoint, a per-token
-augmentation reference, a per-channel model reference, a brute-force PGEM
-reference and a checkpoint header editor."""
+a tape-walking gradient reference, a per-token objective adjoint, a per-epoch
+stream validation reference, a per-token augmentation reference, a per-channel
+model reference, a brute-force PGEM reference and a checkpoint header editor."""
 
 import gc
 import json
@@ -127,6 +127,21 @@ def rate_adjoint_by_definition(seq, rates, pred_weight):
             softmax_minus_onehot[label] -= 1.0
             adj[i] -= pred_weight * softmax_minus_onehot / targets
     return adj
+
+
+def validate_epochs_by_definition(epochs, horizon, label_count):
+    """EventStream's epoch checks one epoch at a time, in order: times strictly
+    increasing, then within the horizon, then the label in [0, label_count).
+    Raises the ValueError of the first check that fails."""
+    prev = -1.0
+    for e in epochs:
+        if e.time <= prev:
+            raise ValueError(f"epoch times must be strictly increasing at t={e.time}")
+        if e.time > horizon:
+            raise ValueError(f"epoch time {e.time} exceeds horizon {horizon}")
+        if not (0 <= e.label < label_count):
+            raise ValueError(f"label {e.label} out of range [0, {label_count})")
+        prev = e.time
 
 
 def augment_by_definition(stream, fake_count):

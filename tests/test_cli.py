@@ -314,6 +314,15 @@ class TestSplit:
     def test_missing_data_flag(self, tmp_path):
         assert run(["split", "--out", tmp_path / "s"]) == 1
 
+    def test_no_stream_left_for_test_exits_1(self, label_split, capsys):
+        # the default fraction 0.7 of 3 streams is ceil(2.1) = 3 train streams
+        out = label_split / "split"
+        assert run(["split", "--data", label_split / "train.csv", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fraction 0.7 of 3 streams")
+        assert "test set empty" in err
+        assert not out.exists()
+
     def test_data_path_that_is_no_file_exits_1(self, tmp_path, capsys):
         # "" is the current directory, which has no sidecar name
         assert run(["split", "--data", "", "--out", tmp_path / "s"]) == 1

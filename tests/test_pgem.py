@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from tppkit.pgem import (
     homogeneous_ml_ll, load_spec, rate_at, sample_spec, save_spec, simulate,
     simulate_dataset,
 )
-from tppkit.streams import Epoch, EventStream
+from tppkit.streams import Epoch, EventStream, save_stream
 
 from helpers import pgem_ll_by_definition, pgem_rates_by_definition
 
@@ -397,6 +398,37 @@ class TestPinned:
         spec = shared_edge_spec()
         exact_ll(spec, simulate(spec, 50.0, seed=3))
         assert len(calls) == 1
+
+
+class TestPinnedBits:
+    """build_trace, rate_at (at the breaks and the segment midpoints) and exact_ll
+    on three simulated streams per label count, and the CSV that save_stream
+    writes for them, bit for bit as recorded when times() and labels() still
+    built a new array from the epochs on every call."""
+
+    @pytest.mark.parametrize("labels, horizon, oracle_digest, csv_digest", [
+        (1, 3000.0, "519c04cbcd2d47595c67ac96f8cc98db81b8d18f2242b487532aad8a080e2a9d",
+         "b45e9ccc8fe27ed5f962b5ef77aaef6b6dc12bb962f27e864d5fffe153fc9ec1"),
+        (3, 1000.0, "235cdc16401959367567a3ef5c4bc6cfce3158d6b64926be7363fc9b220f26a6",
+         "18e7767caf23fb2fcb55af52570fe5febf7046d6b6e1e87a93d369cd37e07966"),
+        (5, 600.0, "40b0fcfa2562474ce9c226894fc8116426998d92d318e2cd0a09fad74b3251d0",
+         "d01e7b44120a47e7cb0af75b488bf259d8170ff29a4dc66a14538671edc2baf2"),
+        (20, 150.0, "85e871e9556b46bda65fbd0f19b7f34ad3ae2d6979cf93cdd18938e50efa0473",
+         "e67cadcc243dd524e505fdcbf98ff086a9d6ca3946a6ee460318b58b24f38d05"),
+    ])
+    def test_oracle_and_csv(self, labels, horizon, oracle_digest, csv_digest, tmp_path):
+        spec = sample_spec(labels, seed=11)
+        data = simulate_dataset(spec, horizon, 3, seed=5)
+        h = hashlib.sha256()
+        for s in data.streams:
+            trace = build_trace(spec, s)
+            mids = 0.5 * (trace.breaks[:-1] + trace.breaks[1:])
+            h.update(trace.breaks.tobytes() + trace.rates.tobytes())
+            h.update(rate_at(spec, s, np.concatenate([trace.breaks, mids])).tobytes())
+            h.update(struct.pack("<d", exact_ll(spec, s)))
+        assert h.hexdigest() == oracle_digest
+        save_stream(data, tmp_path / "d.csv")
+        assert hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest() == csv_digest
 
 
 WINDOWS = (1.0, 2.5, 4.0)

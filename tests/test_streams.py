@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +9,7 @@ from tppkit.streams import (
     AugmentedSequence, Dataset, Epoch, EventStream, StreamFormatError, augment,
     load_stream, save_stream, split_by_stream, split_by_time,
 )
-from helpers import augment_by_definition
+from helpers import augment_by_definition, validate_epochs_by_definition
 
 
 def make_stream(times, labels, horizon, m):
@@ -37,6 +40,43 @@ class TestEventStream:
     def test_rejects_time_beyond_horizon(self):
         with pytest.raises(ValueError):
             make_stream([11.0], [0], 10.0, 1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4),
+           horizon=st.sampled_from([0.0, 1.0, 37.5]) | st.floats(0.0, 1e6))
+    def test_arrays_match_per_epoch_reference(self, data, m, horizon):
+        """A valid epoch list gives times() and labels() equal to the per-epoch
+        arrays, read-only and the same objects on every call; a bad one (times
+        unordered, repeated or past the horizon, labels out of range or beyond
+        int64) raises the per-epoch reference's message."""
+        times = data.draw(st.lists(st.floats(0.0, horizon) | st.sampled_from([0.0, horizon])
+                                   | st.floats(horizon, 2.0 * horizon + 1.0), max_size=10))
+        if data.draw(st.booleans()):
+            times = sorted(set(times))
+        labels = data.draw(st.lists(st.integers(0, m - 1) | st.integers(-2, m + 1)
+                                    | st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 70]),
+                                    min_size=len(times), max_size=len(times)))
+        epochs = tuple(map(Epoch, times, labels))
+        try:
+            validate_epochs_by_definition(epochs, horizon, m)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                EventStream(epochs, horizon, m)
+            assert str(got.value) == str(exc)
+            return
+        s = EventStream(epochs, horizon, m)
+        want_times = np.array([e.time for e in epochs], dtype=np.float64)
+        want_labels = np.array([e.label for e in epochs], dtype=np.int64)
+        for got, want in ((s.times(), want_times), (s.labels(), want_labels)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[...] = 0
+        assert s.times() is s.times() and s.labels() is s.labels()
+        for twin in (EventStream(epochs, horizon, m), copy.deepcopy(s),
+                     pickle.loads(pickle.dumps(s))):
+            assert twin == s and hash(twin) == hash(s)
+            assert not (twin.times().flags.writeable or twin.labels().flags.writeable)
 
 
 class TestLoadSave:
