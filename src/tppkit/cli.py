@@ -12,7 +12,10 @@ subcommand with --from-manifest replays the stored configuration and
 reproduces the outputs byte for byte (the training report's wall-time
 column excepted).
 
-Exit codes: 0 success, 1 usage or validation failure, 2 numerical failure.
+Each input check lives with its rule: the library raises ValueError (stream
+and checkpoint format errors included), this module CliError for its own.
+Exit codes, mapped by ``main`` alone: 0 success; 1 usage or validation failure
+(ValueError, CliError, OSError, MemoryError); 2 numerical failure (TrainingError).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from pathlib import Path
 from . import __version__
 from . import evaluation, pgem, streams, training
 from .model import ModelConfig, load_checkpoint, save_checkpoint
-from .streams import load_stream, save_stream, sidecar_path
+from .streams import load_stream, save_stream
 from .training import TrainConfig, TrainingError
 
 EXIT_OK = 0
@@ -51,10 +54,9 @@ def _env_seed():
     raw = os.environ.get("TPPKIT_SEED")
     if raw is None:
         return None
-    try:
-        return int(raw)
-    except ValueError:
+    if not raw.strip().lstrip("+-").replace("_", "").isdecimal():
         raise CliError(f"TPPKIT_SEED must be an integer, got {raw!r}")
+    return int(raw)
 
 
 def _read_json_object(path: Path, what: str) -> dict:
@@ -170,22 +172,12 @@ def _require_file(path, hint=""):
 
 
 def _load_dataset(path):
-    p = _require_file(path)
-    meta = sidecar_path(p)
-    if not meta.is_file():
-        raise CliError(f"missing metadata sidecar {meta} (expected next to {p})")
-    try:
-        return load_stream(p)
-    except streams.StreamFormatError as exc:
-        raise CliError(str(exc))
+    return load_stream(_require_file(path))
 
 
-def _load_ckpt(path):
-    p = _require_file(path, hint="model checkpoint")
-    try:
-        return load_checkpoint(p)
-    except ValueError as exc:
-        raise CliError(str(exc))
+def _load_model_and_data(cfg):
+    model_cfg, params, _ = load_checkpoint(_require_file(cfg["ckpt"], hint="model checkpoint"))
+    return model_cfg, params, _load_dataset(cfg["data"])
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +187,6 @@ def _load_ckpt(path):
 
 
 def run_gen_pgem(cfg: dict):
-    if cfg["labels"] < 1:
-        raise CliError("--labels must be >= 1")
-    if cfg["streams"] < 1:
-        raise CliError("--streams must be >= 1")
     if not (0 < cfg["horizon"] < math.inf):
         raise CliError(f"--horizon must be positive and finite, got {cfg['horizon']}")
     spec = pgem.sample_spec(cfg["labels"], cfg["seed"])
@@ -212,16 +200,11 @@ def run_gen_pgem(cfg: dict):
 def run_split(cfg: dict):
     if cfg["mode"] not in ("stream", "time"):
         raise CliError("--mode must be 'stream' or 'time'")
-    if not (0.0 < cfg["fraction"] < 1.0):
-        raise CliError("--fraction must lie strictly between 0 and 1")
     data = _load_dataset(cfg["data"])
-    try:
-        if cfg["mode"] == "stream":
-            train_ds, test_ds = streams.split_by_stream(data, cfg["fraction"], cfg["seed"])
-        else:
-            train_ds, test_ds = streams.split_by_time(data, cfg["fraction"])
-    except ValueError as exc:
-        raise CliError(str(exc))
+    if cfg["mode"] == "stream":
+        train_ds, test_ds = streams.split_by_stream(data, cfg["fraction"], cfg["seed"])
+    else:
+        train_ds, test_ds = streams.split_by_time(data, cfg["fraction"])
     return (f"split: {len(train_ds)} train / {len(test_ds)} test streams "
             f"({cfg['mode']}, fraction {cfg['fraction']}) to {Path(cfg['out'])}",
             {"train": ("train.csv", lambda p: save_stream(train_ds, p)),
@@ -235,23 +218,20 @@ def run_train(cfg: dict):
     if cfg["time_scale"] is None:
         cfg["time_scale"] = max(s.horizon for s in data.streams)
     val_data = _load_dataset(cfg["val"]) if cfg["val"] else None
-    try:
-        model_cfg = ModelConfig(
-            label_count=data.label_count,
-            channel_width=cfg["channels"],
-            embed_dim=cfg["embed"],
-            memory_depth=cfg["memory"],
-            fake_count=cfg["fakes"],
-            hidden_width=cfg["hidden"],
-            time_scale=cfg["time_scale"],
-        )
-        train_cfg = TrainConfig(
-            learning_rate=cfg["lr"], clip_norm=cfg["clip"], epochs=cfg["epochs"],
-            batch_size=cfg["batch"], seed=cfg["seed"], pred_weight=cfg["lambda_p"],
-            l2_weight=cfg["lambda_w"], patience=cfg["patience"],
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    model_cfg = ModelConfig(
+        label_count=data.label_count,
+        channel_width=cfg["channels"],
+        embed_dim=cfg["embed"],
+        memory_depth=cfg["memory"],
+        fake_count=cfg["fakes"],
+        hidden_width=cfg["hidden"],
+        time_scale=cfg["time_scale"],
+    )
+    train_cfg = TrainConfig(
+        learning_rate=cfg["lr"], clip_norm=cfg["clip"], epochs=cfg["epochs"],
+        batch_size=cfg["batch"], seed=cfg["seed"], pred_weight=cfg["lambda_p"],
+        l2_weight=cfg["lambda_w"], patience=cfg["patience"],
+    )
     params, report = training.train(data, model_cfg, train_cfg, val_dataset=val_data)
     steps = report.epochs_run()
     return (f"train: {steps} epochs, final objective {report.objective[-1]:.4f}, "
@@ -262,23 +242,15 @@ def run_train(cfg: dict):
 
 
 def run_eval(cfg: dict):
-    model_cfg, params, _ = _load_ckpt(cfg["ckpt"])
-    data = _load_dataset(cfg["data"])
-    try:
-        report = evaluation.test_ll(model_cfg, params, data, fake_count=cfg["fakes"])
-    except ValueError as exc:
-        raise CliError(str(exc))
+    model_cfg, params, data = _load_model_and_data(cfg)
+    report = evaluation.test_ll(model_cfg, params, data, fake_count=cfg["fakes"])
     return (f"eval: total test LL {report.total:.4f} over {len(report.scores)} streams",
             {"report": ("eval.csv", report.to_csv)})
 
 
 def run_attn_graph(cfg: dict):
-    model_cfg, params, _ = _load_ckpt(cfg["ckpt"])
-    data = _load_dataset(cfg["data"])
-    try:
-        graph = evaluation.attention_graph(model_cfg, params, data, cfg["threshold"])
-    except ValueError as exc:
-        raise CliError(str(exc))
+    model_cfg, params, data = _load_model_and_data(cfg)
+    graph = evaluation.attention_graph(model_cfg, params, data, cfg["threshold"])
     return (f"attn-graph: {len(graph.edges)} edges at threshold "
             f"{cfg['threshold']} written to {Path(cfg['out'])}",
             {"dot": ("attention.dot", lambda p: graph.to_dot(p, label_names=data.label_names)),
@@ -286,8 +258,7 @@ def run_attn_graph(cfg: dict):
 
 
 def run_trace(cfg: dict):
-    model_cfg, params, _ = _load_ckpt(cfg["ckpt"])
-    data = _load_dataset(cfg["data"])
+    model_cfg, params, data = _load_model_and_data(cfg)
     ids = data.stream_ids()
     if cfg["stream"] not in ids:
         raise CliError(f"stream {cfg['stream']!r} not in dataset (have {ids})")
@@ -295,8 +266,6 @@ def run_trace(cfg: dict):
     try:
         trace = evaluation.intensity_trace(model_cfg, params, stream,
                                            fake_count=cfg["fakes"])
-    except ValueError as exc:
-        raise CliError(str(exc))
     except TrainingError as exc:
         raise TrainingError(f"stream {cfg['stream']}: {exc}") from None
     name = f"trace_{cfg['stream']}.csv"
@@ -360,11 +329,8 @@ def main(argv=None) -> int:
             raise CliError(f"seed must be >= 0, got {cfg['seed']}")
         summary, files = runner(cfg)
         _publish(args.subcommand, cfg, files)
-    except (CliError, OSError) as exc:  # OSError: unreadable input, unwritable output
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as exc:  # e.g. a sidecar's num_labels too large to allocate for
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+    except (CliError, ValueError, OSError, MemoryError) as exc:  # OSError: file I/O
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except TrainingError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .model import ModelConfig, ModelParams, forward
+from .model import ModelConfig, ModelParams, check_label_count, forward
 from .streams import Dataset, EventStream, augment
 from .training import TrainingError, _checked_ll, _diagnose_nonfinite
 
@@ -110,21 +110,15 @@ class IntensityTrace:
                 writer.writerow([repr(t), label, repr(lam), int(is_real)])
 
 
-def _check_labels(config: ModelConfig, dataset_label_count: int):
-    if dataset_label_count != config.label_count:
-        raise ValueError(
-            f"data uses {dataset_label_count} labels but the model was trained "
-            f"with {config.label_count}; unknown labels cannot be scored")
-
-
 def test_ll(config: ModelConfig, params: ModelParams, dataset: Dataset,
             fake_count: int | None = None) -> TestLLReport:
     """Quadrature log-likelihood per stream and in total; params untouched.
 
-    Raises TrainingError, naming the stream and the first rate it cannot
-    absorb, when a stream's log-likelihood is not finite.
+    Raises ValueError (``check_label_count``) when the dataset's label count
+    is not the model's, and TrainingError, naming the stream and the first
+    rate it cannot absorb, when a stream's log-likelihood is not finite.
     """
-    _check_labels(config, dataset.label_count)
+    check_label_count(config, dataset.label_count)
     k = config.fake_count if fake_count is None else fake_count
     scores = []
     for sid, stream in zip(dataset.stream_ids(), dataset.streams):
@@ -142,13 +136,14 @@ def attention_graph(config: ModelConfig, params: ModelParams, dataset: Dataset,
 
     The raw alignments per (token, channel) sum to one over all bank entries;
     dividing the per-label sums by token count and memory depth keeps every
-    adjacency entry in [0, 1].
+    adjacency entry in [0, 1]. Raises ValueError for a model without memory,
+    a threshold that is not finite, or another label count (``check_label_count``).
     """
     if config.memory_depth < 1:
         raise ValueError("attention disabled: model was built with memory_depth 0")
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    _check_labels(config, dataset.label_count)
+    check_label_count(config, dataset.label_count)
     m = config.label_count
     sums = np.zeros((m, m))
     token_count = 0
@@ -177,9 +172,10 @@ def intensity_trace(config: ModelConfig, params: ModelParams,
                     stream: EventStream, fake_count: int | None = None) -> IntensityTrace:
     """Rates of every real label at every augmented token time, with markers.
 
-    Raises TrainingError when a real label's rate is not finite and positive.
+    Raises ValueError when the stream's label count is not the model's
+    (``check_label_count``), TrainingError when a real rate is not finite and positive.
     """
-    _check_labels(config, stream.label_count)
+    check_label_count(config, stream.label_count)
     k = config.fake_count if fake_count is None else fake_count
     seq = augment(stream, k)
     with ad.tape_scope():

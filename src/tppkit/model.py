@@ -32,9 +32,9 @@ from . import autodiff as ad
 from .streams import AugmentedSequence
 
 __all__ = [
-    "ModelConfig", "ModelParams", "ParamNodes", "ForwardResult", "encode_token",
-    "lstm_step", "attend", "intensity", "forward", "backward", "save_checkpoint",
-    "load_checkpoint",
+    "ModelConfig", "ModelParams", "ParamNodes", "ForwardResult", "check_label_count",
+    "encode_token", "lstm_step", "attend", "intensity", "forward", "backward",
+    "save_checkpoint", "load_checkpoint",
 ]
 
 CHECKPOINT_MAGIC = b"TPPKIT\x00\x01"
@@ -289,6 +289,14 @@ class ForwardResult:
         return np.array([vec.value for vec in self.rates])
 
 
+def check_label_count(config: ModelConfig, label_count: int):
+    """Raise ValueError unless data with ``label_count`` labels fits the model."""
+    if label_count != config.label_count:
+        raise ValueError(
+            f"data uses {label_count} labels but the model was trained "
+            f"with {config.label_count}; unknown labels cannot be scored")
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) -> ForwardResult:
     """Run the network over an augmented sequence.
@@ -303,9 +311,7 @@ def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) ->
     raises no numpy warning; it shows as rates that are not finite and
     positive, which the callers report.
     """
-    if seq.label_count != config.label_count:
-        raise ValueError(
-            f"sequence has {seq.label_count} labels, model expects {config.label_count}")
+    check_label_count(config, seq.label_count)
     m = config.channel_width
     M = config.label_count
     C = config.channel_count

@@ -212,6 +212,8 @@ def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:
     after t, so a parent is active iff its latest event lies in (t-w, t].
     ``seed`` is anything accepted by ``numpy.random.default_rng``.
     """
+    if not (0.0 <= horizon < math.inf):  # nan or inf would never end the loop
+        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     rng = np.random.default_rng(seed)
     nodes = [(node.table.tolist(), tuple(zip(node.parents, node.windows))) for node in spec.nodes]
     last = [-math.inf] * spec.label_count  # latest event time per label

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .model import ModelConfig, ModelParams, backward, forward
+from .model import ModelConfig, ModelParams, backward, check_label_count, forward
 from .streams import AugmentedSequence, Dataset, augment
 
 __all__ = [
@@ -307,10 +307,13 @@ def train(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
     dataset, configs) triple is bitwise reproducible. With a validation set
     and patience > 0, training stops after `patience` epochs without a new
     best validation LL and the best-validation parameters are returned.
-    Returns (ModelParams, TrainReport).
+    Returns (ModelParams, TrainReport). A validation set with another label
+    count raises ValueError before the first step (``check_label_count``).
     """
     if train_cfg.patience > 0 and val_dataset is None:
         raise ValueError("patience needs a validation set")
+    if val_dataset is not None:
+        check_label_count(model_cfg, val_dataset.label_count)
     seqs = [augment(s, model_cfg.fake_count) for s in dataset.streams]
     val_seqs = ([augment(s, model_cfg.fake_count) for s in val_dataset.streams]
                 if val_dataset is not None else None)

@@ -30,15 +30,21 @@ def gen_dir(tmp_path):
 @pytest.fixture()
 def label_split(tmp_path):
     """train.csv: three streams of label-0 events; val.csv: one stream of
-    label-1 events; model.ckpt: an untrained model for both (M=2, T=100)."""
+    label-1 events; model.ckpt: an untrained model for both (M=2, T=100).
+    For failing runs: m3.csv, one stream with M=3; orphan.csv, without its
+    sidecar; nomem.ckpt, a model with memory depth 0."""
     train = Dataset(tuple(
         EventStream(tuple(Epoch(t, 0) for t in (5 + i, 20, 40, 60, 80)), 100.0, 2)
         for i in range(3)))
     save_stream(train, tmp_path / "train.csv")
     save_stream(Dataset((EventStream((Epoch(10.0, 1), Epoch(50.0, 1)), 100.0, 2),)),
                 tmp_path / "val.csv")
+    save_stream(Dataset((EventStream((Epoch(10.0, 2),), 100.0, 3),)), tmp_path / "m3.csv")
+    (tmp_path / "orphan.csv").write_text("stream_id,time,label\ns0,1.0,0\n")
     cfg = ModelConfig(label_count=2, time_scale=100.0)
     save_checkpoint(tmp_path / "model.ckpt", cfg, ModelParams.init(cfg, seed=0))
+    nomem = ModelConfig(label_count=2, time_scale=100.0, memory_depth=0)
+    save_checkpoint(tmp_path / "nomem.ckpt", nomem, ModelParams.init(nomem, seed=0))
     return tmp_path
 
 
@@ -90,11 +96,25 @@ def failing_run(case, d):
         "eval": (["eval", "--ckpt", d / "missing.ckpt", *data], 1),
         "attn-graph": (["attn-graph", *ckpt, *data, "--threshold", "nan"], 1),
         "trace": (["trace", *ckpt, *data, "--stream", "s99"], 1),
+        # checks that live only in the library
+        "gen-pgem-labels": (["gen-pgem", "--labels", 0], 1),
+        "gen-pgem-streams": (["gen-pgem", "--streams", 0], 1),
+        "split-fraction": (["split", *data, "--fraction", 1.0], 1),
+        "split-sidecar": (["split", "--data", d / "orphan.csv"], 1),
+        "train-fakes": (["train", *data, "--fakes", -1], 1),
+        "train-val-labels": (["train", *data, "--val", d / "m3.csv"], 1),
+        "eval-fakes": (["eval", *ckpt, *data, "--fakes", -1], 1),
+        "eval-labels": (["eval", *ckpt, "--data", d / "m3.csv"], 1),
+        "trace-fakes": (["trace", *ckpt, *data, "--fakes", -1], 1),
+        "attn-graph-memory": (["attn-graph", "--ckpt", d / "nomem.ckpt", *data], 1),
     }[case]
 
 
-@pytest.mark.parametrize("case", ["gen-pgem", "split", "train", "train-diverges", "eval",
-                                  "attn-graph", "trace"])
+@pytest.mark.parametrize("case", [
+    "gen-pgem", "split", "train", "train-diverges", "eval", "attn-graph", "trace",
+    "gen-pgem-labels", "gen-pgem-streams", "split-fraction", "split-sidecar",
+    "train-fakes", "train-val-labels", "eval-fakes", "eval-labels", "trace-fakes",
+    "attn-graph-memory"])
 def test_failed_run_writes_no_manifest(case, label_split, capsys):
     # the manifest is written last, so a run that exits 1 or 2 leaves none;
     # a run that fails before its outputs does not create --out either
@@ -105,6 +125,9 @@ def test_failed_run_writes_no_manifest(case, label_split, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv + ["--out", out]) == want
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: " if want == 1 else "numerical failure: ")
     assert not (out / "manifest.json").exists()
     assert case == "gen-pgem" or not out.exists()
 

@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +101,18 @@ class TestSimulate:
     def test_t_zero_empty(self):
         s = simulate(poisson_spec(), 0.0, seed=1)
         assert len(s) == 0
+
+    @pytest.mark.parametrize("horizon", ["inf", "nan"])
+    def test_nonfinite_horizon_raises(self, horizon):
+        # in a child process under a timeout, so a loop that never ends fails
+        # the test instead of hanging it
+        code = ("import sys\nfrom tppkit.pgem import sample_spec, simulate\n"
+                "try:\n    simulate(sample_spec(2, seed=0), float(sys.argv[1]), seed=0)\n"
+                "except ValueError as exc:\n    print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(pgem.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code, horizon], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert proc.stdout == f"horizon must be finite and >= 0, got {horizon}\n"
 
     def test_poisson_count_statistics(self):
         total = 0
