@@ -16,7 +16,11 @@ the row to read, and one product of the activation matrix with the edges'
 bit weights indexes all rate tables. exact_ll reads its event rates off one
 build_trace, in O((events + segments) * (edges + labels)) after one sort of
 the breaks. The simulator uses s <= t < s + w, the rate on the interval just
-after t.
+after t. Each of its steps tests every distinct edge once, reads each node's
+1/rate from a table indexed by its activation bits and draws one vector of M
+standard exponentials, the same draws in the same order as M scalar
+exponential(1/rate) calls. It refuses a run whose expected event count may
+exceed MAX_EXPECTED_EVENTS (the spec's largest total rate times the horizon).
 """
 
 from __future__ import annotations
@@ -35,8 +39,12 @@ from .streams import Dataset, Epoch, EventStream
 __all__ = [
     "NodeSpec", "PgemSpec", "GenConfig", "ChangePointTrace", "sample_spec",
     "simulate", "exact_ll", "build_trace", "rate_at", "save_spec", "load_spec",
-    "homogeneous_ml_ll",
+    "homogeneous_ml_ll", "MAX_EXPECTED_EVENTS",
 ]
+
+# simulate's budget: at about 150 bytes per event, a stream this long holds
+# about 150 MB of epochs
+MAX_EXPECTED_EVENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -205,32 +213,53 @@ def rate_at(spec: PgemSpec, stream: EventStream, times) -> np.ndarray:
 def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:
     """Exact event-driven simulation up to the horizon.
 
-    At the current time the rate vector is a table lookup; the next structural
-    change is the earliest pending window expiry; one exponential candidate per
-    node decides whether an event fires before it. Candidates are redrawn
-    after every event or change point. The rates hold on the interval just
-    after t, so a parent is active iff its latest event lies in (t-w, t].
-    ``seed`` is anything accepted by ``numpy.random.default_rng``.
+    At the current time each node's rate is a table lookup; the next
+    structural change is the earliest pending window expiry; one exponential
+    candidate per node decides whether an event fires before it. Candidates
+    are redrawn after every event or change point. The rates hold on the
+    interval just after t, so a parent is active iff its latest event lies in
+    (t-w, t]: each distinct (parent, window) edge is tested once per step.
+
+    Each step draws one vector, ``rng.standard_exponential(M)``, and node k's
+    candidate is t + s_k * e_k, with s_k = 1/rate_k read from a per-node
+    table. That is what M scalar ``rng.exponential(s_k)`` draws give, in the
+    same order, so the streams and a passed-in generator's final state are
+    those of a node-by-node loop of scalar draws (the tests' reference,
+    ``simulate_by_definition``); ties go to the lowest label. ``seed`` is
+    anything accepted by ``numpy.random.default_rng``.
+
+    Raises ValueError when the horizon is not finite and >= 0, or when the
+    spec's largest total rate (each node's largest table entry, summed) times
+    the horizon exceeds MAX_EXPECTED_EVENTS.
     """
     if not (0.0 <= horizon < math.inf):  # nan or inf would never end the loop
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
+    rate = sum(max(node.rates.values()) for node in spec.nodes)
+    if not (rate * horizon <= MAX_EXPECTED_EVENTS):  # nan: an infinite rate at horizon 0
+        raise ValueError(f"the spec's largest total rate {rate} times the horizon {horizon} "
+                         f"must be at most {MAX_EXPECTED_EVENTS} expected events")
     rng = np.random.default_rng(seed)
-    nodes = [(node.table.tolist(), tuple(zip(node.parents, node.windows))) for node in spec.nodes]
+    plan = spec.plan
+    edges = list(zip(plan.parents.tolist(), plan.windows.tolist()))
+    column = {e: i for i, e in enumerate(edges)}
+    nodes = [([1.0 / r for r in node.table.tolist()],
+              [column[e] for e in zip(node.parents, node.windows)]) for node in spec.nodes]
     last = [-math.inf] * spec.label_count  # latest event time per label
     parent_windows = spec.parent_windows()
     expiries: list[float] = []
     epochs = []
     t = 0.0
     while True:
-        rates = []
-        for table, edges in nodes:
+        active = [last[p] > t - w for p, w in edges]
+        t_cand, k_star = math.inf, 0
+        draws = rng.standard_exponential(spec.label_count).tolist()
+        for k, ((scales, columns), e) in enumerate(zip(nodes, draws)):
             index = 0
-            for p, w in edges:
-                index = 2 * index + (last[p] > t - w)
-            rates.append(table[index])
-        draws = [t + rng.exponential(1.0 / r) for r in rates]
-        k_star = int(np.argmin(draws))
-        t_cand = draws[k_star]
+            for c in columns:
+                index += index + active[c]
+            cand = t + scales[index] * e
+            if cand < t_cand:  # strict: the first minimum, as np.argmin picks
+                t_cand, k_star = cand, k
         t_exp = expiries[0] if expiries else math.inf
         if t_cand <= t_exp:
             if t_cand > horizon:

@@ -1,9 +1,11 @@
 """Shared test utilities: finite-difference oracles, gradient comparison, tape leaks,
 a tape-walking gradient reference, a per-token objective adjoint, a per-epoch
 stream validation reference, a per-token augmentation reference, a per-channel
-model reference, a brute-force PGEM reference and a checkpoint header editor."""
+model reference, a brute-force PGEM reference, a node-by-node PGEM simulator
+and a checkpoint header editor."""
 
 import gc
+import heapq
 import json
 import math
 import struct
@@ -12,6 +14,7 @@ import numpy as np
 
 import tppkit.autodiff as ad
 from tppkit.model import forward
+from tppkit.streams import Epoch, EventStream
 from tppkit.training import _objective
 
 
@@ -237,6 +240,48 @@ def pgem_ll_by_definition(spec, stream):
     log_sum = sum(math.log(pgem_rates_by_definition(spec, stream, e.time)[e.label])
                   for e in stream.epochs)
     return log_sum - integral
+
+
+def simulate_by_definition(spec, horizon, seed):
+    """The slow reference for pgem.simulate, node by node: per step, each
+    node's rate from its own edge tests (a parent is active iff its latest
+    event lies in (t-w, t]), then M scalar rng.exponential(1 / rate) draws and
+    np.argmin. Candidates are redrawn after every event or window expiry."""
+    if not (0.0 <= horizon < math.inf):  # nan or inf would never end the loop
+        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
+    rng = np.random.default_rng(seed)
+    nodes = [(node.table.tolist(), tuple(zip(node.parents, node.windows))) for node in spec.nodes]
+    last = [-math.inf] * spec.label_count  # latest event time per label
+    parent_windows = spec.parent_windows()
+    expiries: list[float] = []
+    epochs = []
+    t = 0.0
+    while True:
+        rates = []
+        for table, edges in nodes:
+            index = 0
+            for p, w in edges:
+                index = 2 * index + (last[p] > t - w)
+            rates.append(table[index])
+        draws = [t + rng.exponential(1.0 / r) for r in rates]
+        k_star = int(np.argmin(draws))
+        t_cand = draws[k_star]
+        t_exp = expiries[0] if expiries else math.inf
+        if t_cand <= t_exp:
+            if t_cand > horizon:
+                break
+            epochs.append(Epoch(t_cand, k_star))
+            last[k_star] = t_cand
+            for w in parent_windows.get(k_star, ()):
+                heapq.heappush(expiries, t_cand + w)
+            t = t_cand
+        else:
+            if t_exp > horizon:
+                break
+            t = t_exp
+            while expiries and expiries[0] <= t:
+                heapq.heappop(expiries)
+    return EventStream(tuple(epochs), horizon, spec.label_count)
 
 
 def rewrite_checkpoint_header(path, edit):

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -81,6 +84,20 @@ def test_patience_without_val_exits_1(label_split, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --patience needs --val")
+    assert not out.exists()
+
+
+def test_runaway_horizon_exits_1(tmp_path):
+    # in a child process under a timeout: without the event budget the run
+    # would simulate until memory runs out
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "tppkit.cli", "gen-pgem", "--labels", "2",
+                           "--streams", "1", "--horizon", "1e300", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: the spec's largest total rate ")
+    assert "must be at most 1000000 expected events" in proc.stderr
     assert not out.exists()
 
 

@@ -19,7 +19,7 @@ from tppkit.pgem import (
 )
 from tppkit.streams import Epoch, EventStream, save_stream
 
-from helpers import pgem_ll_by_definition, pgem_rates_by_definition
+from helpers import pgem_ll_by_definition, pgem_rates_by_definition, simulate_by_definition
 
 
 def poisson_spec(rate=0.1):
@@ -113,6 +113,29 @@ class TestSimulate:
         proc = subprocess.run([sys.executable, "-c", code, horizon], env=env,
                               capture_output=True, text=True, timeout=10)
         assert proc.stdout == f"horizon must be finite and >= 0, got {horizon}\n"
+
+    @pytest.mark.parametrize("spec, horizon, rate", [
+        ("sample_spec(2, seed=0)", "1e300", "0.04352716175400817"),
+        ("PgemSpec(1, (NodeSpec((), (), {(): math.inf}),))", "0.0", "inf"),
+    ], ids=["runaway-horizon", "infinite-rate"])
+    def test_horizon_beyond_event_budget_raises(self, spec, horizon, rate):
+        # in a child process under a timeout, as above: without the event
+        # budget these runs would fill memory instead of ending
+        code = ("import math, sys\n"
+                "from tppkit.pgem import NodeSpec, PgemSpec, sample_spec, simulate\n"
+                f"try:\n    simulate({spec}, float(sys.argv[1]), seed=0)\n"
+                "except ValueError as exc:\n    print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(pgem.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code, horizon], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert proc.stdout == (f"the spec's largest total rate {rate} times the horizon "
+                               f"{float(horizon)} must be at most 1000000 expected events\n")
+
+    @pytest.mark.parametrize("labels", [1, 20, 50])
+    @pytest.mark.parametrize("horizon", [0.0, 150.0])
+    def test_matches_definition_on_sampled_specs(self, labels, horizon):
+        for seed in range(3):
+            assert_simulates_as_definition(sample_spec(labels, seed=seed), horizon, seed)
 
     def test_poisson_count_statistics(self):
         total = 0
@@ -451,10 +474,9 @@ WINDOWS = (1.0, 2.5, 4.0)
 
 
 @st.composite
-def spec_and_stream(draw):
+def specs(draw):
     """A hand-built spec (M <= 6) whose windows come from three values, so that
-    edges are shared and parents carry several windows, and a stream with
-    events at 0, at T and exactly at earlier events' s + w."""
+    edges are shared and parents carry several windows."""
     m = draw(st.integers(1, 6))
     nodes = []
     for _ in range(m):
@@ -464,6 +486,15 @@ def spec_and_stream(draw):
                               max_size=2 ** len(parents)))
         nodes.append(NodeSpec(tuple(parents), tuple(windows),
                               dict(zip(itertools.product((0, 1), repeat=len(parents)), rates))))
+    return PgemSpec(m, tuple(nodes))
+
+
+@st.composite
+def spec_and_stream(draw):
+    """A spec from specs() and a stream with events at 0, at T and exactly at
+    earlier events' s + w."""
+    spec = draw(specs())
+    m = spec.label_count
     horizon = 10.0
     times = set(draw(st.lists(st.floats(0.0, horizon), max_size=10)))
     if draw(st.booleans()):
@@ -475,7 +506,7 @@ def spec_and_stream(draw):
             times.add(base[i % len(base)] + w)
     times = sorted(times)
     labels = draw(st.lists(st.integers(0, m - 1), min_size=len(times), max_size=len(times)))
-    return PgemSpec(m, tuple(nodes)), EventStream(tuple(map(Epoch, times, labels)), horizon, m)
+    return spec, EventStream(tuple(map(Epoch, times, labels)), horizon, m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -493,6 +524,24 @@ def test_oracle_matches_definition(case):
         assert np.array_equal(rates, pgem_rates_by_definition(spec, s, q))
     want = pgem_ll_by_definition(spec, s)
     assert abs(exact_ll(spec, s) - want) <= 1e-12 * abs(want)
+
+
+def assert_simulates_as_definition(spec, horizon, seed):
+    """simulate gives simulate_by_definition's epochs bit for bit and leaves a
+    passed-in generator in the same state."""
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = simulate(spec, horizon, fast_rng)
+    slow = simulate_by_definition(spec, horizon, slow_rng)
+    assert fast.times().tobytes() == slow.times().tobytes()
+    assert np.array_equal(fast.labels(), slow.labels())
+    assert fast_rng.random() == slow_rng.random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=specs(), horizon=st.sampled_from([0.0, 5.0, 60.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_simulate_matches_definition(spec, horizon, seed):
+    assert_simulates_as_definition(spec, horizon, seed)
 
 
 class TestSerialization:
