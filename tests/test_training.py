@@ -430,17 +430,35 @@ class TestHandBackward:
         # the exact bits of the objective, the LL and the 9 gradients are
         # fixed: long trainings such as acceptance criterion 2 turn on
         # last-bit rounding, so any change to the order of the objective's or
-        # the backward's arithmetic shows here (benchmark shapes: channels 8,
-        # memory 3, K=1)
-        cfg = ModelConfig(label_count=labels, channel_width=8, memory_depth=3,
-                          fake_count=1, time_scale=30.0)
-        seq = augment(random_stream(labels, 14, 30.0, seed=labels), 1)
-        value, ll, grads = objective_with_grads(seq, ModelParams.init(cfg, seed=0), cfg,
-                                                TrainConfig())
+        # the backward's arithmetic shows here
+        value, ll, grads = objective_with_grads(*self.pinned_case(labels))
         h = hashlib.sha256(np.array([value, ll]).tobytes())
         for g in grads:
             h.update(g.tobytes())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("labels, digest", [
+        (5, "087531364c36c9b94ba90fef3c259232c13883c5afa45eb3a1aa3bb38e971bdf"),
+        (20, "d15eb19ef304c0d4741afb00111ebb6bafa7ff8a86a4c00af045784ca77ec1ce"),
+    ])
+    def test_tape_walk_bits_pinned(self, labels, digest):
+        # the slow reference's 9 gradients are fixed too: a change to how the
+        # tape records its reverse rules must leave the walk's arithmetic,
+        # and so its bits, as they are
+        _, _, grads = objective_with_grads_on_tape(*self.pinned_case(labels))
+        h = hashlib.sha256()
+        for g in grads:
+            h.update(g.tobytes())
+        assert h.hexdigest() == digest
+
+    @staticmethod
+    def pinned_case(labels):
+        """(seq, params, model config, train config) at the benchmark's shapes:
+        channels 8, memory 3, K=1."""
+        cfg = ModelConfig(label_count=labels, channel_width=8, memory_depth=3,
+                          fake_count=1, time_scale=30.0)
+        seq = augment(random_stream(labels, 14, 30.0, seed=labels), 1)
+        return seq, ModelParams.init(cfg, seed=0), cfg, TrainConfig()
 
 
 class TestTrain:
