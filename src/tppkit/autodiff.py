@@ -5,9 +5,13 @@ matrices), the tape is rebuilt per sequence, and backward is a single reverse
 walk over the tape. A forward op computes only its value; any factor that
 only its derivative needs (a sigmoid, a relu mask, a slice offset) is
 computed in the reverse walk, so a forward that is never differentiated pays
-nothing for it. Adjoints are computed in fresh per-call buffers and never
-mutated in place; every node sums its adjoint as the walk reaches it. The
-results are added into ``Node.grad``, so repeated ``backward`` calls
+nothing for it. Each op has one reverse rule, a module-level function
+``rule(node, adj)`` shared by every node of that op: it reads its operands
+from ``node.parents``, ``node.value`` and the parents' values, and hands
+each parent its share of ``adj``. A node therefore carries no closure, only
+a reference to its op's rule. Adjoints are computed in fresh per-call buffers
+and never mutated in place; every node sums its adjoint as the walk reaches
+it. The results are added into ``Node.grad``, so repeated ``backward`` calls
 accumulate. The package only records forward graphs (``model.forward``):
 training takes its gradients from ``model.backward`` by hand, and only the
 tests walk a tape, as the slow reference of that backward.
@@ -17,7 +21,9 @@ tape is one large reference cycle. Left alone, the cyclic garbage collector
 walks it again and again while it grows and frees it only in a late full
 collection. ``tape_scope()`` bounds that lifetime: inside it the collector is
 paused, and on exit every tape created inside is released (its node list is
-dropped), so reference counting frees the nodes at once. A released tape
+dropped), so reference counting frees the nodes at once, and with them
+only what each holds: its value array, its parents tuple and, for the
+slicing ops, its index. A released tape
 raises ``ValueError`` on a new node or on ``backward``. The scope pauses the
 process-wide collector, in line with the rule that a tape belongs to one
 thread.
@@ -47,17 +53,23 @@ class Node:
     that callers may add into in place; an interior node's ``grad`` is its
     adjoint itself, no copy, which may be shared with other nodes and must be
     treated as read-only.
+
+    ``op`` names the producing operation and ``_bw`` is its shared reverse
+    rule, called as ``_bw(node, adj)``; leaves and constants have none.
+    ``_arg`` holds the index of the slicing ops (``vslice``, ``row``,
+    ``rowslice``) and is None on every other node.
     """
 
-    __slots__ = ("tape", "value", "parents", "op", "_grad", "_bw", "_adj")
+    __slots__ = ("tape", "value", "parents", "op", "_grad", "_bw", "_arg", "_adj")
 
-    def __init__(self, tape, value, parents=(), op="leaf", bw=None):
+    def __init__(self, tape, value, parents=(), op="leaf", bw=None, arg=None):
         self.tape = tape
         self.value = value
         self.parents = parents
         self.op = op
         self._grad = None
         self._bw = bw
+        self._arg = arg
         self._adj = None
         nodes = tape._nodes
         if nodes is None:
@@ -166,7 +178,7 @@ def backward(tape: Tape, root: Node):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for n in reversed(nodes):
             if n._adj is not None and n._bw is not None:
-                n._bw(n._adj)
+                n._bw(n, n._adj)
         for n in nodes:
             adj = n._adj
             if adj is not None:
@@ -209,36 +221,36 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
         return g
     return np.sum(g).reshape(shape) if shape == () else g
 
+def _add_bw(node: Node, adj: np.ndarray):
+    x, y = node.parents
+    _acc(x, _reduce_to(adj, x.value.shape))
+    _acc(y, _reduce_to(adj, y.value.shape))
+
+
 def add(x, y) -> Node:
     tape, x, y = _operands(x, y, "add")
-    val = x.value + y.value
+    return Node(tape, x.value + y.value, (x, y), "add", _add_bw)
 
-    def bw(adj):
-        _acc(x, _reduce_to(adj, x.value.shape))
-        _acc(y, _reduce_to(adj, y.value.shape))
 
-    return Node(tape, val, (x, y), "add", bw)
+def _mul_bw(node: Node, adj: np.ndarray):
+    x, y = node.parents
+    xv, yv = x.value, y.value
+    _acc(x, _reduce_to(adj * yv, xv.shape))
+    _acc(y, _reduce_to(adj * xv, yv.shape))
 
 
 def mul(x, y) -> Node:
     tape, x, y = _operands(x, y, "mul")
-    xv, yv = x.value, y.value
-    val = xv * yv
+    return Node(tape, x.value * y.value, (x, y), "mul", _mul_bw)
 
-    def bw(adj):
-        _acc(x, _reduce_to(adj * yv, xv.shape))
-        _acc(y, _reduce_to(adj * xv, yv.shape))
 
-    return Node(tape, val, (x, y), "mul", bw)
+def _tanh_bw(node: Node, adj: np.ndarray):
+    val = node.value
+    _acc(node.parents[0], adj * (1.0 - val * val))
 
 
 def tanh(x: Node) -> Node:
-    val = np.tanh(x.value)
-
-    def bw(adj):
-        _acc(x, adj * (1.0 - val * val))
-
-    return Node(x.tape, val, (x,), "tanh", bw)
+    return Node(x.tape, np.tanh(x.value), (x,), "tanh", _tanh_bw)
 
 
 def _sigmoid_val(v: np.ndarray) -> np.ndarray:
@@ -247,37 +259,45 @@ def _sigmoid_val(v: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -v))
 
 
+def _sigmoid_bw(node: Node, adj: np.ndarray):
+    val = node.value
+    _acc(node.parents[0], adj * val * (1.0 - val))
+
+
 def sigmoid(x: Node) -> Node:
-    val = _sigmoid_val(x.value)
+    return Node(x.tape, _sigmoid_val(x.value), (x,), "sigmoid", _sigmoid_bw)
 
-    def bw(adj):
-        _acc(x, adj * val * (1.0 - val))
 
-    return Node(x.tape, val, (x,), "sigmoid", bw)
+def _relu_bw(node: Node, adj: np.ndarray):
+    x = node.parents[0]
+    _acc(x, adj * (x.value > 0.0))
 
 
 def relu(x: Node) -> Node:
-    xv = x.value
+    return Node(x.tape, np.maximum(x.value, 0.0), (x,), "relu", _relu_bw)
 
-    def bw(adj):
-        _acc(x, adj * (xv > 0.0))
 
-    return Node(x.tape, np.maximum(xv, 0.0), (x,), "relu", bw)
+def _softplus_bw(node: Node, adj: np.ndarray):
+    x = node.parents[0]
+    _acc(x, adj * _sigmoid_val(x.value))
 
 
 def softplus(x: Node) -> Node:
     xv = x.value
     # log1p(exp(-|x|)) + max(x, 0): stable for large |x|, strictly positive
     val = np.log1p(np.exp(-np.abs(xv))) + np.maximum(xv, 0.0)
-
-    def bw(adj):
-        _acc(x, adj * _sigmoid_val(xv))
-
-    return Node(x.tape, val, (x,), "softplus", bw)
+    return Node(x.tape, val, (x,), "softplus", _softplus_bw)
 
 
 # ---------------------------------------------------------------------------
 # linear algebra and structural operations
+
+
+def _linear_bw(node: Node, adj: np.ndarray):
+    W, x, b = node.parents
+    _acc(W, adj[:, None] @ x.value[None, :])
+    _acc(x, W.value.T @ adj)
+    _acc(b, adj)
 
 
 def linear(W: Node, x: Node, b: Node) -> Node:
@@ -288,14 +308,13 @@ def linear(W: Node, x: Node, b: Node) -> Node:
         raise ValueError("linear expects matrix, vector, vector")
     if Wv.shape[1] != xv.shape[0] or Wv.shape[0] != bv.shape[0]:
         raise ValueError(f"linear: incompatible shapes {Wv.shape}, {xv.shape}, {bv.shape}")
-    val = Wv @ xv + bv
+    return Node(tape, Wv @ xv + bv, (W, x, b), "linear", _linear_bw)
 
-    def bw(adj):
-        _acc(W, adj[:, None] @ xv[None, :])
-        _acc(x, Wv.T @ adj)
-        _acc(b, adj)
 
-    return Node(tape, val, (W, x, b), "linear", bw)
+def _matvec_bw(node: Node, adj: np.ndarray):
+    A, x = node.parents
+    _acc(A, adj[:, None] @ x.value[None, :])
+    _acc(x, A.value.T @ adj)
 
 
 def matvec(A: Node, x: Node) -> Node:
@@ -303,28 +322,22 @@ def matvec(A: Node, x: Node) -> Node:
     Av, xv = A.value, x.value
     if Av.ndim != 2 or xv.ndim != 1 or Av.shape[1] != xv.shape[0]:
         raise ValueError(f"matvec: incompatible shapes {Av.shape}, {xv.shape}")
-    val = Av @ xv
+    return Node(tape, Av @ xv, (A, x), "matvec", _matvec_bw)
 
-    def bw(adj):
-        _acc(A, adj[:, None] @ xv[None, :])
-        _acc(x, Av.T @ adj)
 
-    return Node(tape, val, (A, x), "matvec", bw)
+def _vsum_bw(node: Node, adj: np.ndarray):
+    x = node.parents[0]
+    _acc(x, np.broadcast_to(adj, x.value.shape))
 
 
 def vsum(x: Node) -> Node:
-    val = np.asarray(np.sum(x.value))
-
-    def bw(adj):
-        _acc(x, np.broadcast_to(adj, x.value.shape))
-
-    return Node(x.tape, val, (x,), "vsum", bw)
+    return Node(x.tape, np.asarray(np.sum(x.value)), (x,), "vsum", _vsum_bw)
 
 
-def _split_acc(parts, adj: np.ndarray):
-    # hand each part its leading-axis block of a concatenation's adjoint
+def _concat_bw(node: Node, adj: np.ndarray):
+    # hand each part its leading-axis block of the concatenation's adjoint
     off = 0
-    for p in parts:
+    for p in node.parents:
         end = off + p.value.shape[0]
         _acc(p, adj[off:end])
         off = end
@@ -332,13 +345,22 @@ def _split_acc(parts, adj: np.ndarray):
 
 def concat(parts) -> Node:
     """Concatenate 1-d nodes."""
-    parts = list(parts)
+    parts = tuple(parts)
     tape = _same_tape(*parts)
     for p in parts:
         if p.value.ndim != 1:
             raise ValueError("concat expects vectors")
     val = np.concatenate([p.value for p in parts])
-    return Node(tape, val, tuple(parts), "concat", lambda adj: _split_acc(parts, adj))
+    return Node(tape, val, parts, "concat", _concat_bw)
+
+
+def _slice_bw(node: Node, adj: np.ndarray):
+    # vslice, row and rowslice: the parent's adjoint is zero outside the
+    # node's index (its _arg)
+    x = node.parents[0]
+    g = np.zeros(x.value.shape)
+    g[node._arg] = adj
+    _acc(x, g)
 
 
 def vslice(x: Node, start: int, stop: int) -> Node:
@@ -347,14 +369,8 @@ def vslice(x: Node, start: int, stop: int) -> Node:
     n = x.value.shape[0]
     if not (0 <= start <= stop <= n):
         raise ValueError(f"vslice [{start}:{stop}] out of range for length {n}")
-    val = x.value[start:stop]
-
-    def bw(adj):
-        g = np.zeros(n)
-        g[start:stop] = adj
-        _acc(x, g)
-
-    return Node(x.tape, val, (x,), "vslice", bw)
+    index = slice(start, stop)
+    return Node(x.tape, x.value[index], (x,), "vslice", _slice_bw, index)
 
 
 def row(A: Node, i: int) -> Node:
@@ -362,39 +378,36 @@ def row(A: Node, i: int) -> Node:
         raise ValueError("row expects a matrix")
     if not (0 <= i < A.value.shape[0]):
         raise ValueError(f"row {i} out of range")
-    val = A.value[i]
-
-    def bw(adj):
-        g = np.zeros(A.value.shape)
-        g[i] = adj
-        _acc(A, g)
-
-    return Node(A.tape, val, (A,), "row", bw)
+    return Node(A.tape, A.value[i], (A,), "row", _slice_bw, i)
 
 
 # ---------------------------------------------------------------------------
 # batched matrix operations (one node covers all channels of a token)
 
 
+def _reshape_bw(node: Node, adj: np.ndarray):
+    x = node.parents[0]
+    _acc(x, adj.reshape(x.value.shape))
+
+
 def reshape(x: Node, shape) -> Node:
-    shape = tuple(shape)
-    val = x.value.reshape(shape)
+    return Node(x.tape, x.value.reshape(tuple(shape)), (x,), "reshape", _reshape_bw)
 
-    def bw(adj):
-        _acc(x, adj.reshape(x.value.shape))
 
-    return Node(x.tape, val, (x,), "reshape", bw)
+def _transpose_bw(node: Node, adj: np.ndarray):
+    _acc(node.parents[0], adj.T)
 
 
 def transpose(x: Node) -> Node:
     if x.value.ndim != 2:
         raise ValueError("transpose expects a matrix")
-    val = x.value.T
+    return Node(x.tape, x.value.T, (x,), "transpose", _transpose_bw)
 
-    def bw(adj):
-        _acc(x, adj.T)
 
-    return Node(x.tape, val, (x,), "transpose", bw)
+def _matmul_bw(node: Node, adj: np.ndarray):
+    A, B = node.parents
+    _acc(A, adj @ B.value.T)
+    _acc(B, A.value.T @ adj)
 
 
 def matmul(A: Node, B: Node) -> Node:
@@ -402,13 +415,13 @@ def matmul(A: Node, B: Node) -> Node:
     Av, Bv = A.value, B.value
     if Av.ndim != 2 or Bv.ndim != 2 or Av.shape[1] != Bv.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {Av.shape}, {Bv.shape}")
-    val = Av @ Bv
+    return Node(tape, Av @ Bv, (A, B), "matmul", _matmul_bw)
 
-    def bw(adj):
-        _acc(A, adj @ Bv.T)
-        _acc(B, Av.T @ adj)
 
-    return Node(tape, val, (A, B), "matmul", bw)
+def _add_col_bw(node: Node, adj: np.ndarray):
+    A, b = node.parents
+    _acc(A, adj)
+    _acc(b, adj.sum(axis=1))
 
 
 def add_col(A: Node, b: Node) -> Node:
@@ -417,25 +430,19 @@ def add_col(A: Node, b: Node) -> Node:
     Av, bv = A.value, b.value
     if Av.ndim != 2 or bv.ndim != 1 or Av.shape[0] != bv.shape[0]:
         raise ValueError(f"add_col: incompatible shapes {Av.shape}, {bv.shape}")
-    val = Av + bv[:, None]
-
-    def bw(adj):
-        _acc(A, adj)
-        _acc(b, adj.sum(axis=1))
-
-    return Node(tape, val, (A, b), "add_col", bw)
+    return Node(tape, Av + bv[:, None], (A, b), "add_col", _add_col_bw)
 
 
 def concat_rows(parts) -> Node:
     """Concatenate matrices along axis 0 (equal column counts)."""
-    parts = list(parts)
+    parts = tuple(parts)
     tape = _same_tape(*parts)
     cols = parts[0].value.shape[1]
     for p in parts:
         if p.value.ndim != 2 or p.value.shape[1] != cols:
             raise ValueError("concat_rows expects matrices with equal column counts")
     val = np.concatenate([p.value for p in parts], axis=0)
-    return Node(tape, val, tuple(parts), "concat_rows", lambda adj: _split_acc(parts, adj))
+    return Node(tape, val, parts, "concat_rows", _concat_bw)
 
 
 def rowslice(A: Node, start: int, stop: int) -> Node:
@@ -444,14 +451,13 @@ def rowslice(A: Node, start: int, stop: int) -> Node:
     n = A.value.shape[0]
     if not (0 <= start <= stop <= n):
         raise ValueError(f"rowslice [{start}:{stop}] out of range for {n} rows")
-    val = A.value[start:stop]
+    index = slice(start, stop)
+    return Node(A.tape, A.value[index], (A,), "rowslice", _slice_bw, index)
 
-    def bw(adj):
-        g = np.zeros(A.value.shape)
-        g[start:stop] = adj
-        _acc(A, g)
 
-    return Node(A.tape, val, (A,), "rowslice", bw)
+def _softmax_cols_bw(node: Node, adj: np.ndarray):
+    val = node.value
+    _acc(node.parents[0], val * (adj - (val * adj).sum(axis=0, keepdims=True)))
 
 
 def softmax_cols(S: Node) -> Node:
@@ -460,9 +466,4 @@ def softmax_cols(S: Node) -> Node:
     if Sv.ndim != 2 or Sv.shape[0] == 0:
         raise ValueError("softmax_cols expects a matrix with at least one row")
     e = np.exp(Sv - Sv.max(axis=0, keepdims=True))
-    val = e / e.sum(axis=0, keepdims=True)
-
-    def bw(adj):
-        _acc(S, val * (adj - (val * adj).sum(axis=0, keepdims=True)))
-
-    return Node(S.tape, val, (S,), "softmax_cols", bw)
+    return Node(S.tape, e / e.sum(axis=0, keepdims=True), (S,), "softmax_cols", _softmax_cols_bw)

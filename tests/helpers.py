@@ -99,7 +99,7 @@ def objective_with_grads_on_tape(seq, params, model_cfg, train_cfg):
         # the rate vectors stacked into one (N, M+1) node, each row handing
         # its adjoint to its own vector
         rates = ad.Node(fwd.tape, fwd.rate_values(), tuple(fwd.rates), "stack",
-                        lambda adj: [ad._acc(r, a) for r, a in zip(fwd.rates, adj)])
+                        lambda node, adj: [ad._acc(r, a) for r, a in zip(node.parents, adj)])
         root = ad.vsum(ad.mul(rates, fwd.tape.const(rate_adj)))
         ad.backward(fwd.tape, root)
         pn = fwd.params
