@@ -448,14 +448,23 @@ def backward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,
         np.add.at(d_emb, labels[::-1], _last_first(np.matmul(p.lstm_wx.T, d_z)[:, :-1, 0]))
         grads["lstm_b"] = _sum_last_first(d_z[:, :, 0])
         d_z = _blocks(d_z)
-        grads["lstm_wx"], grads["lstm_wh"] = d_z @ _last_first(x), d_z @ _last_first(h_prev)
+        grads["lstm_wx"] = _block_product(d_z, _last_first(x))
+        grads["lstm_wh"] = _block_product(d_z, _last_first(h_prev))
         return ModelParams(embedding=d_emb, **grads)
 
 
-# A weight's gradient is one product of the per-row adjoints, last row first,
+# A weight's gradient is a product of the per-row adjoints, last row first,
 # by the per-row operands stacked F-ordered (head) or C-ordered (LSTM vectors).
-# BLAS rounds differently per layout, and long trainings such as acceptance
-# criterion 2 turn on last-bit rounding, so the order and layouts are fixed.
+# Long trainings such as acceptance criterion 2 turn on last-bit rounding, and
+# BLAS rounds differently per layout and per thread count, so the order, the
+# layouts and the split of the inner axis are fixed. The inner axis grows with
+# the token count, and OpenBLAS splits a long one differently at one thread
+# than at several: numpy's OpenBLAS 0.3.31 rounded every inner length up to
+# 384 alike at 1, 2 and 4 threads, and most longer ones differently at 1. So
+# each product is summed over consecutive _BLOCK-long stretches of the inner
+# axis, first stretch first; _BLOCK is the largest power of two within 384.
+_BLOCK = 256
+
 
 def _last_first(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a[::-1])
@@ -467,7 +476,15 @@ def _blocks(a: np.ndarray) -> np.ndarray:
 
 
 def _rows_product(adj: np.ndarray, operand: np.ndarray) -> np.ndarray:
-    return _blocks(adj) @ _blocks(operand).T
+    return _block_product(_blocks(adj), _blocks(operand).T)
+
+
+def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as products over _BLOCK-long stretches of the inner axis, added in order."""
+    out = a[:, :_BLOCK] @ b[:_BLOCK]
+    for s in range(_BLOCK, a.shape[1], _BLOCK):
+        out += a[:, s:s + _BLOCK] @ b[s:s + _BLOCK]
+    return out
 
 
 def _sum_last_first(a: np.ndarray) -> np.ndarray:

@@ -1,11 +1,16 @@
 import gc
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tppkit import training
 from tppkit.model import ModelConfig, ModelParams, forward
 from tppkit.pgem import exact_ll, rate_at, sample_spec, simulate
 from tppkit.streams import Dataset, Epoch, EventStream, augment
@@ -424,7 +429,7 @@ class TestHandBackward:
 
     @pytest.mark.parametrize("labels, digest", [
         (5, "0dac4b48d4d0f14a070d7b4d8e87290eaa0144a8fab8107b4c24cff25b71bdd6"),
-        (20, "65ce070efac3c67e36934720008b5d51c4d317c91f35d1e8cd0ff68ad319497e"),
+        (20, "364ad9e5b046a03c4abc901b0da6584af4b505f5214544b5deb61cdc399755a1"),
     ])
     def test_bits_pinned(self, labels, digest):
         # the exact bits of the objective, the LL and the 9 gradients are
@@ -450,6 +455,34 @@ class TestHandBackward:
         for g in grads:
             h.update(g.tobytes())
         assert h.hexdigest() == digest
+
+    def test_gradients_do_not_depend_on_blas_threads(self):
+        # the 9 gradients of a 1203-token sequence, computed in a child process
+        # at one BLAS thread and in one at two, agree byte for byte: the
+        # weight products' inner axes grow with the token count, and a long
+        # one is split differently by OpenBLAS's serial and threaded drivers
+        code = ("import hashlib\nimport numpy as np\n"
+                "from tppkit.model import ModelConfig, ModelParams\n"
+                "from tppkit.streams import Epoch, EventStream, augment\n"
+                "from tppkit.training import TrainConfig, objective_with_grads\n"
+                "rng = np.random.default_rng(0)\n"
+                "times, labels = np.sort(rng.uniform(0.0, 1000.0, 600)), rng.integers(0, 5, 600)\n"
+                "stream = EventStream(tuple(map(Epoch, times.tolist(), labels.tolist())), 1000.0, 5)\n"
+                "cfg = ModelConfig(label_count=5, memory_depth=3, fake_count=1, time_scale=1000.0)\n"
+                "seq = augment(stream, 1)\n"
+                "_, _, grads = objective_with_grads(seq, ModelParams.init(cfg, seed=0), cfg,\n"
+                "                                   TrainConfig())\n"
+                "print(len(seq), hashlib.sha256(b''.join(g.tobytes() for g in grads)).hexdigest())\n")
+        src = str(Path(training.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0].startswith("1203 ")
+        assert outputs[0] == outputs[1]
 
     @staticmethod
     def pinned_case(labels):
