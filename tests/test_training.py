@@ -466,13 +466,14 @@ class TestHandBackward:
                 "from tppkit.streams import Epoch, EventStream, augment\n"
                 "from tppkit.training import TrainConfig, objective_with_grads\n"
                 "rng = np.random.default_rng(0)\n"
-                "times, labels = np.sort(rng.uniform(0.0, 1000.0, 600)), rng.integers(0, 5, 600)\n"
-                "stream = EventStream(tuple(map(Epoch, times.tolist(), labels.tolist())), 1000.0, 5)\n"
-                "cfg = ModelConfig(label_count=5, memory_depth=3, fake_count=1, time_scale=1000.0)\n"
-                "seq = augment(stream, 1)\n"
-                "_, _, grads = objective_with_grads(seq, ModelParams.init(cfg, seed=0), cfg,\n"
-                "                                   TrainConfig())\n"
-                "print(len(seq), hashlib.sha256(b''.join(g.tobytes() for g in grads)).hexdigest())\n")
+                "times = np.sort(rng.uniform(0.0, 1000.0, 600)).tolist()\n"
+                "labels = rng.integers(0, 5, 600).tolist()\n"
+                "seq = augment(EventStream(tuple(map(Epoch, times, labels)), 1000.0, 5), 1)\n"
+                "cfg = ModelConfig(5, memory_depth=3, fake_count=1, time_scale=1000.0)\n"
+                "params = ModelParams.init(cfg, seed=0)\n"
+                "_, _, grads = objective_with_grads(seq, params, cfg, TrainConfig())\n"
+                "digest = hashlib.sha256(b''.join(g.tobytes() for g in grads))\n"
+                "print(len(seq), digest.hexdigest())\n")
         src = str(Path(training.__file__).parents[1])
         outputs = []
         for threads in ("1", "2"):
