@@ -349,108 +349,144 @@ def backward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,
              cells: list, rate_adj: np.ndarray) -> ModelParams:
     """Fresh parameter gradients from the adjoint of forward's (N, M+1) rates.
 
-    cells is ForwardResult.cells. The head is recomputed and reversed for all
-    N rows at once, each step one product batched over the rows in the
-    shapes and layouts of forward's per-row products; row r attends over the
-    last J tokens at or before r, one (N, J) index array with padding slots
-    masked. One reverse loop over the LSTM follows. Elementwise steps use the
-    tape's formulas in its order and sums over rows run from the last row, as
-    the tape's reverse walk adds them, so every per-token adjoint equals the
-    tape's to the last bit.
+    cells is ForwardResult.cells. One loop runs over blocks of _BLOCK rows,
+    counted from the last row (``_reverse_block``), carrying the LSTM's
+    adjoints, the adjoints the later rows left for the records before the
+    block, and the running gradient sums from block to block. Elementwise
+    steps use the tape's formulas in its order and sums over rows run from
+    the last row, as the tape's reverse walk adds them, so every per-token
+    adjoint equals the tape's to the last bit. Only one block's (rows, J*M, C)
+    attention arrays are alive at a time, so the memory backward adds does
+    not grow with the stream.
+    """
+    H = config.hidden_dim
+    grads = dict.fromkeys(_PARAM_FIELDS)
+    grads["embedding"] = np.zeros_like(params.embedding)
+    carry = np.zeros((0, config.label_count * config.channel_width))
+    dz, dc = np.zeros(4 * H), np.zeros(H)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for e in range(len(seq) - 1, 0, -_BLOCK):
+            carry, dz, dc = _reverse_block(max(e - _BLOCK, 0), e, seq, params, config, cells,
+                                           rate_adj, grads, carry, dz, dc)
+    return ModelParams(**grads)
+
+
+def _reverse_block(s, e, seq, p, config, cells, rate_adj, grads, carry, dz, dc):
+    """Rows s..e-1 of ``backward``, added into grads.
+
+    The block stacks its own cells (its tokens and the max(J-1, 1) before
+    them, which its bank and its first LSTM step read), recomputes and reverses the head for its rows at once, each step one
+    product batched over the rows in the shapes and layouts of forward's
+    per-row products, scatters its rows' adjoints into the bank records they
+    read, runs its reverse LSTM steps and adds its stretches into the running
+    weight products. Row r attends over the last J tokens at or before r, one
+    index array with padding slots masked. carry holds the record adjoints
+    that later rows left for the tokens before e, dz and dc the LSTM's
+    adjoints after token e-1; returns the same three at s.
     """
     m, M, C, H = config.channel_width, config.label_count, config.channel_count, config.hidden_dim
     J = config.memory_depth
-    p = params
-    n = len(seq) - 1
-    hs, cs, gi, gf, gg, go, tanh_c = np.array(cells[:n]).transpose(1, 0, 2)
-    times = seq.times
-    labels = seq.labels[:n]
-    slots = np.arange(n)[:, None] + np.arange(1 - J, 1)
-    idx = np.maximum(slots, 0)                                 # (n, J) bank token positions
-    bank = hs[idx, :M * m].reshape(n, J * M, m)                # row j*M + q: slot j, label q
-    chans = hs.reshape(n, C, m)
-    query = chans.transpose(0, 2, 1)                           # (n, m, C), column k = h_k
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # masked softmax over each row's bank, in place: the padding slots of
-        # the first J-1 rows get zero weight, and every row's last slot holds
-        # its own token's record (the initial only serves J = 0)
-        alpha = np.matmul(bank, query)
-        np.copyto(alpha, -np.inf, where=np.repeat(slots < 0, M, axis=1)[:, :, None])
-        alpha -= alpha.max(axis=1, keepdims=True, initial=-np.inf)
-        np.exp(alpha, out=alpha)
-        alpha /= alpha.sum(axis=1, keepdims=True)
-        u = np.concatenate([np.matmul(bank.transpose(0, 2, 1), alpha), query], axis=1)
-        net = np.tanh(np.matmul(p.attn_w, u))
-        dts = np.diff(times) / config.time_scale
-        z = np.concatenate([net, np.broadcast_to(dts[:, None, None], (n, 1, C))], axis=1)
-        hidden = np.maximum(np.matmul(p.f1_w, z) + p.f1_b[:, None], 0.0)
+    times, labels = seq.times, seq.labels
+    rows = e - s
+    lo = max(s - max(J - 1, 1), 0)                     # first token the block reads
+    first = s - lo                                     # row s's place in the stack
+    hs, cs, gi, gf, gg, go, tanh_c = np.array(cells[lo:e]).transpose(1, 0, 2)
+    slots = np.arange(s, e)[:, None] + np.arange(1 - J, 1)
+    idx = np.maximum(slots, 0)                         # (rows, J) bank token positions
+    bank = hs[idx - lo, :M * m].reshape(rows, J * M, m)  # row j*M + q: slot j, label q
+    chans = hs[first:].reshape(rows, C, m)
+    query = chans.transpose(0, 2, 1)                   # (rows, m, C), column k = h_k
+    # masked softmax over each row's bank, in place: the padding slots of
+    # the first J-1 rows get zero weight, and every row's last slot holds
+    # its own token's record (the initial only serves J = 0)
+    alpha = np.matmul(bank, query)
+    np.copyto(alpha, -np.inf, where=np.repeat(slots < 0, M, axis=1)[:, :, None])
+    alpha -= alpha.max(axis=1, keepdims=True, initial=-np.inf)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    u = np.concatenate([np.matmul(bank.transpose(0, 2, 1), alpha), query], axis=1)
+    net = np.tanh(np.matmul(p.attn_w, u))
+    dts = np.diff(times[s:e + 1]) / config.time_scale
+    z = np.concatenate([net, np.broadcast_to(dts[:, None, None], (rows, 1, C))], axis=1)
+    hidden = np.maximum(np.matmul(p.f1_w, z) + p.f1_b[:, None], 0.0)
 
-        # reverse through the head, taking each weight's gradient as soon as
-        # its operands are final and then dropping them; d_alpha becomes the
-        # score adjoint in place
-        d_out = rate_adj[:, None, :] * ad._sigmoid_val(np.matmul(p.f2_w, hidden) + p.f2_b[:, None])
-        grads = {"f2_w": _rows_product(d_out, hidden), "f2_b": _sum_last_first(d_out.sum(axis=2))}
-        d_z1 = p.f2_w.T * d_out
-        d_z1 *= hidden > 0.0                                   # relu's mask, as z1 > 0
-        del hidden
-        grads["f1_w"], grads["f1_b"] = _rows_product(d_z1, z), _sum_last_first(d_z1.sum(axis=2))
-        d_pre = np.matmul(p.f1_w.T, d_z1)[:, :m] * (1.0 - net * net)
-        del z, d_z1, net
-        grads["attn_w"] = _rows_product(d_pre, u)
-        d_u = np.matmul(p.attn_w.T, d_pre)
-        del u, d_pre
-        d_alpha = np.matmul(bank, d_u[:, :m])
-        d_ctx_bank = np.matmul(d_u[:, :m], alpha.transpose(0, 2, 1)).transpose(0, 2, 1)
-        rowdot = np.zeros((n, C))
-        for j in range(J * M):                   # summed bank row by bank row, as the tape does
-            rowdot += alpha[:, j] * d_alpha[:, j]
-        d_alpha -= rowdot[:, None]
-        d_alpha *= alpha
-        del alpha
-        d_score_bank = np.matmul(d_alpha, chans).reshape(n, J, M * m)
-        d_h = (d_u[:, m:] + np.matmul(bank.transpose(0, 2, 1), d_alpha)).transpose(0, 2, 1)
-        del d_alpha, d_u, bank
-        # a row whose bank is one record hands it the context and the score
-        # part one after the other (on the tape that bank is the record's own
-        # node); other rows hand each record the sum of the two
-        single = (slots >= 0).sum(axis=1) == 1
-        d_bank = d_ctx_bank.reshape(n, J, M * m) + d_score_bank * ~single[:, None, None]
-        records = np.zeros((n, M * m))
-        np.add.at(records, _last_first(idx), _last_first(d_bank))
-        np.add.at(records, _last_first(idx[single]), _last_first(d_score_bank[single]))
-        del d_ctx_bank, d_score_bank, d_bank
-        d_h = d_h.reshape(n, H)
-        d_h[:, :M * m] += records
+    # reverse through the head, adding each weight's stretches as soon
+    # as its operands are final and then dropping them; d_alpha
+    # becomes the score adjoint in place
+    pre = np.matmul(p.f2_w, hidden) + p.f2_b[:, None]
+    d_out = rate_adj[s:e, None, :] * ad._sigmoid_val(pre)
+    grads["f2_w"] = _rows_product(d_out, hidden, grads["f2_w"])
+    grads["f2_b"] = _sum_last_first(d_out.sum(axis=2), grads["f2_b"])
+    d_z1 = p.f2_w.T * d_out
+    d_z1 *= hidden > 0.0                               # relu's mask, as z1 > 0
+    del hidden
+    grads["f1_w"] = _rows_product(d_z1, z, grads["f1_w"])
+    grads["f1_b"] = _sum_last_first(d_z1.sum(axis=2), grads["f1_b"])
+    d_pre = np.matmul(p.f1_w.T, d_z1)[:, :m] * (1.0 - net * net)
+    del z, d_z1, net
+    grads["attn_w"] = _rows_product(d_pre, u, grads["attn_w"])
+    d_u = np.matmul(p.attn_w.T, d_pre)
+    del u, d_pre
+    d_alpha = np.matmul(bank, d_u[:, :m])
+    d_ctx_bank = np.matmul(d_u[:, :m], alpha.transpose(0, 2, 1)).transpose(0, 2, 1)
+    rowdot = np.zeros((rows, C))
+    for j in range(J * M):               # summed bank row by bank row, as the tape does
+        rowdot += alpha[:, j] * d_alpha[:, j]
+    d_alpha -= rowdot[:, None]
+    d_alpha *= alpha
+    del alpha
+    d_score_bank = np.matmul(d_alpha, chans).reshape(rows, J, M * m)
+    d_h = (d_u[:, m:] + np.matmul(bank.transpose(0, 2, 1), d_alpha)).transpose(0, 2, 1)
+    del d_alpha, d_u, bank
+    # a row whose bank is one record hands it the context and the score
+    # part one after the other (on the tape that bank is the record's own
+    # node); other rows hand each record the sum of the two. Scattered
+    # last row first, as the tape adds them: the block's records start
+    # from the adjoints the later rows left, and a one-record row's
+    # second part goes in after every first part its record takes
+    single = (slots >= 0).sum(axis=1) == 1
+    d_bank = d_ctx_bank.reshape(rows, J, M * m) + d_score_bank * ~single[:, None, None]
+    start = max(s - max(J - 1, 0), 0)                  # first record the block writes
+    records = np.zeros((e - start, M * m))
+    records[records.shape[0] - carry.shape[0]:] = carry
+    np.add.at(records, _last_first(idx - start), _last_first(d_bank))
+    np.add.at(records, _last_first(idx[single] - start),
+              _last_first(d_score_bank[single]))
+    del d_ctx_bank, d_score_bank, d_bank
+    d_h = d_h.reshape(rows, H)
+    d_h[:, :M * m] += records[s - start:]
 
-        # one reverse loop over the LSTM; d_z rows are the (i, f, g, o)
-        # pre-activation adjoints, each ((dc or dh) * a) * b * c as on the tape
-        c_prev = np.concatenate([np.zeros((1, H)), cs[:-1]])
-        a = np.stack([gg, c_prev, gi, tanh_c], axis=1)
-        b = np.stack([gi, gf, np.ones((n, H)), go], axis=1)
-        c = np.stack([1.0 - gi, 1.0 - gf, 1.0 - gg * gg, 1.0 - go], axis=1)
-        keep_c = 1.0 - tanh_c * tanh_c
-        d_z = np.empty((n, 4, H))
-        dz, dc = np.zeros(4 * H), np.zeros(H)
-        for t in range(n - 1, -1, -1):
-            dh = d_h[t] + p.lstm_wh.T @ dz
-            dc = dc + dh * go[t] * keep_c[t]
-            np.multiply(a[t, :3], dc, out=d_z[t, :3])
-            np.multiply(a[t, 3], dh, out=d_z[t, 3])
-            d_z[t] *= b[t]
-            d_z[t] *= c[t]
-            dc = dc * gf[t]
-            dz = d_z[t].reshape(4 * H)
-        del a, b, c
-        d_z = d_z.reshape(n, 4 * H, 1)
-        x = np.concatenate([p.embedding[labels], times[:n, None] / config.time_scale], axis=1)
-        h_prev = np.concatenate([np.zeros((1, H)), hs[:-1]])
-        d_emb = np.zeros_like(p.embedding)
-        np.add.at(d_emb, labels[::-1], _last_first(np.matmul(p.lstm_wx.T, d_z)[:, :-1, 0]))
-        grads["lstm_b"] = _sum_last_first(d_z[:, :, 0])
-        d_z = _blocks(d_z)
-        grads["lstm_wx"] = _block_product(d_z, _last_first(x))
-        grads["lstm_wh"] = _block_product(d_z, _last_first(h_prev))
-        return ModelParams(embedding=d_emb, **grads)
+    # the block's reverse LSTM steps; d_z rows are the (i, f, g, o)
+    # pre-activation adjoints, each ((dc or dh) * a) * b * c as on the tape
+    h_prev = np.concatenate([np.zeros((1, H)), hs[:-1]]) if s == 0 else hs[first - 1:-1]
+    c_prev = np.concatenate([np.zeros((1, H)), cs[:-1]]) if s == 0 else cs[first - 1:-1]
+    gi, gf, gg, go, tanh_c = gi[first:], gf[first:], gg[first:], go[first:], tanh_c[first:]
+    a = np.stack([gg, c_prev, gi, tanh_c], axis=1)
+    b = np.stack([gi, gf, np.ones((rows, H)), go], axis=1)
+    c = np.stack([1.0 - gi, 1.0 - gf, 1.0 - gg * gg, 1.0 - go], axis=1)
+    keep_c = 1.0 - tanh_c * tanh_c
+    d_z = np.empty((rows, 4, H))
+    for t in range(rows - 1, -1, -1):
+        dh = d_h[t] + p.lstm_wh.T @ dz
+        dc = dc + dh * go[t] * keep_c[t]
+        np.multiply(a[t, :3], dc, out=d_z[t, :3])
+        np.multiply(a[t, 3], dh, out=d_z[t, 3])
+        d_z[t] *= b[t]
+        d_z[t] *= c[t]
+        dc = dc * gf[t]
+        dz = d_z[t].reshape(4 * H)
+    del a, b, c
+    d_z = d_z.reshape(rows, 4 * H, 1)
+    x = np.concatenate([p.embedding[labels[s:e]], times[s:e, None] / config.time_scale],
+                       axis=1)
+    np.add.at(grads["embedding"], labels[s:e][::-1],
+              _last_first(np.matmul(p.lstm_wx.T, d_z)[:, :-1, 0]))
+    grads["lstm_b"] = _sum_last_first(d_z[:, :, 0], grads["lstm_b"])
+    d_z = _blocks(d_z)
+    grads["lstm_wx"] = _block_product(d_z, _last_first(x), grads["lstm_wx"])
+    grads["lstm_wh"] = _block_product(d_z, _last_first(h_prev), grads["lstm_wh"])
+    # copies, so that no view keeps the block's arrays alive into the next one
+    return records[:s - start].copy(), dz.copy(), dc
 
 
 # A weight's gradient is a product of the per-row adjoints, last row first,
@@ -463,6 +499,18 @@ def backward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,
 # 384 alike at 1, 2 and 4 threads, and most longer ones differently at 1. So
 # each product is summed over consecutive _BLOCK-long stretches of the inner
 # axis, first stretch first; _BLOCK is the largest power of two within 384.
+#
+# backward's row block is _BLOCK rows too, counted from the last row. Row r
+# sits at columns (N-1-r)*C... of a head product's inner axis and at column
+# N-1-r of an LSTM product's, so a full block is exactly C head stretches and
+# one LSTM stretch: adding each block's stretches onto the running products
+# keeps their order, and the bits. Only one block's (rows, J*M, C) attention
+# arrays are alive at once, so backward's memory no longer grows by J*M*C
+# floats per token; what spans the stream is its input, forward's cells and
+# the rate adjoint, O(M) floats per token. When backward held all N rows'
+# head arrays at once, its fresh large arrays could not reuse the memory that
+# the forward tape had just released in many small pieces, so a training
+# step's RSS rose by the whole-stream backward on top of the tape's.
 _BLOCK = 256
 
 
@@ -475,21 +523,27 @@ def _blocks(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a[::-1].transpose(1, 0, 2)).reshape(a.shape[1], -1)
 
 
-def _rows_product(adj: np.ndarray, operand: np.ndarray) -> np.ndarray:
-    return _block_product(_blocks(adj), _blocks(operand).T)
+def _rows_product(adj: np.ndarray, operand: np.ndarray, out=None) -> np.ndarray:
+    return _block_product(_blocks(adj), _blocks(operand).T, out)
 
 
-def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b as products over _BLOCK-long stretches of the inner axis, added in order."""
-    out = a[:, :_BLOCK] @ b[:_BLOCK]
-    for s in range(_BLOCK, a.shape[1], _BLOCK):
-        out += a[:, s:s + _BLOCK] @ b[s:s + _BLOCK]
+def _block_product(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a @ b as products over _BLOCK-long stretches of the inner axis, added in
+    order onto out (None: the first stretch's product starts the sum)."""
+    for s in range(0, a.shape[1], _BLOCK):
+        part = a[:, s:s + _BLOCK] @ b[s:s + _BLOCK]
+        if out is None:
+            out = part
+        else:
+            out += part
     return out
 
 
-def _sum_last_first(a: np.ndarray) -> np.ndarray:
-    """Sum over axis 0, one row at a time from the last row."""
-    return np.add.accumulate(a[::-1], axis=0)[-1].copy()
+def _sum_last_first(a: np.ndarray, out=None) -> np.ndarray:
+    """Sum over axis 0, one row at a time from the last row, onto out (None:
+    the last row starts the sum, so a -0.0 sum stays -0.0)."""
+    rows = a[::-1] if out is None else np.concatenate([out[None], a[::-1]])
+    return np.add.accumulate(rows, axis=0)[-1].copy()
 
 
 # ---------------------------------------------------------------------------

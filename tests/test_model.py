@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,6 +428,34 @@ def test_ll_gradient_three_labels_five_events():
 
     fd = numerical_grad(f, params.flatten())
     assert_grads_close(flat, fd)
+
+
+def test_backward_memory_is_flat_in_the_token_count():
+    # the traced peak of ``backward`` at M=20, J=3 (the fit-m20 shape) on a
+    # 751- and a 3001-token stream: its (rows, J*M, C) head arrays hold one
+    # 256-row block at a time, so the peak grows by at most 4 KiB per extra
+    # token (a whole-stream head grew by about 40 KiB per token)
+    cfg = ModelConfig(label_count=20, channel_width=8, memory_depth=3, fake_count=1,
+                      time_scale=100.0)
+    params = ModelParams.init(cfg, seed=0)
+    rng = np.random.default_rng(3)
+    peaks, tokens = [], []
+    for events in (374, 1499):
+        times = np.sort(rng.uniform(0.0, 100.0, events))
+        seq = make_seq(times.tolist(), rng.integers(0, 20, events).tolist(), 100.0, 20)
+        with ad.tape_scope():
+            cells = forward(seq, params, cfg).cells
+        rate_adj = rng.normal(size=(len(seq) - 1, cfg.channel_count))
+        tracemalloc.start()
+        try:
+            backward(seq, params, cfg, cells, rate_adj)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        tokens.append(len(seq))
+    assert tokens == [751, 3001]
+    per_token = (peaks[1] - peaks[0]) / (tokens[1] - tokens[0])
+    assert per_token <= 4096, f"{per_token / 1024:.1f} KiB per token"
 
 
 class TestCheckpoint:

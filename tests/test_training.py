@@ -430,7 +430,7 @@ class TestHandBackward:
     @pytest.mark.parametrize("labels, digest", [
         (5, "0dac4b48d4d0f14a070d7b4d8e87290eaa0144a8fab8107b4c24cff25b71bdd6"),
         (20, "364ad9e5b046a03c4abc901b0da6584af4b505f5214544b5deb61cdc399755a1"),
-    ])
+    ], ids=["M5", "M20"])
     def test_bits_pinned(self, labels, digest):
         # the exact bits of the objective, the LL and the 9 gradients are
         # fixed: long trainings such as acceptance criterion 2 turn on
@@ -445,7 +445,7 @@ class TestHandBackward:
     @pytest.mark.parametrize("labels, digest", [
         (5, "087531364c36c9b94ba90fef3c259232c13883c5afa45eb3a1aa3bb38e971bdf"),
         (20, "d15eb19ef304c0d4741afb00111ebb6bafa7ff8a86a4c00af045784ca77ec1ce"),
-    ])
+    ], ids=["M5", "M20"])
     def test_tape_walk_bits_pinned(self, labels, digest):
         # the slow reference's 9 gradients are fixed too: a change to how the
         # tape records its reverse rules must leave the walk's arithmetic,
@@ -485,6 +485,34 @@ class TestHandBackward:
         assert outputs[0].startswith("1203 ")
         assert outputs[0] == outputs[1]
 
+    MULTI_BLOCK = [
+        (5, 0, 257, "db7d73b102983a8bbb5dadc236e5df4d092730453bd53d26a0da8b60abdc58e0"),
+        (5, 0, 514, "751081e4d72185bc9f0bdf6f41bdc3e1798e00b985d6c50cb6f1b8b10c98f54a"),
+        (5, 1, 257, "99291ea2bb6090b499152932a6d3bc7308ab1515ea815ece0179179cbf274b86"),
+        (5, 1, 514, "47f1e93ba7f2117fa8da70585091d7cbaa670cc84e3cff1965b29086822db85f"),
+        (5, 3, 257, "983e64d431043f921110cf8a37bb4d35a550c501ab8bb449bc1a38c9fd0b95ae"),
+        (5, 3, 514, "cbb72d1e439a0e9377610ba78ea6a441d8972e05365a17405a20f4033bd11c5d"),
+        (20, 0, 257, "4afd7c0c851703b36dccfe68715becb9a23521eecfadb3a040d16bbba70ec352"),
+        (20, 0, 514, "a466ec2b044d5ff00e42a50f28fcc8a7117f89c61640c991f6e2bc9ff4c66809"),
+        (20, 1, 257, "c0ac7ff7e5516c560842779728f4c937a9a89f92e5d3b209428e862ad701c9b6"),
+        (20, 1, 514, "a1f6d63a22e20b359d32158f107bd50bfe0c6d3fb561c5d12d5fc55c5ac438e0"),
+        (20, 3, 257, "093b1b08b55e96abb4a05a42bd44b087c013d66257d5793dea386b455d2f5b2f"),
+        (20, 3, 514, "28acf07b0a24ed83db6b314f6f3a2b516a60a24d1beac1e39db6fdd9b7b93efe"),
+        (20, 3, 1200, "3b164b8f27fbee0da62d9efbfcea495065229091d6bc616e731d03db3b47a6f6"),
+    ]
+
+    @pytest.mark.parametrize("labels, depth, rows, digest", MULTI_BLOCK,
+                             ids=[f"M{m}-J{j}-{n}rows" for m, j, n, _ in MULTI_BLOCK])
+    def test_multi_block_bits_pinned(self, labels, depth, rows, digest):
+        # streams longer than one 256-row block of model.backward: 257 and 514
+        # rows leave a front block of 1 and 2 rows, fewer than J at J=3, and
+        # 1200 rows cross four block boundaries
+        value, ll, grads = objective_with_grads(*self.block_case(labels, depth, rows))
+        h = hashlib.sha256(np.array([value, ll]).tobytes())
+        for g in grads:
+            h.update(g.tobytes())
+        assert h.hexdigest() == digest
+
     @staticmethod
     def pinned_case(labels):
         """(seq, params, model config, train config) at the benchmark's shapes:
@@ -492,6 +520,24 @@ class TestHandBackward:
         cfg = ModelConfig(label_count=labels, channel_width=8, memory_depth=3,
                           fake_count=1, time_scale=30.0)
         seq = augment(random_stream(labels, 14, 30.0, seed=labels), 1)
+        return seq, ModelParams.init(cfg, seed=0), cfg, TrainConfig()
+
+    @staticmethod
+    def block_case(labels, depth, rows):
+        """(seq, params, model config, train config) with channels 8 and K=1 on a
+        stream of `rows` head rows (tokens after BOS): an even count puts every
+        event inside the horizon, an odd one puts the last event on it, where
+        its zero-length gap takes no fake."""
+        events = (rows - 1) // 2
+        rng = np.random.default_rng(rows)
+        times = np.sort(rng.uniform(0.0, events, events))
+        if rows % 2:
+            times[-1] = events
+        cfg = ModelConfig(label_count=labels, channel_width=8, memory_depth=depth,
+                          fake_count=1, time_scale=float(events))
+        seq = augment(make_stream(times.tolist(), rng.integers(0, labels, events).tolist(),
+                                  float(events), labels), 1)
+        assert len(seq) == rows + 1
         return seq, ModelParams.init(cfg, seed=0), cfg, TrainConfig()
 
 
