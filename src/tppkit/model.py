@@ -375,14 +375,15 @@ def _reverse_block(s, e, seq, p, config, cells, rate_adj, grads, carry, dz, dc):
     """Rows s..e-1 of ``backward``, added into grads.
 
     The block stacks its own cells (its tokens and the max(J-1, 1) before
-    them, which its bank and its first LSTM step read), recomputes and reverses the head for its rows at once, each step one
-    product batched over the rows in the shapes and layouts of forward's
-    per-row products, scatters its rows' adjoints into the bank records they
-    read, runs its reverse LSTM steps and adds its stretches into the running
-    weight products. Row r attends over the last J tokens at or before r, one
-    index array with padding slots masked. carry holds the record adjoints
-    that later rows left for the tokens before e, dz and dc the LSTM's
-    adjoints after token e-1; returns the same three at s.
+    them, which its bank and its first LSTM step read), recomputes and
+    reverses the head for its rows at once, each step one product batched
+    over the rows in the shapes and layouts of forward's per-row products,
+    scatters its rows' adjoints into the bank records they read, runs its
+    reverse LSTM steps and adds its stretches into the running weight
+    products. Row r attends over the last J tokens at or before r, one index
+    array with padding slots masked. carry holds the record adjoints that
+    later rows left for the tokens before e, dz and dc the LSTM's adjoints
+    after token e-1; returns the same three at s.
     """
     m, M, C, H = config.channel_width, config.label_count, config.channel_count, config.hidden_dim
     J = config.memory_depth
@@ -413,8 +414,7 @@ def _reverse_block(s, e, seq, p, config, cells, rate_adj, grads, carry, dz, dc):
     # reverse through the head, adding each weight's stretches as soon
     # as its operands are final and then dropping them; d_alpha
     # becomes the score adjoint in place
-    pre = np.matmul(p.f2_w, hidden) + p.f2_b[:, None]
-    d_out = rate_adj[s:e, None, :] * ad._sigmoid_val(pre)
+    d_out = rate_adj[s:e, None, :] * ad._sigmoid_val(np.matmul(p.f2_w, hidden) + p.f2_b[:, None])
     grads["f2_w"] = _rows_product(d_out, hidden, grads["f2_w"])
     grads["f2_b"] = _sum_last_first(d_out.sum(axis=2), grads["f2_b"])
     d_z1 = p.f2_w.T * d_out

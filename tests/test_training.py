@@ -436,11 +436,7 @@ class TestHandBackward:
         # fixed: long trainings such as acceptance criterion 2 turn on
         # last-bit rounding, so any change to the order of the objective's or
         # the backward's arithmetic shows here
-        value, ll, grads = objective_with_grads(*self.pinned_case(labels))
-        h = hashlib.sha256(np.array([value, ll]).tobytes())
-        for g in grads:
-            h.update(g.tobytes())
-        assert h.hexdigest() == digest
+        assert self.digest(*objective_with_grads(*self.pinned_case(labels))) == digest
 
     @pytest.mark.parametrize("labels, digest", [
         (5, "087531364c36c9b94ba90fef3c259232c13883c5afa45eb3a1aa3bb38e971bdf"),
@@ -507,11 +503,15 @@ class TestHandBackward:
         # streams longer than one 256-row block of model.backward: 257 and 514
         # rows leave a front block of 1 and 2 rows, fewer than J at J=3, and
         # 1200 rows cross four block boundaries
-        value, ll, grads = objective_with_grads(*self.block_case(labels, depth, rows))
+        assert self.digest(*objective_with_grads(*self.block_case(labels, depth, rows))) == digest
+
+    @staticmethod
+    def digest(value, ll, grads):
+        """sha256 of the objective, the LL and the 9 gradients, bit for bit."""
         h = hashlib.sha256(np.array([value, ll]).tobytes())
         for g in grads:
             h.update(g.tobytes())
-        assert h.hexdigest() == digest
+        return h.hexdigest()
 
     @staticmethod
     def pinned_case(labels):
