@@ -31,8 +31,8 @@ from pathlib import Path
 
 from . import __version__
 from . import evaluation, pgem, streams, training
-from .model import ModelConfig, load_checkpoint, save_checkpoint
-from .streams import load_stream, save_stream
+from .model import ModelConfig, check_settings, load_checkpoint, save_checkpoint
+from .streams import load_stream, read_json_object, save_stream
 from .training import TrainConfig, TrainingError
 
 EXIT_OK = 0
@@ -59,29 +59,6 @@ def _env_seed():
     return int(raw)
 
 
-def _read_json_object(path: Path, what: str) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # malformed, undecodable or too deep
-        raise CliError(f"{what} {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise CliError(f"{what} {path} must hold a JSON object")
-    return doc
-
-
-def _check_types(cfg: dict, settings: dict, source: str):
-    """Each value must have its flag's type; an int passes for a float, unconverted,
-    and a bool for neither."""
-    for key, value in cfg.items():
-        want, default = settings[key]
-        if value is None and default is None:
-            continue
-        accepted = (int, float) if want is float else want
-        if not isinstance(value, accepted) or isinstance(value, bool):
-            raise CliError(f"{source}: {key} must be {want.__name__}, got {value!r}")
-
-
 def _resolve(args, settings: dict) -> dict:
     """flags > config file > defaults; returns a fully materialized dict."""
     file_cfg = {}
@@ -89,11 +66,9 @@ def _resolve(args, settings: dict) -> dict:
         path = Path(args.config)
         if not path.is_file():
             raise CliError(f"config file not found: {path}")
-        file_cfg = _read_json_object(path, "config file")
-        unknown = set(file_cfg) - set(settings)
-        if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}")
-        _check_types(file_cfg, settings, f"config file {path}")
+        source = f"config file {path}"
+        file_cfg = check_settings(read_json_object(path.read_bytes(), source), settings,
+                                  source, partial=True)
     resolved = {}
     for key, (_, default) in settings.items():
         flag_val = getattr(args, key)
@@ -109,33 +84,21 @@ def _resolve(args, settings: dict) -> dict:
     return resolved
 
 
-# keys of retired settings that old manifests carry: eval's "parallel" replays
-# at any value, train's "bank_real_only" only at false, the bank rule kept
-_RETIRED = {"eval": {"parallel"}, "train": {"bank_real_only"}}
+# retired keys that old manifests carry (model.RETIRED gives the value each replays at)
+_RETIRED = {"eval": ("parallel",), "train": ("bank_real_only",)}
 
 
 def _replay(path, subcommand: str, settings: dict) -> dict:
-    """The configuration stored in a previous run's manifest."""
+    """The configuration stored in a previous run's manifest (model.check_settings)."""
     path = _require_file(path, hint="run manifest")
-    manifest = _read_json_object(path, "manifest")
+    manifest = read_json_object(path.read_bytes(), f"manifest {path}")
     if manifest.get("subcommand") != subcommand:
         raise CliError(
             f"manifest is for {manifest.get('subcommand')!r}, not {subcommand!r}")
     cfg = manifest.get("config")
     if not isinstance(cfg, dict):
         raise CliError(f"manifest {path} lacks a config object")
-    missing = set(settings) - set(cfg)
-    if missing:
-        raise CliError(f"manifest lacks keys: {sorted(missing)}")
-    if cfg.get("bank_real_only", False) is not False:
-        raise CliError(f"manifest {path}: bank_real_only is {cfg['bank_real_only']!r}; "
-                       f"the bank records every token, so only false replays")
-    unknown = set(cfg) - set(settings) - _RETIRED.get(subcommand, set())
-    if unknown:
-        raise CliError(f"manifest {path}: unknown config keys: {sorted(unknown)}")
-    cfg = {key: cfg[key] for key in settings}
-    _check_types(cfg, settings, f"manifest {path}")
-    return cfg
+    return check_settings(cfg, settings, f"manifest {path}", _RETIRED.get(subcommand, ()))
 
 
 def _publish(subcommand: str, cfg: dict, files: dict):

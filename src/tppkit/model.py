@@ -24,17 +24,18 @@ import dataclasses
 import itertools
 import json
 import struct
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .streams import AugmentedSequence
+from .streams import AugmentedSequence, is_json, read_json_object
 
 __all__ = [
     "ModelConfig", "ModelParams", "ParamNodes", "ForwardResult", "check_label_count",
     "encode_token", "lstm_step", "attend", "intensity", "forward", "backward",
-    "save_checkpoint", "load_checkpoint",
+    "save_checkpoint", "load_checkpoint", "check_settings", "RETIRED",
 ]
 
 CHECKPOINT_MAGIC = b"TPPKIT\x00\x01"
@@ -567,21 +568,47 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams, steps: int =
         fh.write(blob)
 
 
-_HEADER_TYPES = {"int": (int,), "float": (int, float)}
+# retired settings that old checkpoints and manifests carry, each with the one value
+# it loads at (... for any): the bank records every token; eval's thread pool is gone
+RETIRED = {"bank_real_only": False, "parallel": ...}
 
 
-def _check_header_type(path, name: str, value, kind: str):
-    # bool is an int subclass, so it is rejected by name
-    if isinstance(value, bool) or not isinstance(value, _HEADER_TYPES[kind]):
-        raise ValueError(f"{path}: header field {name!r} must be {kind}, got {value!r}")
+def check_settings(stored: dict, settings: dict, source, retired=(), partial=False) -> dict:
+    """The values of a stored settings object, given ``{name: (type, default)}``.
+
+    Every setting must be present (unless partial); any other key must be one of
+    the retired keys named, at its RETIRED value; a value must have its setting's
+    type (streams.is_json), or be None where the default is None. A failed
+    check raises ValueError naming source. Returns the settings in declared order.
+    """
+    missing = [] if partial else [k for k in settings if k not in stored]
+    if missing:
+        raise ValueError(f"{source} lacks {missing}")
+    unknown = sorted(set(stored) - set(settings) - set(retired))
+    if unknown:
+        raise ValueError(f"{source}: unknown keys {unknown}")
+    for key in retired:
+        if key in stored and RETIRED[key] is not ... and stored[key] is not RETIRED[key]:
+            raise ValueError(f"{source}: {key!r} is {stored[key]!r}: retired, {key} is "
+                             f"{stored[key]!r} no longer loads; only {RETIRED[key]!r} does")
+    for key, (kind, default) in settings.items():
+        if key in stored and not (is_json(stored[key], kind) or stored[key] is default is None):
+            raise ValueError(f"{source}: {key} must be {kind.__name__}, got {stored[key]!r}")
+    return {key: stored[key] for key in settings if key in stored}
+
+
+# a checkpoint header and its config object as settings
+_HEADER = {"config": (dict, ...), "steps": (int, ...), "order": (list, ...)}
+_CONFIG = {f.name: (typing.get_type_hints(ModelConfig)[f.name], f.default)
+           for f in dataclasses.fields(ModelConfig)}
 
 
 def load_checkpoint(path):
     """Returns (config, params, steps); any malformed part raises ValueError.
 
-    The header must carry every ModelConfig field, the step count, and the
-    parameter order with the shapes that config implies. A retired
-    ``bank_real_only`` field loads only at false, the one bank rule kept.
+    The header must hold exactly the config, with every ModelConfig field, the
+    step count and the parameter order with the shapes that config implies
+    (check_settings). A retired ``bank_real_only`` field loads only at false.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -591,38 +618,15 @@ def load_checkpoint(path):
         if len(size) != 4:
             raise ValueError(f"{path}: truncated before the header length")
         (head_len,) = struct.unpack("<I", size)
-        try:
-            header = json.loads(fh.read(head_len).decode("utf-8"))
-        except RecursionError:
-            raise ValueError(f"{path}: header nests too deeply") from None
-        blob = fh.read()
-    if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
-        raise ValueError(f"{path}: header lacks a config object")
-    fields = {f.name for f in dataclasses.fields(ModelConfig)}
-    cfg = dict(header["config"])
-    real_only = cfg.pop("bank_real_only", False)
-    if real_only is not False:
-        raise ValueError(f"{path}: header field 'bank_real_only' is {real_only!r}; the bank "
-                         f"records every token, so only false loads")
-    missing = sorted(fields - set(cfg)) + [k for k in ("steps", "order") if k not in header]
-    if missing:
-        raise ValueError(f"{path}: header lacks {missing}")
-    unknown = sorted(set(cfg) - fields)
-    if unknown:
-        raise ValueError(f"{path}: header config has unknown fields {unknown}")
-    for f in dataclasses.fields(ModelConfig):
-        _check_header_type(path, f.name, cfg[f.name], f.type)
-    _check_header_type(path, "steps", header["steps"], "int")
-    try:
-        config = ModelConfig(**cfg)
-        steps = header["steps"]
-        expected = [[name, list(shape)] for name, shape in ModelParams.shapes(config).items()]
-        for want, got in itertools.zip_longest(expected, header["order"]):
-            if want != got:
-                raise ValueError(f"{path}: header 'order' entry {got!r} does not match {want!r}")
-    except TypeError as exc:
-        raise ValueError(f"{path}: bad header value: {exc}") from None
-    flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    params = ModelParams.from_flat(config, flat)
+        head, blob = fh.read(head_len), fh.read()
+    source = f"{path}: header"
+    header = check_settings(read_json_object(head, source), _HEADER, source)
+    config = ModelConfig(**check_settings(header["config"], _CONFIG, f"{source} config",
+                                          ("bank_real_only",)))
+    expected = [[name, list(shape)] for name, shape in ModelParams.shapes(config).items()]
+    for want, got in itertools.zip_longest(expected, header["order"]):
+        if want != got:
+            raise ValueError(f"{path}: header 'order' entry {got!r} does not match {want!r}")
+    params = ModelParams.from_flat(config, np.frombuffer(blob, dtype="<f8").astype(np.float64))
     params.validate(config)
-    return config, params, steps
+    return config, params, header["steps"]

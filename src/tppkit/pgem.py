@@ -15,12 +15,12 @@ expiry s + w, one binary search of the query times in the event times picks
 the row to read, and one product of the activation matrix with the edges'
 bit weights indexes all rate tables. exact_ll reads its event rates off one
 build_trace, in O((events + segments) * (edges + labels)) after one sort of
-the breaks. The simulator uses s <= t < s + w, the rate on the interval just
-after t. Each of its steps tests every distinct edge once, reads each node's
-1/rate from a table indexed by its activation bits and draws one vector of M
-standard exponentials, the same draws in the same order as M scalar
-exponential(1/rate) calls. It refuses a run whose expected event count may
-exceed MAX_EXPECTED_EVENTS (the spec's largest total rate times the horizon).
+the breaks. The simulator tests s > t - w in floats for the rate just after
+a step t (see simulate). Each step reads each node's 1/rate from a table
+indexed by its activation bits and draws one vector of M standard
+exponentials, the same draws in the same order as M scalar exponential(1/rate)
+calls. It refuses a run whose expected event count may exceed
+MAX_EXPECTED_EVENTS (the spec's largest total rate times the horizon).
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .streams import Dataset, Epoch, EventStream
+from .streams import Dataset, Epoch, EventStream, is_json, read_json_object
 
 __all__ = [
     "NodeSpec", "PgemSpec", "GenConfig", "ChangePointTrace", "sample_spec",
@@ -74,8 +75,8 @@ class NodeSpec:
             if len(bits) != len(self.parents) or any(b not in (0, 1) for b in bits):
                 raise ValueError(f"bad activation key {bits}")
             rate = float(rate)
-            if not (rate > 0.0):
-                raise ValueError(f"rate must be positive, got {rate}")
+            if not (0.0 < rate < math.inf):
+                raise ValueError(f"rate must be positive and finite, got {rate}")
             clean[bits] = rate
         object.__setattr__(self, "rates", clean)
 
@@ -217,8 +218,10 @@ def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:
     structural change is the earliest pending window expiry; one exponential
     candidate per node decides whether an event fires before it. Candidates
     are redrawn after every event or change point. The rates hold on the
-    interval just after t, so a parent is active iff its latest event lies in
-    (t-w, t]: each distinct (parent, window) edge is tested once per step.
+    interval just after t: each distinct (parent, window) edge is tested once
+    per step, as ``last[p] > t - w`` in floats. At an expiry step
+    t = fl(s + w) where fl(t - w) < s, that keeps the parent active until the
+    next step, unlike the oracle's rule s < q <= fl(s + w).
 
     Each step draws one vector, ``rng.standard_exponential(M)``, and node k's
     candidate is t + s_k * e_k, with s_k = 1/rate_k read from a per-node
@@ -235,7 +238,7 @@ def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:
     if not (0.0 <= horizon < math.inf):  # nan or inf would never end the loop
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     rate = sum(max(node.rates.values()) for node in spec.nodes)
-    if not (rate * horizon <= MAX_EXPECTED_EVENTS):  # nan: an infinite rate at horizon 0
+    if not (rate * horizon <= MAX_EXPECTED_EVENTS):  # nan: rates summing to inf at horizon 0
         raise ValueError(f"the spec's largest total rate {rate} times the horizon {horizon} "
                          f"must be at most {MAX_EXPECTED_EVENTS} expected events")
     rng = np.random.default_rng(seed)
@@ -328,6 +331,9 @@ def homogeneous_ml_ll(stream: EventStream) -> float:
     N_k * log(N_k / T) - N_k; labels with no events contribute 0.
     """
     T = stream.horizon
+    if T == 0.0 and len(stream):
+        raise ValueError(f"a constant rate fits no events on horizon {T}: it needs a "
+                         f"positive horizon")
     ll = 0.0
     for n in np.bincount(stream.labels(), minlength=stream.label_count).tolist():
         if n > 0:
@@ -361,13 +367,26 @@ def save_spec(spec: PgemSpec, path):
 
 
 def load_spec(path) -> PgemSpec:
-    with open(path) as fh:
-        doc = json.load(fh)
-    nodes = []
-    for nd in doc["nodes"]:
-        rates = {tuple(int(c) for c in key): float(v) for key, v in nd["rates"].items()}
-        nodes.append(NodeSpec(tuple(nd["parents"]), tuple(nd["windows"]), rates))
-    return PgemSpec(int(doc["num_labels"]), tuple(nodes))
+    """The spec save_spec wrote to path; a document of another shape, or values
+    NodeSpec or PgemSpec refuse, raise ValueError naming path."""
+    def each(values, kind):  # a list of JSON values of that type
+        return isinstance(values, list) and all(is_json(v, kind) for v in values)
+    doc = read_json_object(Path(path).read_bytes(), path)
+    if not (set(doc) == {"num_labels", "nodes"} and is_json(doc["num_labels"], int)
+            and each(doc["nodes"], dict) and all(
+                set(nd) == {"parents", "windows", "rates"} and each(nd["parents"], int)
+                and each(nd["windows"], float) and isinstance(nd["rates"], dict)
+                and each(list(nd["rates"].values()), float)
+                and all(set(key) <= {"0", "1"} for key in nd["rates"]) for nd in doc["nodes"])):
+        raise ValueError(f"{path}: a spec holds exactly an integer num_labels and nodes, each "
+                         f"exactly integer parents, number windows and number rates by bit string")
+    try:
+        return PgemSpec(doc["num_labels"], tuple(
+            NodeSpec(nd["parents"], nd["windows"],
+                     {tuple(map(int, key)): rate for key, rate in nd["rates"].items()})
+            for nd in doc["nodes"]))
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float range
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def simulate_dataset(spec: PgemSpec, horizon: float, n_streams: int, seed: int,

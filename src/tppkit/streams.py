@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +28,7 @@ import numpy as np
 __all__ = [
     "Epoch", "EventStream", "Dataset", "AugmentedSequence", "load_stream",
     "save_stream", "split_by_time", "split_by_stream", "augment", "sidecar_path",
+    "read_json_object", "is_json",
 ]
 
 
@@ -178,6 +180,30 @@ class AugmentedSequence:
 # serialization
 
 
+def read_json_object(raw: bytes, source, error=ValueError) -> dict:
+    """The JSON object that raw, the UTF-8 bytes of source, holds.
+
+    The one parser of every JSON file the package reads back: a document that
+    is malformed, not UTF-8, nested too deeply to parse or not an object
+    raises error, with a message that names source.
+    """
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        raise error(f"{source}: JSON nests too deeply") from None
+    except ValueError as exc:  # malformed or undecodable
+        raise error(f"{source}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise error(f"{source}: must hold a JSON object")
+    return doc
+
+
+def is_json(value, kind) -> bool:
+    """Whether a value read from JSON has the type kind as the package reads
+    it: an int passes for a float, unconverted, and a bool for neither."""
+    return type(value) is not bool and isinstance(value, (int, float) if kind is float else kind)
+
+
 def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
@@ -209,26 +235,13 @@ def load_stream(path) -> Dataset:
     meta_path = sidecar_path(path)
     if not meta_path.is_file():
         raise StreamFormatError(f"missing metadata sidecar {meta_path}")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # malformed, undecodable or too deep
-        raise StreamFormatError(f"{meta_path}: not valid JSON ({exc})") from exc
-    if not isinstance(meta, dict) or "num_labels" not in meta or "horizon" not in meta:
-        raise StreamFormatError(f"{meta_path}: metadata needs num_labels and horizon")
-    num_labels, horizon = meta["num_labels"], meta["horizon"]
-    if not isinstance(num_labels, int) or isinstance(num_labels, bool):
-        raise StreamFormatError(f"{meta_path}: num_labels must be an integer, got {num_labels!r}")
-    if not isinstance(horizon, (int, float)) or isinstance(horizon, bool):
-        raise StreamFormatError(f"{meta_path}: horizon must be a number, got {horizon!r}")
-    try:
-        horizon = float(horizon)
-    except OverflowError as exc:  # an integer beyond float range
-        raise StreamFormatError(f"{meta_path}: horizon is beyond the float range") from exc
-    if num_labels < 1:
-        raise StreamFormatError(f"{meta_path}: num_labels must be >= 1, got {num_labels}")
-    if not (math.isfinite(horizon) and horizon >= 0.0):
-        raise StreamFormatError(f"{meta_path}: horizon must be finite and >= 0, got {horizon}")
+    meta = read_json_object(meta_path.read_bytes(), meta_path, StreamFormatError)
+    num_labels, horizon = meta.get("num_labels"), meta.get("horizon")
+    if not (is_json(num_labels, int) and num_labels >= 1 and is_json(horizon, float)
+            and 0.0 <= horizon <= sys.float_info.max):  # nan fails; so does an int beyond it
+        raise StreamFormatError(f"{meta_path}: metadata needs an integer num_labels >= 1 and "
+                                f"a finite horizon >= 0, got {num_labels!r} and {horizon!r}")
+    horizon = float(horizon)
     label_names = meta.get("label_names")
     if label_names is not None and (not isinstance(label_names, list)
                                     or len(label_names) != num_labels):

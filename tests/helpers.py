@@ -242,11 +242,12 @@ def pgem_ll_by_definition(spec, stream):
     return log_sum - integral
 
 
-def simulate_by_definition(spec, horizon, seed):
+def simulate_by_definition(spec, horizon, seed, steps=None):
     """The slow reference for pgem.simulate, node by node: per step, each
     node's rate from its own edge tests (a parent is active iff its latest
     event lies in (t-w, t]), then M scalar rng.exponential(1 / rate) draws and
-    np.argmin. Candidates are redrawn after every event or window expiry."""
+    np.argmin. Candidates are redrawn after every event or window expiry.
+    Each step appends its time and rate vector to steps, if given a list."""
     if not (0.0 <= horizon < math.inf):  # nan or inf would never end the loop
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     rng = np.random.default_rng(seed)
@@ -263,6 +264,8 @@ def simulate_by_definition(spec, horizon, seed):
             for p, w in edges:
                 index = 2 * index + (last[p] > t - w)
             rates.append(table[index])
+        if steps is not None:
+            steps.append((t, rates))
         draws = [t + rng.exponential(1.0 / r) for r in rates]
         k_star = int(np.argmin(draws))
         t_cand = draws[k_star]

@@ -1,10 +1,10 @@
 """Property tests: arbitrary input files reach the loaders' documented errors.
 
-``load_stream`` may raise only ``StreamFormatError``, ``load_checkpoint`` only
-``ValueError``, and ``cli.main`` fed an arbitrary ``--config`` or
-``--from-manifest`` file may only return 0 or 1, never raise. Most inputs
-keep each field valid or make it arbitrary independently, so that the
-fuzzing also reaches the checks behind the first field.
+``load_stream`` may raise only ``StreamFormatError``, ``load_checkpoint`` and
+``pgem.load_spec`` only ``ValueError``, and ``cli.main`` fed an arbitrary
+``--config`` or ``--from-manifest`` file may only return 0 or 1, never
+raise. Most inputs keep each field valid or make it arbitrary independently,
+so that the fuzzing also reaches the checks behind the first field.
 """
 
 import dataclasses
@@ -12,12 +12,13 @@ import json
 import struct
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tppkit.cli import SUBCOMMANDS, main
 from tppkit.model import (
     CHECKPOINT_MAGIC, ModelConfig, ModelParams, load_checkpoint, save_checkpoint,
 )
+from tppkit.pgem import load_spec, sample_spec, save_spec
 from tppkit.streams import StreamFormatError, load_stream
 
 FUZZ = settings(max_examples=60, deadline=None,
@@ -95,6 +96,46 @@ def test_load_checkpoint_bad_header_value_raises_value_error(tmp_path, field, va
         load_checkpoint(p)
     except ValueError:
         pass
+
+
+def load_spec_or_value_error(path):
+    try:
+        load_spec(path)
+    except ValueError:
+        pass
+
+
+@FUZZ
+@given(raw=document({"num_labels": st.just(2), "nodes": json_values}))
+@example(raw=b"{}")
+@example(raw=b"[]")
+@example(raw=b"[" * 100000)
+def test_load_spec_arbitrary_document_raises_value_error(tmp_path, raw):
+    p = tmp_path / "spec.json"
+    p.write_bytes(raw)
+    load_spec_or_value_error(p)
+
+
+def mutate(doc, data):
+    """doc with one value replaced by a drawn JSON value, or one object key
+    renamed, at a place reached by drawing a key or index per level."""
+    if isinstance(doc, (dict, list)) and doc and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(list(doc) if isinstance(doc, dict) else range(len(doc))))
+        if isinstance(doc, dict) and data.draw(st.booleans()):
+            doc[data.draw(st.text("01x", max_size=3))] = doc.pop(key)
+        else:
+            doc[key] = mutate(doc[key], data)
+        return doc
+    return data.draw(json_values | st.integers(-2, 9) | st.integers(-2, 9).map(float))
+
+
+@settings(FUZZ, max_examples=200)
+@given(labels=st.sampled_from([1, 2, 3]), data=st.data())
+def test_load_spec_mutated_document_raises_value_error(tmp_path, labels, data):
+    p = tmp_path / "spec.json"
+    save_spec(sample_spec(labels, seed=labels), p)
+    p.write_text(json.dumps(mutate(json.loads(p.read_text()), data)))
+    load_spec_or_value_error(p)
 
 
 @pytest.fixture(scope="module")

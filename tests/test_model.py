@@ -397,7 +397,7 @@ def tape_ops(M, **kw):
     (20, {}, 1200, "310acd630ac12fd4daeb9a8515850f96e38109438fb06ebf7e854902c50266de"),
     (5, {"memory_depth": 0}, 1051,
      "2a5b489db13dae21712cbe741afe8df2dc2a515c0a4172c3483bb789409473c1"),
-])
+], ids=["M5", "M20", "M5-J0"])
 def test_tape_structure_pinned(M, kw, n_nodes, digest):
     # the benchmark's traced runs compare the tape node count exactly, so
     # forward must build the same ops in the same order (benchmark shapes:
