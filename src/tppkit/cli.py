@@ -5,12 +5,13 @@ defaults), validates them and its inputs and computes its results. Only then
 does it write its outputs, and a manifest with the fully resolved
 configuration, into a staging directory beside the output directory, and
 move them in, the manifest last: a run that exits 1 or 2, also one that
-fails while writing, leaves the output directory as it was. A failure
-during the final moves can still leave part of the new files in place, and
-files of an earlier run that this one does not write stay. Re-running a
-subcommand with --from-manifest replays the stored configuration and
-reproduces the outputs byte for byte (the training report's wall-time
-column excepted).
+fails while writing, leaves the output directory as it was. The earlier
+run's manifest is removed before the first move, so a failure during the
+final moves can leave part of the new files in place, but never under a
+manifest; files of an earlier run that this one does not write stay.
+Re-running a subcommand with --from-manifest replays the stored
+configuration and reproduces the outputs byte for byte (the training
+report's wall-time column excepted).
 
 Each input check lives with its rule: the library raises ValueError (stream
 and checkpoint format errors included), this module CliError for its own.
@@ -54,9 +55,10 @@ def _env_seed():
     raw = os.environ.get("TPPKIT_SEED")
     if raw is None:
         return None
-    if not raw.strip().lstrip("+-").replace("_", "").isdecimal():
-        raise CliError(f"TPPKIT_SEED must be an integer, got {raw!r}")
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise CliError(f"TPPKIT_SEED must be an integer, got {raw!r}") from None
 
 
 def _resolve(args, settings: dict) -> dict:
@@ -103,7 +105,8 @@ def _replay(path, subcommand: str, settings: dict) -> dict:
 
 def _publish(subcommand: str, cfg: dict, files: dict):
     """Write each output as ``{key: (file name, writer)}`` into a staging
-    directory beside --out, then move the files into --out, the manifest last."""
+    directory beside --out, then move the files into --out, the manifest last,
+    after removing the earlier run's manifest."""
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
@@ -120,7 +123,9 @@ def _publish(subcommand: str, cfg: dict, files: dict):
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
         out.mkdir(exist_ok=True)
-        # written files and their sidecars first, the manifest last
+        # no manifest describes --out while the files move in: written files
+        # and their sidecars first, the manifest last
+        (out / "manifest.json").unlink(missing_ok=True)
         for staged in sorted(stage.iterdir(), key=lambda p: p.name == "manifest.json"):
             os.replace(staged, out / staged.name)
     finally:

@@ -355,15 +355,18 @@ def backward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,
     adjoints, the adjoints the later rows left for the records before the
     block, and the running gradient sums from block to block. Elementwise
     steps use the tape's formulas in its order and sums over rows run from
-    the last row, as the tape's reverse walk adds them, so every per-token
-    adjoint equals the tape's to the last bit. Only one block's (rows, J*M, C)
-    attention arrays are alive at a time, so the memory backward adds does
-    not grow with the stream.
+    the last row, as the tape's reverse walk adds them: the bank records
+    take their adjoints as one shifted add per memory slot, in slot order,
+    and the softmax's sum runs over the bank rows in order. So every
+    per-token adjoint equals the tape's to the last bit. Only one block's
+    (rows, J*M, C) attention arrays are alive at a time, so the memory
+    backward adds does not grow with the stream.
     """
     H = config.hidden_dim
     grads = dict.fromkeys(_PARAM_FIELDS)
     grads["embedding"] = np.zeros_like(params.embedding)
-    carry = np.zeros((0, config.label_count * config.channel_width))
+    lag = max(config.memory_depth - 1, 0)  # records a block carries to the one before it
+    carry = np.zeros((lag, config.label_count * config.channel_width))
     dz, dc = np.zeros(4 * H), np.zeros(H)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for e in range(len(seq) - 1, 0, -_BLOCK):
@@ -383,7 +386,8 @@ def _reverse_block(s, e, seq, p, config, cells, rate_adj, grads, carry, dz, dc):
     reverse LSTM steps and adds its stretches into the running weight
     products. Row r attends over the last J tokens at or before r, one index
     array with padding slots masked. carry holds the record adjoints that
-    later rows left for the tokens before e, dz and dc the LSTM's adjoints
+    later rows left for the max(J-1, 0) tokens before e (a first block's
+    rows for tokens before 0 are dropped), dz and dc the LSTM's adjoints
     after token e-1; returns the same three at s.
     """
     m, M, C, H = config.channel_width, config.label_count, config.channel_count, config.hidden_dim
@@ -394,8 +398,8 @@ def _reverse_block(s, e, seq, p, config, cells, rate_adj, grads, carry, dz, dc):
     first = s - lo                                     # row s's place in the stack
     hs, cs, gi, gf, gg, go, tanh_c = np.array(cells[lo:e]).transpose(1, 0, 2)
     slots = np.arange(s, e)[:, None] + np.arange(1 - J, 1)
-    idx = np.maximum(slots, 0)                         # (rows, J) bank token positions
-    bank = hs[idx - lo, :M * m].reshape(rows, J * M, m)  # row j*M + q: slot j, label q
+    # row j*M + q: slot j, label q; padding slots read token 0
+    bank = hs[np.maximum(slots, 0) - lo, :M * m].reshape(rows, J * M, m)
     chans = hs[first:].reshape(rows, C, m)
     query = chans.transpose(0, 2, 1)                   # (rows, m, C), column k = h_k
     # masked softmax over each row's bank, in place: the padding slots of
@@ -429,11 +433,10 @@ def _reverse_block(s, e, seq, p, config, cells, rate_adj, grads, carry, dz, dc):
     d_u = np.matmul(p.attn_w.T, d_pre)
     del u, d_pre
     d_alpha = np.matmul(bank, d_u[:, :m])
+    # summed bank row by bank row, as the tape does, before d_ctx_bank is
+    # made, so that the product's temporary is not alive beside it
+    d_alpha -= (alpha * d_alpha).sum(axis=1, keepdims=True)
     d_ctx_bank = np.matmul(d_u[:, :m], alpha.transpose(0, 2, 1)).transpose(0, 2, 1)
-    rowdot = np.zeros((rows, C))
-    for j in range(J * M):               # summed bank row by bank row, as the tape does
-        rowdot += alpha[:, j] * d_alpha[:, j]
-    d_alpha -= rowdot[:, None]
     d_alpha *= alpha
     del alpha
     d_score_bank = np.matmul(d_alpha, chans).reshape(rows, J, M * m)
@@ -441,21 +444,22 @@ def _reverse_block(s, e, seq, p, config, cells, rate_adj, grads, carry, dz, dc):
     del d_alpha, d_u, bank
     # a row whose bank is one record hands it the context and the score
     # part one after the other (on the tape that bank is the record's own
-    # node); other rows hand each record the sum of the two. Scattered
-    # last row first, as the tape adds them: the block's records start
-    # from the adjoints the later rows left, and a one-record row's
-    # second part goes in after every first part its record takes
+    # node); other rows hand each record the sum of the two. Row i of
+    # records is token s - lag + i, so slot j of row r lands on row r + j:
+    # from the adjoints the later rows left, each record takes its slots
+    # in slot order, as the tape adds them last row first, and a one-record
+    # row's second part goes in after every first part its record takes
     single = (slots >= 0).sum(axis=1) == 1
     d_bank = d_ctx_bank.reshape(rows, J, M * m) + d_score_bank * ~single[:, None, None]
-    start = max(s - max(J - 1, 0), 0)                  # first record the block writes
-    records = np.zeros((e - start, M * m))
-    records[records.shape[0] - carry.shape[0]:] = carry
-    np.add.at(records, _last_first(idx - start), _last_first(d_bank))
-    np.add.at(records, _last_first(idx[single] - start),
-              _last_first(d_score_bank[single]))
+    lag = max(J - 1, 0)
+    records = np.concatenate([np.zeros((rows, M * m)), carry])
+    for j in range(J):
+        records[j:j + rows] += d_bank[:, j]
+    if J:
+        records[lag:][single] += d_score_bank[single, lag]
     del d_ctx_bank, d_score_bank, d_bank
     d_h = d_h.reshape(rows, H)
-    d_h[:, :M * m] += records[s - start:]
+    d_h[:, :M * m] += records[lag:]
 
     # the block's reverse LSTM steps; d_z rows are the (i, f, g, o)
     # pre-activation adjoints, each ((dc or dh) * a) * b * c as on the tape
@@ -487,7 +491,7 @@ def _reverse_block(s, e, seq, p, config, cells, rate_adj, grads, carry, dz, dc):
     grads["lstm_wx"] = _block_product(d_z, _last_first(x), grads["lstm_wx"])
     grads["lstm_wh"] = _block_product(d_z, _last_first(h_prev), grads["lstm_wh"])
     # copies, so that no view keeps the block's arrays alive into the next one
-    return records[:s - start].copy(), dz.copy(), dc
+    return records[:lag].copy(), dz.copy(), dc
 
 
 # A weight's gradient is a product of the per-row adjoints, last row first,

@@ -13,10 +13,11 @@ once from a plan cached per spec (PgemSpec.plan): one running maximum over
 the events per distinct (parent, window) edge gives each edge's latest
 expiry s + w, one binary search of the query times in the event times picks
 the row to read, and one product of the activation matrix with the edges'
-bit weights indexes all rate tables. exact_ll reads its event rates off one
-build_trace, in O((events + segments) * (edges + labels)) after one sort of
-the breaks. The simulator tests s > t - w in floats for the rate just after
-a step t (see simulate). Each step reads each node's 1/rate from a table
+bit weights indexes all rate tables. build_trace builds the (events, edges)
+parent mask once and sorts its breaks once. exact_ll reads its event rates
+off one build_trace, in O((events + segments) * (edges + labels)) after that
+sort. The simulator tests s > t - w in floats for the rate just after a step
+t (see simulate). Each step reads each node's 1/rate from a table
 indexed by its activation bits and draws one vector of M standard
 exponentials, the same draws in the same order as M scalar exponential(1/rate)
 calls. It refuses a run whose expected event count may exceed
@@ -148,15 +149,18 @@ class GenConfig:
 
 @dataclass(frozen=True)
 class ChangePointTrace:
-    """Segments (t_start, t_end] tiling (0, T], each with constant rates[M]."""
+    """Segments (t_start, t_end] tiling (0, T], each with constant rates[M].
+
+    The breaks strictly increase; the widths are breaks[1:] - breaks[:-1].
+    """
 
     breaks: np.ndarray          # length S+1, breaks[0] == 0, breaks[-1] == T
     rates: np.ndarray           # (S, M)
 
     def integral(self) -> float:
         """Integral over [0, T] of the summed rate vector."""
-        widths = np.diff(self.breaks)
-        return float(widths @ self.rates.sum(axis=1))
+        b = self.breaks
+        return float((b[1:] - b[:-1]) @ self.rates.sum(axis=1))
 
 
 def sample_spec(label_count: int, seed: int, config: GenConfig = GenConfig()) -> PgemSpec:
@@ -184,8 +188,9 @@ def _events(spec: PgemSpec, stream: EventStream) -> tuple:
     return stream.times(), stream.labels()
 
 
-def _rates(spec: PgemSpec, times: np.ndarray, labels: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(len(q), M) strict-history rates at q, given the events' times and labels.
+def _rates(spec: PgemSpec, times: np.ndarray, parents: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(len(q), M) strict-history rates at q, given the events' times and the
+    (events, edges) mask of which event is which edge's parent.
 
     Edge (p, w) is active at q iff p's latest event s before q has q <= s + w:
     s + w does not decrease with s, so that is the rule s < q <= s + w, read on
@@ -194,8 +199,7 @@ def _rates(spec: PgemSpec, times: np.ndarray, labels: np.ndarray, q: np.ndarray)
     plan = spec.plan
     # row i: each edge's latest expiry s + w among the first i events, -inf if none
     ends = np.full((len(times) + 1, len(plan.parents)), -np.inf)
-    np.maximum.accumulate(np.where(labels[:, None] == plan.parents, times[:, None], -np.inf),
-                          axis=0, out=ends[1:])
+    np.maximum.accumulate(np.where(parents, times[:, None], -np.inf), axis=0, out=ends[1:])
     ends += plan.windows
     active = ends[times.searchsorted(q)] >= q[:, None]
     index = active.astype(np.float64) @ plan.weights
@@ -208,7 +212,8 @@ def rate_at(spec: PgemSpec, stream: EventStream, times) -> np.ndarray:
     q = np.asarray(times, dtype=np.float64)
     if q.ndim != 1:
         raise ValueError(f"rate_at takes a 1-d array of times, got shape {q.shape}")
-    return _rates(spec, *_events(spec, stream), q)
+    times, labels = _events(spec, stream)
+    return _rates(spec, times, labels[:, None] == spec.plan.parents, q)
 
 
 def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:
@@ -284,18 +289,22 @@ def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:
 def build_trace(spec: PgemSpec, stream: EventStream) -> ChangePointTrace:
     """Piecewise-constant rate trace breaking at events and window expiries.
 
-    Breaks are one np.unique over 0, T, the events and every edge's expiries
-    s + w inside (0, T); each segment's rates are read at its end.
+    Breaks are 0, T, the events and every edge's expiries s + w inside
+    (0, T), sorted once and kept where they differ from their predecessor;
+    each segment's rates are read at its end. The (events, edges) parent
+    mask is built once and serves the expiries and the rates.
     """
     horizon = stream.horizon
     times, labels = _events(spec, stream)
     plan = spec.plan
-    expiries = (times[:, None] + plan.windows)[labels[:, None] == plan.parents]
-    points = np.concatenate([times, expiries])
-    inner = points[(points > 0.0) & (points < horizon)]
-    breaks = np.unique(np.concatenate([[0.0, horizon], inner]))
+    parents = labels[:, None] == plan.parents
+    points = np.concatenate([[0.0, horizon], times, (times[:, None] + plan.windows)[parents]])
+    keep = (points > 0.0) & (points < horizon)
+    keep[:2] = True
+    points = np.sort(points[keep])
+    breaks = points[np.concatenate(([True], points[1:] != points[:-1]))]
     # no event or expiry lies inside a segment, so its rates are those at its end
-    return ChangePointTrace(breaks, _rates(spec, times, labels, breaks[1:]))
+    return ChangePointTrace(breaks, _rates(spec, times, parents, breaks[1:]))
 
 
 def exact_ll(spec: PgemSpec, stream: EventStream) -> float:
@@ -317,11 +326,11 @@ def exact_ll(spec: PgemSpec, stream: EventStream) -> float:
     trace = build_trace(spec, stream)
     plan = spec.plan
     # row i: the rates on the segment ending at breaks[i]; row 0 (no history) serves t = 0
-    rows = np.vstack([plan.tables[plan.offsets], trace.rates])
+    rows = np.concatenate([plan.tables[plan.offsets][None], trace.rates])
     rates = rows[trace.breaks.searchsorted(times), labels]
-    if np.any(rates <= 0.0):
+    if (rates <= 0.0).any():
         return -math.inf
-    return float(np.sum(np.log(rates))) - trace.integral()
+    return float(np.log(rates).sum()) - trace.integral()
 
 
 def homogeneous_ml_ll(stream: EventStream) -> float:

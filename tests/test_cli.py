@@ -183,6 +183,34 @@ def test_failed_write_leaves_out_as_it_was(first, again, owner, attr, fails_at,
     assert set(label_split.rglob("*")) == set(before) | {label_split / "out"}
 
 
+def test_failed_move_leaves_no_manifest(tmp_path, monkeypatch, capsys):
+    # a re-run whose second move into --out fails exits 1; the file moved
+    # first is the new run's, and the earlier run's manifest is gone rather
+    # than left to describe it
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    argv = ["gen-pgem", "--labels", 2, "--streams", 2, "--horizon", 50, "--seed"]
+    assert run(argv + [2, "--out", fresh]) == 0
+    assert run(argv + [1, "--out", out]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    original, moved = os.replace, []
+
+    def replace(src, dst):
+        moved.append(Path(dst).name)
+        if len(moved) == 2:
+            raise OSError("device busy")
+        return original(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", replace)
+    capsys.readouterr()
+    assert run(argv + [2, "--out", out]) == 1
+    assert capsys.readouterr().err == "error: device busy\n"
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(after) == set(before) - {"manifest.json"}
+    assert after[moved[0]] == (fresh / moved[0]).read_bytes()
+    assert after[moved[1]] == before[moved[1]]
+    assert {p.name for p in tmp_path.iterdir()} == {"out", "fresh"}
+
+
 # every setting of every subcommand: its flag is --<key with - for _>, it
 # parses to the type given, and it resolves to the default given
 SURFACE = {
@@ -331,6 +359,16 @@ class TestGenPgem:
         assert run(["gen-pgem", "--labels", 2, "--streams", 3,
                     "--horizon", 100, "--seed", 5, "--out", b]) == 0
         assert (a / "streams.csv").read_bytes() == (b / "streams.csv").read_bytes()
+
+    @pytest.mark.parametrize("raw", ["+-5", "_5", "5_", "5__0", "1.5", "five", "", " "])
+    def test_bad_env_seed_names_the_variable(self, raw, tmp_path, monkeypatch, capsys):
+        # every value int() refuses, also those made of signs, digits and
+        # underscores, exits 1 naming the variable, and writes nothing
+        monkeypatch.setenv("TPPKIT_SEED", raw)
+        out = tmp_path / "out"
+        assert run(["gen-pgem", "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: TPPKIT_SEED must be an integer, got {raw!r}\n"
+        assert not out.exists()
 
 
 class TestSplit:

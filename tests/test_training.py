@@ -486,6 +486,7 @@ class TestHandBackward:
         (5, 0, 514, "751081e4d72185bc9f0bdf6f41bdc3e1798e00b985d6c50cb6f1b8b10c98f54a"),
         (5, 1, 257, "99291ea2bb6090b499152932a6d3bc7308ab1515ea815ece0179179cbf274b86"),
         (5, 1, 514, "47f1e93ba7f2117fa8da70585091d7cbaa670cc84e3cff1965b29086822db85f"),
+        (5, 2, 514, "4c624a2cd2e7e0758db1c82343aebf97bc085ca664fa8a7e433f335ae26b3b84"),
         (5, 3, 257, "983e64d431043f921110cf8a37bb4d35a550c501ab8bb449bc1a38c9fd0b95ae"),
         (5, 3, 514, "cbb72d1e439a0e9377610ba78ea6a441d8972e05365a17405a20f4033bd11c5d"),
         (20, 0, 257, "4afd7c0c851703b36dccfe68715becb9a23521eecfadb3a040d16bbba70ec352"),
@@ -502,7 +503,8 @@ class TestHandBackward:
     def test_multi_block_bits_pinned(self, labels, depth, rows, digest):
         # streams longer than one 256-row block of model.backward: 257 and 514
         # rows leave a front block of 1 and 2 rows, fewer than J at J=3, and
-        # 1200 rows cross four block boundaries
+        # 1200 rows cross four block boundaries; across each boundary J=1
+        # carries no record adjoint, J=2 one and J=3 two
         assert self.digest(*objective_with_grads(*self.block_case(labels, depth, rows))) == digest
 
     @staticmethod
