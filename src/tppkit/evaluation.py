@@ -82,8 +82,9 @@ class AttentionGraph:
             fh.write("\n")
 
     def to_dot(self, path, label_names=None):
-        def name(i):
-            return label_names[i] if label_names else str(i)
+        def name(i):  # a quoted DOT ID, with its backslashes and quotes escaped
+            text = label_names[i] if label_names else str(i)
+            return text.replace("\\", "\\\\").replace('"', '\\"')
 
         lines = ["digraph attention {"]
         m = self.adjacency.shape[0]
@@ -156,8 +157,6 @@ def attention_graph(config: ModelConfig, params: ModelParams, dataset: Dataset,
             # rows j..j+m-1 hold one record's labels in order; column k is channel k
             for j in range(0, alpha.shape[0], m):
                 sums += alpha[j:j + m, :m].T
-    if token_count == 0:
-        raise ValueError("dataset produced no tokens to attend over")
     adjacency = sums / (token_count * config.memory_depth)
     edges = []
     for k in range(m):

@@ -15,7 +15,8 @@ Rates for token i are always computed from the state strictly before token i.
 each token's LSTM values; nothing in the package walks that tape.
 ``backward`` takes the adjoint of the rate matrix, which the training
 objective's numpy terms return, to the parameters with one batched pass over
-the attention-and-rate head and one reverse loop over the LSTM.
+the attention-and-rate head (numpy ``_net_rows`` and ``_rate_head``) and one
+reverse loop over the LSTM.
 """
 
 from __future__ import annotations
@@ -282,7 +283,6 @@ class ForwardResult:
     params: ParamNodes
     rates: list
     attention: list
-    seq: AugmentedSequence
     cells: list
 
     def rate_values(self) -> np.ndarray:
@@ -343,7 +343,7 @@ def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) ->
         if depth and i < len(times) - 1:
             records = (records + [ad.rowslice(channels, 0, M)])[-depth:]
             bank = None
-    return ForwardResult(tape, pn, rates, attention, seq, cells)
+    return ForwardResult(tape, pn, rates, attention, cells)
 
 
 def backward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,
@@ -358,9 +358,8 @@ def backward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,
     the last row, as the tape's reverse walk adds them: the bank records
     take their adjoints as one shifted add per memory slot, in slot order,
     and the softmax's sum runs over the bank rows in order. So every
-    per-token adjoint equals the tape's to the last bit. Only one block's
-    (rows, J*M, C) attention arrays are alive at a time, so the memory
-    backward adds does not grow with the stream.
+    per-token adjoint equals the tape's to the last bit. The blocks bound
+    its memory (see _BLOCK).
     """
     H = config.hidden_dim
     grads = dict.fromkeys(_PARAM_FIELDS)
@@ -375,17 +374,45 @@ def backward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,
     return ModelParams(**grads)
 
 
+def _net_rows(hs, slots, chans, p, config):
+    """The bank, alpha, u = [contexts; queries] and net = tanh(attn_w u) of
+    many rows at once: (rows, J*M, m), (rows, J*M, C), (rows, 2m, C) and
+    (rows, m, C). hs stacks hidden states, slots[r] holds the places in hs of
+    row r's J records, oldest first (negative: padding, zero alpha), and
+    chans[r] is row r's own (C, m) channel slices."""
+    m, M = config.channel_width, config.label_count
+    rows, J = slots.shape
+    bank = hs[np.maximum(slots, 0), :M * m].reshape(rows, J * M, m)
+    query = chans.transpose(0, 2, 1)                   # (rows, m, C), column k = h_k
+    # softmax in place; a row's last slot is its own token (initial: J = 0)
+    alpha = np.matmul(bank, query)
+    np.copyto(alpha, -np.inf, where=np.repeat(slots < 0, M, axis=1)[:, :, None])
+    alpha -= alpha.max(axis=1, keepdims=True, initial=-np.inf)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    u = np.concatenate([np.matmul(bank.transpose(0, 2, 1), alpha), query], axis=1)
+    return bank, alpha, u, np.tanh(np.matmul(p.attn_w, u))
+
+
+def _rate_head(net, dts, p):
+    """z = [net; dt], hidden = relu(f1 z) and the (rows, 1, C) pre-softplus
+    output, from (rows, m, C) net states and each row's scaled elapsed time."""
+    rows, _, C = net.shape
+    z = np.concatenate([net, np.broadcast_to(dts[:, None, None], (rows, 1, C))], axis=1)
+    hidden = np.maximum(np.matmul(p.f1_w, z) + p.f1_b[:, None], 0.0)
+    return z, hidden, np.matmul(p.f2_w, hidden) + p.f2_b[:, None]
+
+
 def _reverse_block(s, e, seq, p, config, cells, rate_adj, grads, carry, dz, dc):
     """Rows s..e-1 of ``backward``, added into grads.
 
     The block stacks its own cells (its tokens and the max(J-1, 1) before
-    them, which its bank and its first LSTM step read), recomputes and
-    reverses the head for its rows at once, each step one product batched
-    over the rows in the shapes and layouts of forward's per-row products,
-    scatters its rows' adjoints into the bank records they read, runs its
-    reverse LSTM steps and adds its stretches into the running weight
-    products. Row r attends over the last J tokens at or before r, one index
-    array with padding slots masked. carry holds the record adjoints that
+    them, which its bank and its first LSTM step read), recomputes the head
+    for its rows at once (``_net_rows``, ``_rate_head``) and reverses it,
+    each step one product batched over the rows in the shapes and layouts of
+    forward's per-row products, scatters its rows' adjoints into the bank
+    records they read, runs its reverse LSTM steps and adds its stretches
+    into the running weight products. carry holds the record adjoints that
     later rows left for the max(J-1, 0) tokens before e (a first block's
     rows for tokens before 0 are dropped), dz and dc the LSTM's adjoints
     after token e-1; returns the same three at s.
@@ -397,29 +424,16 @@ def _reverse_block(s, e, seq, p, config, cells, rate_adj, grads, carry, dz, dc):
     lo = max(s - max(J - 1, 1), 0)                     # first token the block reads
     first = s - lo                                     # row s's place in the stack
     hs, cs, gi, gf, gg, go, tanh_c = np.array(cells[lo:e]).transpose(1, 0, 2)
-    slots = np.arange(s, e)[:, None] + np.arange(1 - J, 1)
-    # row j*M + q: slot j, label q; padding slots read token 0
-    bank = hs[np.maximum(slots, 0) - lo, :M * m].reshape(rows, J * M, m)
+    # row r's slots, as places in the stack; only a first block's are negative
+    slots = np.arange(first, first + rows)[:, None] + np.arange(1 - J, 1)
     chans = hs[first:].reshape(rows, C, m)
-    query = chans.transpose(0, 2, 1)                   # (rows, m, C), column k = h_k
-    # masked softmax over each row's bank, in place: the padding slots of
-    # the first J-1 rows get zero weight, and every row's last slot holds
-    # its own token's record (the initial only serves J = 0)
-    alpha = np.matmul(bank, query)
-    np.copyto(alpha, -np.inf, where=np.repeat(slots < 0, M, axis=1)[:, :, None])
-    alpha -= alpha.max(axis=1, keepdims=True, initial=-np.inf)
-    np.exp(alpha, out=alpha)
-    alpha /= alpha.sum(axis=1, keepdims=True)
-    u = np.concatenate([np.matmul(bank.transpose(0, 2, 1), alpha), query], axis=1)
-    net = np.tanh(np.matmul(p.attn_w, u))
-    dts = np.diff(times[s:e + 1]) / config.time_scale
-    z = np.concatenate([net, np.broadcast_to(dts[:, None, None], (rows, 1, C))], axis=1)
-    hidden = np.maximum(np.matmul(p.f1_w, z) + p.f1_b[:, None], 0.0)
+    bank, alpha, u, net = _net_rows(hs, slots, chans, p, config)
+    z, hidden, out = _rate_head(net, np.diff(times[s:e + 1]) / config.time_scale, p)
 
     # reverse through the head, adding each weight's stretches as soon
     # as its operands are final and then dropping them; d_alpha
     # becomes the score adjoint in place
-    d_out = rate_adj[s:e, None, :] * ad._sigmoid_val(np.matmul(p.f2_w, hidden) + p.f2_b[:, None])
+    d_out = rate_adj[s:e, None, :] * ad._sigmoid_val(out)
     grads["f2_w"] = _rows_product(d_out, hidden, grads["f2_w"])
     grads["f2_b"] = _sum_last_first(d_out.sum(axis=2), grads["f2_b"])
     d_z1 = p.f2_w.T * d_out
@@ -510,12 +524,8 @@ def _reverse_block(s, e, seq, p, config, cells, rate_adj, grads, carry, dz, dc):
 # N-1-r of an LSTM product's, so a full block is exactly C head stretches and
 # one LSTM stretch: adding each block's stretches onto the running products
 # keeps their order, and the bits. Only one block's (rows, J*M, C) attention
-# arrays are alive at once, so backward's memory no longer grows by J*M*C
-# floats per token; what spans the stream is its input, forward's cells and
-# the rate adjoint, O(M) floats per token. When backward held all N rows'
-# head arrays at once, its fresh large arrays could not reuse the memory that
-# the forward tape had just released in many small pieces, so a training
-# step's RSS rose by the whole-stream backward on top of the tape's.
+# arrays are alive at once; what spans the stream is its input, forward's
+# cells and the rate adjoint, O(M) floats per token.
 _BLOCK = 256
 
 

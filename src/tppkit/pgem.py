@@ -40,8 +40,8 @@ from .streams import Dataset, Epoch, EventStream, is_json, read_json_object
 
 __all__ = [
     "NodeSpec", "PgemSpec", "GenConfig", "ChangePointTrace", "sample_spec",
-    "simulate", "exact_ll", "build_trace", "rate_at", "save_spec", "load_spec",
-    "homogeneous_ml_ll", "MAX_EXPECTED_EVENTS",
+    "simulate", "simulate_dataset", "exact_ll", "build_trace", "rate_at", "save_spec",
+    "load_spec", "homogeneous_ml_ll", "MAX_EXPECTED_EVENTS",
 ]
 
 # simulate's budget: at about 150 bytes per event, a stream this long holds
@@ -318,9 +318,7 @@ def exact_ll(spec: PgemSpec, stream: EventStream) -> float:
     (parent, window) edge and one binary search of its breaks in the events,
     with the plan cached per spec; the event rates are then one gather, one
     log and one sum. The event arrays are the ones the stream built once,
-    when it was validated: no call converts its epochs. An event sitting
-    where its own rate is zero yields -inf deliberately (not via a numpy
-    warning).
+    when it was validated: no call converts its epochs.
     """
     times, labels = _events(spec, stream)
     trace = build_trace(spec, stream)
@@ -328,8 +326,6 @@ def exact_ll(spec: PgemSpec, stream: EventStream) -> float:
     # row i: the rates on the segment ending at breaks[i]; row 0 (no history) serves t = 0
     rows = np.concatenate([plan.tables[plan.offsets][None], trace.rates])
     rates = rows[trace.breaks.searchsorted(times), labels]
-    if (rates <= 0.0).any():
-        return -math.inf
     return float(np.log(rates).sum()) - trace.integral()
 
 
@@ -398,8 +394,7 @@ def load_spec(path) -> PgemSpec:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def simulate_dataset(spec: PgemSpec, horizon: float, n_streams: int, seed: int,
-                     name: str = "pgem") -> Dataset:
+def simulate_dataset(spec: PgemSpec, horizon: float, n_streams: int, seed: int) -> Dataset:
     """Simulate independent streams with per-stream seeds derived from seed."""
     if n_streams < 1:
         raise ValueError("n_streams must be >= 1")
@@ -407,4 +402,4 @@ def simulate_dataset(spec: PgemSpec, horizon: float, n_streams: int, seed: int,
         simulate(spec, horizon, np.random.SeedSequence([seed, i]))
         for i in range(n_streams)
     )
-    return Dataset(streams, name=name)
+    return Dataset(streams)

@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "Epoch", "EventStream", "Dataset", "AugmentedSequence", "load_stream",
-    "save_stream", "split_by_time", "split_by_stream", "augment", "sidecar_path",
-    "read_json_object", "is_json",
+    "StreamFormatError", "Epoch", "EventStream", "Dataset", "AugmentedSequence",
+    "load_stream", "save_stream", "split_by_time", "split_by_stream", "augment",
+    "sidecar_path", "read_json_object", "is_json",
 ]
 
 
@@ -108,7 +108,6 @@ class Dataset:
     """Non-empty collection of streams sharing one label set."""
 
     streams: tuple
-    name: str = ""
     label_names: tuple | None = None
 
     def __post_init__(self):
@@ -244,8 +243,9 @@ def load_stream(path) -> Dataset:
     horizon = float(horizon)
     label_names = meta.get("label_names")
     if label_names is not None and (not isinstance(label_names, list)
-                                    or len(label_names) != num_labels):
-        raise StreamFormatError(f"{meta_path}: label_names must list {num_labels} names")
+                                    or len(label_names) != num_labels
+                                    or not all(is_json(n, str) for n in label_names)):
+        raise StreamFormatError(f"{meta_path}: label_names must list {num_labels} strings")
 
     per_stream: dict[str, list] = {}
     try:
@@ -285,7 +285,7 @@ def load_stream(path) -> Dataset:
                 raise StreamFormatError(f"{path}:{ln}: duplicate timestamp {t2} in stream {sid}")
         epochs = tuple(Epoch(t, lab) for t, lab, _ in rows)
         streams.append(EventStream(epochs, horizon, num_labels))
-    return Dataset(tuple(streams), name=path.stem, label_names=label_names)
+    return Dataset(tuple(streams), label_names=label_names)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +303,8 @@ def split_by_time(dataset: Dataset, fraction: float):
         test = tuple(Epoch(e.time - cut, e.label) for e in s.epochs if e.time >= cut)
         train_streams.append(EventStream(train, cut, s.label_count))
         test_streams.append(EventStream(test, s.horizon - cut, s.label_count))
-    return (
-        Dataset(tuple(train_streams), name=dataset.name + "-train", label_names=dataset.label_names),
-        Dataset(tuple(test_streams), name=dataset.name + "-test", label_names=dataset.label_names),
-    )
+    return (Dataset(tuple(train_streams), label_names=dataset.label_names),
+            Dataset(tuple(test_streams), label_names=dataset.label_names))
 
 
 def split_by_stream(dataset: Dataset, fraction: float, seed: int):
@@ -324,10 +322,8 @@ def split_by_stream(dataset: Dataset, fraction: float, seed: int):
     chosen = set(rng.choice(n, size=n_train, replace=False).tolist())
     train = tuple(dataset.streams[i] for i in range(n) if i in chosen)
     test = tuple(dataset.streams[i] for i in range(n) if i not in chosen)
-    return (
-        Dataset(train, name=dataset.name + "-train", label_names=dataset.label_names),
-        Dataset(test, name=dataset.name + "-test", label_names=dataset.label_names),
-    )
+    return (Dataset(train, label_names=dataset.label_names),
+            Dataset(test, label_names=dataset.label_names))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .streams import AugmentedSequence, Dataset, augment
 __all__ = [
     "TrainConfig", "TrainReport", "TrainingError", "quadrature_ll_node",
     "prediction_loss_node", "weight_penalty_node", "objective", "objective_with_grads",
-    "train",
+    "dataset_ll", "train",
 ]
 
 

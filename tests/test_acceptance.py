@@ -122,7 +122,7 @@ def test_criterion_4_poisson_recoverability():
     0.5 and test LL within 5% of the closed-form ML homogeneous fit."""
     spec = PgemSpec(1, (NodeSpec((), (), {(): 0.5}),))
     stream = simulate(spec, 2000.0, seed=42)
-    train_ds, test_ds = split_by_time(Dataset((stream,), name="poisson"), 0.7)
+    train_ds, test_ds = split_by_time(Dataset((stream,)), 0.7)
 
     # MCN-noF configuration: with K >= 1 the uniformly spread fake epochs
     # leak each upcoming gap into the state, and converged training games the

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -413,8 +414,10 @@ class TestSplit:
     ('{"num_labels": 2, "horizon": NaN}', b"s0,1.0,0\n", "X.meta.json"),
     ('{"num_labels": 2, "horizon": -1}', b"s0,1.0,0\n", "X.meta.json"),
     ('{"num_labels": 2, "horizon": 10}', b"s0,1.0,0\n\xff\n", "X.csv"),
+    ('{"num_labels": 2, "horizon": 10, "label_names": [1, {"x": 2}]}', b"s0,1.0,0\n",
+     "X.meta.json"),
 ], ids=["num-labels-overflow", "horizon-overflow", "horizon-nan", "horizon-negative",
-        "undecodable-csv"])
+        "undecodable-csv", "label-names-not-strings"])
 def test_malformed_stream_file_exits_1(tmp_path, capsys, meta, csv_bytes, named):
     data = tmp_path / "X.csv"
     data.write_bytes(b"stream_id,time,label\n" + csv_bytes)
@@ -424,6 +427,20 @@ def test_malformed_stream_file_exits_1(tmp_path, capsys, meta, csv_bytes, named)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(tmp_path / named) in err
+
+
+def test_attention_dot_escapes_label_names(label_split):
+    # a quote or a backslash in a name must not end or break its quoted DOT ID
+    data = label_split / "named.csv"
+    save_stream(Dataset((EventStream((Epoch(10.0, 0), Epoch(50.0, 1)), 100.0, 2),),
+                        label_names=['say "hi"', "back\\slash"]), data)
+    assert run(["attn-graph", "--ckpt", label_split / "model.ckpt", "--data", data,
+                "--threshold", 0.0, "--out", label_split / "attn"]) == 0
+    lines = (label_split / "attn" / "attention.dot").read_text().splitlines()
+    assert lines[1:3] == ['  "say \\"hi\\"";', '  "back\\\\slash";']
+    ids = r'"(?:[^"\\]|\\[\\"])*"'
+    assert all(re.fullmatch(f'  {ids} -> {ids} \\[weight="[0-9.]+"\\];', line)
+               for line in lines[3:-1]) and len(lines) == 8
 
 
 def test_num_labels_too_large_to_allocate_exits_1(tmp_path, capsys):

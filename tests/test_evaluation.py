@@ -26,7 +26,7 @@ def random_dataset(rng, m=2, n_streams=3, horizon=50.0):
         labels = rng.integers(0, m, size=len(times))
         streams.append(EventStream(
             tuple(Epoch(t, l) for t, l in zip(times, labels)), horizon, m))
-    return Dataset(tuple(streams), name="rand")
+    return Dataset(tuple(streams))
 
 
 class TestTestLL:
@@ -52,7 +52,7 @@ class TestTestLL:
         assert np.array_equal(before, self.params.flatten())
 
     def test_empty_stream_pure_negative_integral(self):
-        data = Dataset((EventStream((), 30.0, 2),), name="empty")
+        data = Dataset((EventStream((), 30.0, 2),))
         report = evaluation.test_ll(self.cfg, self.params, data)
         assert report.total < 0.0
         assert report.scores[0].num_events == 0
@@ -173,7 +173,7 @@ def test_train_set_ll_equals_final_objective_without_penalties():
     from tppkit.training import objective
 
     spec = PgemSpec(1, (NodeSpec((), (), {(): 0.2}),))
-    data = Dataset((simulate(spec, 80.0, seed=3),), name="d")
+    data = Dataset((simulate(spec, 80.0, seed=3),))
     cfg = small_config(m=1, time_scale=80.0)
     tc = TrainConfig(epochs=3, seed=0, pred_weight=0.0, l2_weight=0.0)
     params, _ = train(data, cfg, tc)

@@ -8,8 +8,8 @@ import pytest
 
 import tppkit.autodiff as ad
 from tppkit.model import (
-    CHECKPOINT_MAGIC, ModelConfig, ModelParams, ParamNodes, attend, backward, encode_token,
-    forward, intensity, load_checkpoint, lstm_step, save_checkpoint,
+    CHECKPOINT_MAGIC, ModelConfig, ModelParams, ParamNodes, _net_rows, _rate_head, attend,
+    backward, encode_token, forward, intensity, load_checkpoint, lstm_step, save_checkpoint,
 )
 from tppkit.streams import Epoch, EventStream, augment
 from helpers import (
@@ -456,6 +456,37 @@ def test_backward_memory_is_flat_in_the_token_count():
     assert tokens == [751, 3001]
     per_token = (peaks[1] - peaks[0]) / (tokens[1] - tokens[0])
     assert per_token <= 4096, f"{per_token / 1024:.1f} KiB per token"
+
+
+@pytest.mark.parametrize("K", [0, 1, 3])
+@pytest.mark.parametrize("J", [0, 1, 2, 3])
+@pytest.mark.parametrize("M", [1, 5, 20])
+def test_numpy_head_is_the_tape_head(M, J, K):
+    # _net_rows and _rate_head over a whole stream's stacked forward cells,
+    # against the tape forward bit for bit: the tape's softplus formula of
+    # the head's output is rate_values(), and alpha is the recorded
+    # attention, zero at the padding slots (K=1 and 3 give more than 256 rows)
+    cfg = ModelConfig(label_count=M, memory_depth=J, fake_count=K, time_scale=100.0)
+    params = ModelParams.init(cfg, seed=M + 10 * J + 100 * K)
+    rng = np.random.default_rng(M + 10 * J + 100 * K)
+    times = np.sort(rng.uniform(0.0, 100.0, 140))
+    seq = make_seq(times.tolist(), rng.integers(0, M, 140).tolist(), 100.0, M, k=K)
+    with ad.tape_scope():
+        fwd = forward(seq, params, cfg)
+        want_rates, want_alpha = fwd.rate_values(), fwd.attention
+    hs = np.array([cell[0] for cell in fwd.cells])
+    rows = len(seq) - 1
+    slots = np.arange(rows)[:, None] + np.arange(1 - J, 1)
+    _, alpha, _, net = _net_rows(hs, slots, hs[:rows].reshape(rows, M + 1, -1), params, cfg)
+    out = _rate_head(net, np.diff(seq.times) / cfg.time_scale, params)[2][:, 0]
+    assert np.array_equal(np.log1p(np.exp(-np.abs(out))) + np.maximum(out, 0.0), want_rates)
+    for r, want in enumerate(want_alpha):
+        if J == 0:
+            assert want is None
+            continue
+        pad = (J - min(r + 1, J)) * M
+        assert not alpha[r, :pad].any()
+        assert np.array_equal(alpha[r, pad:], want)
 
 
 class TestCheckpoint:

@@ -283,13 +283,6 @@ class TestExactLL:
         s = simulate(spec, 3000.0, seed=11)
         assert exact_ll(spec, s) > homogeneous_ml_ll(s)
 
-    def test_zero_rate_sentinel(self):
-        # bypass NodeSpec validation to probe the guard directly
-        spec = poisson_spec(0.1)
-        object.__setattr__(spec.nodes[0], "rates", {(): 0.0})
-        s = EventStream((Epoch(1.0, 0),), 10.0, 1)
-        assert exact_ll(spec, s) == -math.inf
-
 
 class TestAgainstDefinition:
     """rate_at, build_trace and exact_ll against the window rule written out

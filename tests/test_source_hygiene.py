@@ -54,3 +54,30 @@ def test_every_private_function_has_a_caller():
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in referenced]
     assert not dead, f"private functions that nothing in the package calls: {dead}"
+
+
+def _bound(tree) -> set:
+    """Names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(m for m, tree in MODULES.items() if _exported(tree)))
+def test_all_lists_exactly_the_public_definitions(module):
+    tree = MODULES[module]
+    exported = _exported(tree)
+    missing = sorted(exported - _bound(tree))
+    assert not missing, f"tppkit.{module}.__all__ lists names it does not define: {missing}"
+    public = {node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    unlisted = sorted(public - exported)
+    assert not unlisted, f"tppkit.{module} defines public names __all__ omits: {unlisted}"

@@ -167,7 +167,7 @@ class TestLoadSave:
             if len(s) == 0:
                 continue
             streams.append(s)
-        ds = Dataset(tuple(streams), name="rt")
+        ds = Dataset(tuple(streams))
         p = tmp_path / "rt.csv"
         save_stream(ds, p)
         back = load_stream(p)

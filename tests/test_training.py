@@ -313,7 +313,7 @@ class TestObjective:
     def test_calls_free_their_tapes(self):
         tc = TrainConfig(pred_weight=0.7, l2_weight=0.05)
         rates = forward(self.seq, self.params, self.cfg).rate_values()
-        data = Dataset((make_stream([1.0, 3.0], [0, 1], 8.0, 2),), name="two")
+        data = Dataset((make_stream([1.0, 3.0], [0, 1], 8.0, 2),))
         calls = (
             lambda: objective_with_grads(self.seq, self.params, self.cfg, tc),
             lambda: objective(self.seq, self.params, self.cfg, tc),
@@ -547,7 +547,7 @@ class TestTrain:
     def poisson_dataset(self, rate, horizon, seed):
         from tppkit.pgem import NodeSpec, PgemSpec
         spec = PgemSpec(1, (NodeSpec((), (), {(): rate}),))
-        return Dataset((simulate(spec, horizon, seed),), name="poisson")
+        return Dataset((simulate(spec, horizon, seed),))
 
     def test_deterministic_per_seed(self):
         data = self.poisson_dataset(0.2, 60.0, seed=1)
@@ -605,7 +605,7 @@ class TestTrain:
     def test_empty_dataset_unrepresentable(self):
         # the Dataset type itself guarantees train's non-empty precondition
         with pytest.raises(ValueError):
-            Dataset((), name="empty")
+            Dataset(())
 
     def test_nonfinite_objective_aborts_with_diagnostic(self):
         data = self.poisson_dataset(0.2, 40.0, seed=11)
