@@ -237,7 +237,7 @@ def run_trace(cfg: dict):
     except TrainingError as exc:
         raise TrainingError(f"stream {cfg['stream']}: {exc}") from None
     name = f"trace_{cfg['stream']}.csv"
-    return (f"trace: {len(trace.rows)} rows for stream {cfg['stream']} "
+    return (f"trace: {trace.rates.size} rows for stream {cfg['stream']} "
             f"at {Path(cfg['out']) / name}",
             {"trace": (name, trace.to_csv)})
 

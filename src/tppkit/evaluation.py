@@ -20,6 +20,8 @@ from .model import ModelConfig, ModelParams, check_label_count, forward
 from .streams import Dataset, EventStream, augment
 from .training import TrainingError, _checked_ll, _diagnose_nonfinite
 
+_STACK = 256  # tokens per summed stack: 2.6 MiB at M=20, J=3
+
 __all__ = [
     "StreamScore", "TestLLReport", "AttentionGraph", "IntensityTrace",
     "test_ll", "attention_graph", "intensity_trace",
@@ -97,18 +99,33 @@ class AttentionGraph:
             fh.write("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: a generated __eq__ or __hash__ would raise
 class IntensityTrace:
-    """Per-label rate samples at every augmented token time of one stream."""
+    """Per-label rate samples at every augmented token time of one stream.
 
-    rows: tuple  # (time, label, rate, is_real_event)
+    times (T,) and labels (T,) are the tokens after BOS, fakes included;
+    rates (T, M) holds every real label's rate at each token's time. Label k
+    is a real event at token i when labels[i] == k.
+    """
+
+    times: np.ndarray
+    labels: np.ndarray
+    rates: np.ndarray
 
     def to_csv(self, path):
+        """One line per (token, real label), in token then label order.
+
+        The bytes are csv.writer's: every field is an integer or the repr of
+        a finite float, so nothing is quoted, and lines end in CRLF.
+        """
+        lines = ["time,label,lambda,is_real_event\r\n"]
+        for t, token_label, row in zip(self.times.tolist(), self.labels.tolist(),
+                                       self.rates.tolist()):
+            time = repr(t)
+            lines += [f"{time},{k},{lam!r},{int(k == token_label)}\r\n"
+                      for k, lam in enumerate(row)]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "label", "lambda", "is_real_event"])
-            for t, label, lam, is_real in self.rows:
-                writer.writerow([repr(t), label, repr(lam), int(is_real)])
+            fh.write("".join(lines))
 
 
 def test_ll(config: ModelConfig, params: ModelParams, dataset: Dataset,
@@ -137,8 +154,12 @@ def attention_graph(config: ModelConfig, params: ModelParams, dataset: Dataset,
 
     The raw alignments per (token, channel) sum to one over all bank entries;
     dividing the per-label sums by token count and memory depth keeps every
-    adjacency entry in [0, 1]. Raises ValueError for a model without memory,
-    a threshold that is not finite, or another label count (``check_label_count``).
+    adjacency entry in [0, 1]. Each weight adds onto its running sum in
+    stream, token and bank-slot order (oldest record first), one
+    ``np.add.reduce`` over the stacked slot blocks of at most 256 tokens at a
+    time; a partial bank adds fewer blocks. Raises ValueError for a model
+    without memory, a threshold that is not finite, or another label count
+    (``check_label_count``).
     """
     if config.memory_depth < 1:
         raise ValueError("attention disabled: model was built with memory_depth 0")
@@ -146,18 +167,21 @@ def attention_graph(config: ModelConfig, params: ModelParams, dataset: Dataset,
         raise ValueError(f"threshold must be finite, got {threshold}")
     check_label_count(config, dataset.label_count)
     m = config.label_count
-    sums = np.zeros((m, m))
+    # sums[q, k] is channel k's weight on label q, the fake channel included;
+    # each (M, C) slot block of an alignment array adds onto it in turn
+    sums = np.zeros((m, config.channel_count))
     token_count = 0
     for stream in dataset.streams:
         seq = augment(stream, config.fake_count)
         with ad.tape_scope():
             attention = forward(seq, params, config).attention
         token_count += len(attention)
-        for alpha in attention:
-            # rows j..j+m-1 hold one record's labels in order; column k is channel k
-            for j in range(0, alpha.shape[0], m):
-                sums += alpha[j:j + m, :m].T
-    adjacency = sums / (token_count * config.memory_depth)
+        for s in range(0, len(attention), _STACK):
+            # one C-contiguous stack of sums and the slot blocks in token,
+            # then slot order; reduce adds its rows one after another
+            stack = np.concatenate([sums, *attention[s:s + _STACK]])
+            sums = np.add.reduce(stack.reshape(-1, m, config.channel_count), axis=0)
+    adjacency = sums[:, :m].T.copy() / (token_count * config.memory_depth)
     edges = []
     for k in range(m):
         for q in range(m):
@@ -181,10 +205,4 @@ def intensity_trace(config: ModelConfig, params: ModelParams,
         rates = forward(seq, params, config).rate_values()[:, :config.label_count]
     if not np.all((rates > 0.0) & (rates < np.inf)):
         raise TrainingError(_diagnose_nonfinite(seq, rates, "intensity trace"))
-    rows = []
-    # Python floats, whose repr the CSV writes
-    times, labels = seq.times[1:].tolist(), seq.labels[1:].tolist()
-    for i, (time, token_label) in enumerate(zip(times, labels)):
-        for label in range(config.label_count):
-            rows.append((time, label, float(rates[i, label]), token_label == label))
-    return IntensityTrace(tuple(rows))
+    return IntensityTrace(seq.times[1:], seq.labels[1:], rates)

@@ -244,8 +244,10 @@ def load_stream(path) -> Dataset:
     label_names = meta.get("label_names")
     if label_names is not None and (not isinstance(label_names, list)
                                     or len(label_names) != num_labels
-                                    or not all(is_json(n, str) for n in label_names)):
-        raise StreamFormatError(f"{meta_path}: label_names must list {num_labels} strings")
+                                    or not all(is_json(n, str) for n in label_names)
+                                    or len(set(label_names)) != num_labels):
+        raise StreamFormatError(
+            f"{meta_path}: label_names must list {num_labels} distinct strings")
 
     per_stream: dict[str, list] = {}
     try:

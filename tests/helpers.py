@@ -1,9 +1,10 @@
 """Shared test utilities: finite-difference oracles, gradient comparison, tape leaks,
 a tape-walking gradient reference, a per-token objective adjoint, a per-epoch
 stream validation reference, a per-token augmentation reference, a per-channel
-model reference, a brute-force PGEM reference, a node-by-node PGEM simulator
-and a checkpoint header editor."""
+model reference, a brute-force PGEM reference, a node-by-node PGEM simulator,
+a checkpoint header editor and a csv.writer intensity-trace writer."""
 
+import csv
 import gc
 import heapq
 import json
@@ -295,3 +296,17 @@ def rewrite_checkpoint_header(path, edit):
     edit(header)
     head = json.dumps(header).encode()
     path.write_bytes(raw[:8] + struct.pack("<I", len(head)) + head + raw[12 + n:])
+
+
+def trace_csv_by_definition(trace, path):
+    """Write ``trace`` one csv.writer row per (token, real label), from Python floats."""
+    rows = []
+    times, labels = trace.times.tolist(), trace.labels.tolist()
+    for i, (time, token_label) in enumerate(zip(times, labels)):
+        for label in range(trace.rates.shape[1]):
+            rows.append((time, label, float(trace.rates[i, label]), token_label == label))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "label", "lambda", "is_real_event"])
+        for t, label, lam, is_real in rows:
+            writer.writerow([repr(t), label, repr(lam), int(is_real)])

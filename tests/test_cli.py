@@ -416,8 +416,10 @@ class TestSplit:
     ('{"num_labels": 2, "horizon": 10}', b"s0,1.0,0\n\xff\n", "X.csv"),
     ('{"num_labels": 2, "horizon": 10, "label_names": [1, {"x": 2}]}', b"s0,1.0,0\n",
      "X.meta.json"),
+    ('{"num_labels": 2, "horizon": 10, "label_names": ["a", "a"]}', b"s0,1.0,0\n",
+     "X.meta.json"),
 ], ids=["num-labels-overflow", "horizon-overflow", "horizon-nan", "horizon-negative",
-        "undecodable-csv", "label-names-not-strings"])
+        "undecodable-csv", "label-names-not-strings", "label-names-repeated"])
 def test_malformed_stream_file_exits_1(tmp_path, capsys, meta, csv_bytes, named):
     data = tmp_path / "X.csv"
     data.write_bytes(b"stream_id,time,label\n" + csv_bytes)

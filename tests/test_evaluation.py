@@ -9,7 +9,7 @@ from tppkit.model import ModelConfig, ModelParams, forward
 from tppkit.pgem import NodeSpec, PgemSpec, simulate, simulate_dataset
 from tppkit.streams import Dataset, Epoch, EventStream, augment
 from tppkit.training import TrainConfig, quadrature_ll_node, train
-from helpers import assert_frees_its_tapes
+from helpers import assert_frees_its_tapes, trace_csv_by_definition
 
 
 def small_config(m=2, **kw):
@@ -95,14 +95,23 @@ class TestAttentionGraph:
         # cannot exceed 1/J (it is exactly 1/J once the bank is full)
         assert np.all(g.adjacency.sum(axis=1) <= 1.0 / self.cfg.memory_depth + 1e-12)
 
-    @pytest.mark.parametrize("partial_banks", [False, True])
-    def test_adjacency_sums_attention_entry_by_entry(self, partial_banks):
+    @pytest.mark.parametrize("m, depth, long_events", [
+        (3, 3, 0), (3, 40, 0), (3, 1, 200), (3, 3, 200), (3, 40, 200), (1, 3, 200),
+    ], ids=["J3", "J40-partial", "long-J1", "long-J3", "long-J40", "long-M1"])
+    def test_adjacency_sums_attention_entry_by_entry(self, m, depth, long_events):
         # row j*M + q of a recorded alignment array is label q's slice from
         # the j-th oldest record, so its weights count toward column q; with
-        # J = 40 no stream here (at most 24 tokens) ever fills its bank
-        cfg = small_config(m=3, memory_depth=40 if partial_banks else 3)
+        # J = 40 no short stream here (at most 24 tokens) ever fills its bank.
+        # A long stream (about 400 tokens) crosses attention_graph's 256-token
+        # stack; M = 1 gives its narrowest slot blocks, one label by two channels.
+        cfg = small_config(m=m, memory_depth=depth)
         params = ModelParams.init(cfg, seed=4)
-        data = random_dataset(self.rng, m=3)
+        data = random_dataset(self.rng, m=m)
+        if long_events:
+            times = np.unique(self.rng.uniform(0.0, 50.0, size=long_events))
+            labels = self.rng.integers(0, m, size=len(times))
+            data = Dataset(data.streams + (EventStream(
+                tuple(Epoch(t, l) for t, l in zip(times, labels)), 50.0, m),))
         M = cfg.label_count
         sums = np.zeros((M, M))
         tokens = 0
@@ -114,6 +123,7 @@ class TestAttentionGraph:
                     for q in range(M):
                         for k in range(M):
                             sums[k, q] += alpha[j * M + q, k]
+        assert tokens > 256 if long_events else tokens < 256
         g = attention_graph(cfg, params, data, threshold=0.0)
         assert np.array_equal(g.adjacency, sums / (tokens * cfg.memory_depth))
 
@@ -200,13 +210,11 @@ def test_trace_sharpness_grows_with_fake_epochs():
         for stream in data.streams:
             # common display grid (one midpoint per gap) for both models
             trace = intensity_trace(cfg, params, stream, fake_count=1)
-            event_times = {(e.time, e.label) for e in stream.epochs}
-            times_with_events = {t for t, _ in event_times}
-            for t, label, lam, is_real in trace.rows:
-                if is_real:
-                    own.append(lam)
-                elif t not in times_with_events:
-                    dead.append(lam)
+            times_with_events = [e.time for e in stream.epochs]
+            is_real = trace.labels[:, None] == np.arange(trace.rates.shape[1])
+            at_event = np.isin(trace.times, times_with_events)[:, None]
+            own += trace.rates[is_real].tolist()
+            dead += trace.rates[~is_real & ~at_event].tolist()
         return np.mean(own) / np.mean(dead)
 
     assert sharpness(1) > sharpness(0)
@@ -220,8 +228,8 @@ class TestIntensityTrace:
             a[:] = 0.0
         stream = EventStream((Epoch(10.0, 0), Epoch(30.0, 1)), 50.0, 2)
         trace = intensity_trace(cfg, params, stream)
-        for _, _, lam, _ in trace.rows:
-            assert lam == pytest.approx(math.log(2.0), abs=1e-12)
+        assert trace.rates.shape == (len(trace.times), 2)
+        assert np.all(np.abs(trace.rates - math.log(2.0)) <= 1e-12)
 
     def test_times_align_with_augmented_tokens(self):
         cfg = small_config(fake_count=2)
@@ -229,7 +237,7 @@ class TestIntensityTrace:
         stream = EventStream((Epoch(10.0, 0), Epoch(30.0, 1)), 50.0, 2)
         seq = augment(stream, 2)
         trace = intensity_trace(cfg, params, stream)
-        times = sorted({t for t, _, _, _ in trace.rows})
+        times = sorted(set(trace.times.tolist()))
         expected = sorted(set(seq.times[1:].tolist()))
         assert times == expected
 
@@ -238,7 +246,8 @@ class TestIntensityTrace:
         params = ModelParams.init(cfg, seed=3)
         stream = EventStream((Epoch(10.0, 1),), 50.0, 2)
         trace = intensity_trace(cfg, params, stream)
-        marked = [(t, lab) for t, lab, _, is_real in trace.rows if is_real]
+        tokens, labs = np.nonzero(trace.labels[:, None] == np.arange(trace.rates.shape[1]))
+        marked = list(zip(trace.times[tokens].tolist(), labs.tolist()))
         assert marked == [(10.0, 1)]
 
     def test_positivity_and_csv(self, tmp_path):
@@ -246,9 +255,28 @@ class TestIntensityTrace:
         params = ModelParams.init(cfg, seed=4)
         stream = EventStream((Epoch(5.0, 0),), 50.0, 2)
         trace = intensity_trace(cfg, params, stream)
-        assert all(lam > 0 for _, _, lam, _ in trace.rows)
+        assert np.all(trace.rates > 0)
         p = tmp_path / "trace.csv"
         trace.to_csv(p)
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "time,label,lambda,is_real_event"
-        assert len(lines) == len(trace.rows) + 1
+        assert len(lines) == trace.rates.size + 1
+
+    @pytest.mark.parametrize("source", ["model", "long-reprs"])
+    def test_csv_is_the_csv_writer_bytes(self, tmp_path, source):
+        if source == "model":
+            cfg = small_config(m=3, fake_count=2)
+            params = ModelParams.init(cfg, seed=5)
+            stream = random_dataset(np.random.default_rng(5), m=3).streams[0]
+            trace = intensity_trace(cfg, params, stream)
+        else:
+            # reprs with exponents and with all 17 digits; label 3 is a fake token
+            values = [5e-324, 1e-05, 1e+16, 0.30000000000000004, 1.7976931348623157e+308]
+            trace = evaluation.IntensityTrace(
+                np.array(values), np.array([0, 3, 2, 1, 3]),
+                np.array([np.roll(values, k) for k in range(3)]).T)
+        trace.to_csv(tmp_path / "fast.csv")
+        trace_csv_by_definition(trace, tmp_path / "reference.csv")
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "reference.csv").read_bytes()
+        assert fast.count(b"\r\n") == trace.rates.size + 1
