@@ -54,7 +54,7 @@ class TestLLReport:
             ])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionGraph:
     """Time-averaged attention adjacency between real labels.
 

@@ -1,9 +1,12 @@
 """Event-stream data model: loading, saving, splitting, fake-epoch augmentation.
 
-Streams are time-ordered labeled epochs on [0, T]. A stream builds its event
-times and labels into two arrays once, when it is validated; they are
-read-only and shared, so every consumer (augmentation, the CSV writer, the
-PGEM oracle) reads them without converting the epochs again.
+Streams are time-ordered labeled epochs on [0, T]. Each rule about stream
+data is checked once, by the type that holds the data: EventStream checks
+the epochs (an Epoch is a plain record) and Dataset the label names. The
+loader only parses and locates: its error names the file, and for an epoch
+the row's line, of what those types refuse. A stream builds its times and
+labels into two read-only arrays once, when it is validated, and every
+consumer (augmentation, the CSV writer, the PGEM oracle) shares them.
 
 Augmentation interleaves a fixed number of evenly spaced fake epochs into
 every positive-length inter-event gap (boundary gaps included) and brackets
@@ -22,11 +25,12 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "StreamFormatError", "Epoch", "EventStream", "Dataset", "AugmentedSequence",
+    "StreamFormatError", "EpochError", "Epoch", "EventStream", "Dataset", "AugmentedSequence",
     "load_stream", "save_stream", "split_by_time", "split_by_stream", "augment",
     "sidecar_path", "read_json_object", "is_json",
 ]
@@ -36,24 +40,25 @@ class StreamFormatError(ValueError):
     """Malformed stream file or metadata."""
 
 
-@dataclass(frozen=True)
-class Epoch:
+class EpochError(ValueError):
+    """An epoch that breaks one of EventStream's rules; index is its place."""
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
+
+
+class Epoch(NamedTuple):
     time: float
     label: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "time", float(self.time))
-        object.__setattr__(self, "label", int(self.label))
-        if not (math.isfinite(self.time) and self.time >= 0.0):
-            raise ValueError(f"epoch time must be finite and >= 0, got {self.time}")
 
 
 @dataclass(frozen=True)
 class EventStream:
-    """Strictly time-ordered epochs on [0, horizon] with labels < label_count.
+    """Strictly time-ordered epochs on [0, horizon] with labels in [0, label_count).
 
     The epochs' times (float64) and labels (int64) are built into two arrays
-    once, here, and validated on them. times() and labels() return those
+    once, here, and validated on them; the first epoch that breaks a rule
+    raises EpochError with its index. times() and labels() return those
     arrays themselves: read-only, and shared by every caller. They are kept
     outside the fields, so == and hash compare epochs, horizon and label_count.
     """
@@ -77,15 +82,18 @@ class EventStream:
         except OverflowError:  # such a label is out of range; an object array compares it exactly
             labels = np.array(labels, dtype=object)
         # (epochs, checks): row-major order is the order the epochs and their checks are
-        # made in, so the first True names the first failing epoch and its first failed check
-        failed = np.stack([times <= np.append(-1.0, times[:-1]), times > self.horizon,
+        # made in, so the first True names the first failing epoch and its first failed
+        # check; a NaN time fails the first, as no comparison with NaN is true
+        failed = np.stack([~(np.isfinite(times) & (times >= 0.0)),
+                           times <= np.append(-1.0, times[:-1]), times > self.horizon,
                            (labels < 0) | (labels >= self.label_count)], axis=1)
         if failed.any():
-            i, check = divmod(int(failed.argmax()), 3)
-            e = self.epochs[i]
-            raise ValueError([f"epoch times must be strictly increasing at t={e.time}",
-                              f"epoch time {e.time} exceeds horizon {self.horizon}",
-                              f"label {e.label} out of range [0, {self.label_count})"][check])
+            i, check = divmod(int(failed.argmax()), 4)
+            t, label = float(times[i]), labels[i]
+            raise EpochError([f"epoch time must be finite and >= 0, got {t}",
+                              f"epoch times must be strictly increasing at t={t}",
+                              f"epoch time {t} exceeds horizon {self.horizon}",
+                              f"label {label} out of range [0, {self.label_count})"][check], i)
         times.flags.writeable = labels.flags.writeable = False
         self.__dict__["_times"], self.__dict__["_labels"] = times, labels
 
@@ -119,9 +127,11 @@ class Dataset:
             if s.label_count != m:
                 raise ValueError("all streams must share label_count")
         if self.label_names is not None:
-            object.__setattr__(self, "label_names", tuple(self.label_names))
-            if len(self.label_names) != m:
-                raise ValueError("label_names length must equal label_count")
+            names = tuple(self.label_names)
+            object.__setattr__(self, "label_names", names)
+            # the types first: a name that is not a string may not be hashable
+            if not (all(isinstance(n, str) for n in names) and len(set(names)) == len(names) == m):
+                raise ValueError(f"label_names must list {m} distinct strings")
 
     @property
     def label_count(self) -> int:
@@ -166,10 +176,6 @@ class AugmentedSequence:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "is_real", is_real)
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
 
     def __len__(self):
         return len(self.times)
@@ -229,7 +235,7 @@ def save_stream(dataset: Dataset, path):
 
 
 def load_stream(path) -> Dataset:
-    """Load a CSV of streams with its sidecar; validates every row."""
+    """Load a CSV of streams with its sidecar; an error names the file and row."""
     path = Path(path)
     meta_path = sidecar_path(path)
     if not meta_path.is_file():
@@ -242,12 +248,8 @@ def load_stream(path) -> Dataset:
                                 f"a finite horizon >= 0, got {num_labels!r} and {horizon!r}")
     horizon = float(horizon)
     label_names = meta.get("label_names")
-    if label_names is not None and (not isinstance(label_names, list)
-                                    or len(label_names) != num_labels
-                                    or not all(is_json(n, str) for n in label_names)
-                                    or len(set(label_names)) != num_labels):
-        raise StreamFormatError(
-            f"{meta_path}: label_names must list {num_labels} distinct strings")
+    if label_names is not None and not isinstance(label_names, list):
+        raise StreamFormatError(f"{meta_path}: label_names must be a JSON list")
 
     per_stream: dict[str, list] = {}
     try:
@@ -267,12 +269,6 @@ def load_stream(path) -> Dataset:
                     label = int(label_s)
                 except ValueError as exc:
                     raise StreamFormatError(f"{path}:{lineno}: malformed row") from exc
-                if not math.isfinite(time) or time < 0.0:
-                    raise StreamFormatError(f"{path}:{lineno}: time must be finite and >= 0")
-                if time > horizon:
-                    raise StreamFormatError(f"{path}:{lineno}: time {time} exceeds horizon {horizon}")
-                if not (0 <= label < num_labels):
-                    raise StreamFormatError(f"{path}:{lineno}: label {label} >= num_labels {num_labels}")
                 per_stream.setdefault(sid, []).append((time, label, lineno))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise StreamFormatError(f"{path}: unreadable CSV ({exc})") from exc
@@ -281,13 +277,16 @@ def load_stream(path) -> Dataset:
         raise StreamFormatError(f"{path}: no event rows")
     streams = []
     for sid, rows in per_stream.items():
-        rows.sort(key=lambda r: r[0])
-        for (t1, _, _), (t2, _, ln) in zip(rows, rows[1:]):
-            if t1 == t2:
-                raise StreamFormatError(f"{path}:{ln}: duplicate timestamp {t2} in stream {sid}")
-        epochs = tuple(Epoch(t, lab) for t, lab, _ in rows)
-        streams.append(EventStream(epochs, horizon, num_labels))
-    return Dataset(tuple(streams), label_names=label_names)
+        # stable, with NaN last, so a NaN time cannot make a valid row look out of order
+        rows = [rows[i] for i in np.argsort([r[0] for r in rows], kind="stable").tolist()]
+        try:
+            streams.append(EventStream([Epoch(t, k) for t, k, _ in rows], horizon, num_labels))
+        except EpochError as exc:
+            raise StreamFormatError(f"{path}:{rows[exc.index][2]}: stream {sid}: {exc}") from exc
+    try:
+        return Dataset(tuple(streams), label_names=label_names)
+    except ValueError as exc:  # every stream shares num_labels: the label names are at fault
+        raise StreamFormatError(f"{meta_path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

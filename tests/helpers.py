@@ -134,18 +134,26 @@ def rate_adjoint_by_definition(seq, rates, pred_weight):
 
 
 def validate_epochs_by_definition(epochs, horizon, label_count):
-    """EventStream's epoch checks one epoch at a time, in order: times strictly
-    increasing, then within the horizon, then the label in [0, label_count).
-    Raises the ValueError of the first check that fails."""
+    """EventStream's epoch checks one epoch at a time, in order: the time finite
+    and >= 0, then strictly increasing, then within the horizon, then the label
+    in [0, label_count). Raises the ValueError of the first check that fails,
+    with the failing epoch's place in epochs as its index attribute."""
     prev = -1.0
-    for e in epochs:
-        if e.time <= prev:
-            raise ValueError(f"epoch times must be strictly increasing at t={e.time}")
-        if e.time > horizon:
-            raise ValueError(f"epoch time {e.time} exceeds horizon {horizon}")
-        if not (0 <= e.label < label_count):
-            raise ValueError(f"label {e.label} out of range [0, {label_count})")
-        prev = e.time
+    for i, e in enumerate(epochs):
+        if not (math.isfinite(e.time) and e.time >= 0.0):
+            message = f"epoch time must be finite and >= 0, got {e.time}"
+        elif e.time <= prev:
+            message = f"epoch times must be strictly increasing at t={e.time}"
+        elif e.time > horizon:
+            message = f"epoch time {e.time} exceeds horizon {horizon}"
+        elif not (0 <= e.label < label_count):
+            message = f"label {e.label} out of range [0, {label_count})"
+        else:
+            prev = e.time
+            continue
+        exc = ValueError(message)
+        exc.index = i
+        raise exc
 
 
 def augment_by_definition(stream, fake_count):

@@ -127,6 +127,13 @@ class TestAttentionGraph:
         g = attention_graph(cfg, params, data, threshold=0.0)
         assert np.array_equal(g.adjacency, sums / (tokens * cfg.memory_depth))
 
+    def test_graphs_compare_by_identity(self):
+        # an array field would make a generated == ambiguous and hash() fail
+        a, b = (attention_graph(self.cfg, self.params, self.data, threshold=0.0) for _ in range(2))
+        assert np.array_equal(a.adjacency, b.adjacency) and a.edges == b.edges
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_above_one_threshold_empty(self):
         g = attention_graph(self.cfg, self.params, self.data, threshold=1.1)
         assert g.edges == ()

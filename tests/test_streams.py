@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tppkit.streams import (
-    AugmentedSequence, Dataset, Epoch, EventStream, StreamFormatError, augment,
+    AugmentedSequence, Dataset, Epoch, EpochError, EventStream, StreamFormatError, augment,
     load_stream, save_stream, split_by_stream, split_by_time,
 )
 from helpers import augment_by_definition, validate_epochs_by_definition
@@ -47,10 +47,13 @@ class TestEventStream:
     def test_arrays_match_per_epoch_reference(self, data, m, horizon):
         """A valid epoch list gives times() and labels() equal to the per-epoch
         arrays, read-only and the same objects on every call; a bad one (times
-        unordered, repeated or past the horizon, labels out of range or beyond
-        int64) raises the per-epoch reference's message."""
+        NaN, infinite, negative, unordered, repeated or past the horizon, labels
+        out of range or beyond int64) raises the per-epoch reference's message
+        with the index of the epoch the reference stops at."""
         times = data.draw(st.lists(st.floats(0.0, horizon) | st.sampled_from([0.0, horizon])
-                                   | st.floats(horizon, 2.0 * horizon + 1.0), max_size=10))
+                                   | st.floats(horizon, 2.0 * horizon + 1.0)
+                                   | st.sampled_from([np.nan, np.inf, -np.inf, -5e-324])
+                                   | st.floats(max_value=-1.0), max_size=10))
         if data.draw(st.booleans()):
             times = sorted(set(times))
         labels = data.draw(st.lists(st.integers(0, m - 1) | st.integers(-2, m + 1)
@@ -60,9 +63,10 @@ class TestEventStream:
         try:
             validate_epochs_by_definition(epochs, horizon, m)
         except ValueError as exc:
-            with pytest.raises(ValueError) as got:
+            with pytest.raises(EpochError) as got:
                 EventStream(epochs, horizon, m)
             assert str(got.value) == str(exc)
+            assert got.value.index == exc.index
             return
         s = EventStream(epochs, horizon, m)
         want_times = np.array([e.time for e in epochs], dtype=np.float64)
@@ -79,6 +83,17 @@ class TestEventStream:
             assert not (twin.times().flags.writeable or twin.labels().flags.writeable)
 
 
+class TestDataset:
+    @pytest.mark.parametrize("names", [("a", "a"), ("a",), ("a", "b", "c"), ("a", {"x": 2}),
+                                       ("a", 1)],
+                             ids=["repeated", "too-few", "too-many", "unhashable", "not-a-string"])
+    def test_label_names_must_be_distinct_strings(self, names):
+        stream = make_stream([1.0], [0], 4.0, 2)
+        with pytest.raises(ValueError, match=r"^label_names must list 2 distinct strings$"):
+            Dataset((stream,), label_names=names)
+        assert Dataset((stream,), label_names=["b", "a"]).label_names == ("b", "a")
+
+
 class TestLoadSave:
     def test_basic_construction(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -93,7 +108,24 @@ class TestLoadSave:
         p = tmp_path / "d.csv"
         p.write_text("stream_id,time,label\ns0,2.0,0\ns0,2.0,1\n")
         (tmp_path / "d.meta.json").write_text('{"num_labels": 2, "horizon": 4}')
-        with pytest.raises(StreamFormatError, match="duplicate timestamp"):
+        with pytest.raises(StreamFormatError, match=r"d\.csv:3: stream s0: epoch times must "
+                                                     r"be strictly increasing at t=2\.0$"):
+            load_stream(p)
+
+    @pytest.mark.parametrize("rows, error", [
+        # the row on line 3 sorts before the row on line 2, and its label is out of range
+        ("s0,3.0,0\ns0,1.0,5\n", r"d\.csv:3: stream s0: label 5 out of range \[0, 2\)"),
+        ("s0,1.0,-1\n", r"d\.csv:2: stream s0: label -1 out of range \[0, 2\)"),
+        # NaN and inf sort last and -1.0 first, yet each is reported at its own line
+        *((f"s1,2.0,0\ns0,1.0,0\ns0,{t},1\ns0,3.0,1\n",
+           rf"d\.csv:4: stream s0: epoch time must be finite and >= 0, got {t}")
+          for t in ("nan", "inf", "-1.0")),
+    ], ids=["line-through-sort", "negative-label", "nan-time", "inf-time", "negative-time"])
+    def test_rule_error_names_the_row(self, tmp_path, rows, error):
+        p = tmp_path / "d.csv"
+        p.write_text("stream_id,time,label\n" + rows)
+        (tmp_path / "d.meta.json").write_text('{"num_labels": 2, "horizon": 4}')
+        with pytest.raises(StreamFormatError, match=error + "$"):
             load_stream(p)
 
     def test_label_out_of_range_names_line(self, tmp_path):
@@ -263,7 +295,6 @@ class TestAugment:
         assert seq.times.tolist() == [0.0, 0.5, 1.0, 2.0, 3.0, 3.5, 4.0]
         assert seq.labels.tolist() == [2, 2, 0, 2, 1, 2, 2]
         assert seq.is_real.tolist() == [False, False, True, False, True, False, False]
-        assert seq.horizon == 4.0
 
     def test_k_zero_identity(self):
         s = make_stream([1.0, 3.0], [0, 1], 4.0, 2)
@@ -340,7 +371,7 @@ class TestAugment:
             seq = augment(s, k)
             assert seq.times[seq.is_real].tolist() == s.times().tolist()
             assert seq.labels[seq.is_real].tolist() == s.labels().tolist()
-            assert seq.horizon == s.horizon
+            assert seq.times[-1] == s.horizon
 
 
 class TestAugmentedSequenceInvariants:
