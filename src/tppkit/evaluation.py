@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .model import ModelConfig, ModelParams, check_label_count, forward
+from .model import ModelConfig, ModelParams, forward
 from .streams import Dataset, EventStream, augment
 from .training import TrainingError, _checked_ll, _diagnose_nonfinite
 
@@ -132,11 +132,10 @@ def test_ll(config: ModelConfig, params: ModelParams, dataset: Dataset,
             fake_count: int | None = None) -> TestLLReport:
     """Quadrature log-likelihood per stream and in total; params untouched.
 
-    Raises ValueError (``check_label_count``) when the dataset's label count
-    is not the model's, and TrainingError, naming the stream and the first
-    rate it cannot absorb, when a stream's log-likelihood is not finite.
+    Raises ValueError (``forward``'s label check) when the dataset's label
+    count is not the model's, and TrainingError, naming the stream and the
+    first rate it cannot absorb, when a stream's log-likelihood is not finite.
     """
-    check_label_count(config, dataset.label_count)
     k = config.fake_count if fake_count is None else fake_count
     scores = []
     for sid, stream in zip(dataset.stream_ids(), dataset.streams):
@@ -159,13 +158,12 @@ def attention_graph(config: ModelConfig, params: ModelParams, dataset: Dataset,
     ``np.add.reduce`` over the stacked slot blocks of at most 256 tokens at a
     time; a partial bank adds fewer blocks. Raises ValueError for a model
     without memory, a threshold that is not finite, or another label count
-    (``check_label_count``).
+    (``forward``'s label check).
     """
     if config.memory_depth < 1:
         raise ValueError("attention disabled: model was built with memory_depth 0")
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    check_label_count(config, dataset.label_count)
     m = config.label_count
     # sums[q, k] is channel k's weight on label q, the fake channel included;
     # each (M, C) slot block of an alignment array adds onto it in turn
@@ -196,9 +194,8 @@ def intensity_trace(config: ModelConfig, params: ModelParams,
     """Rates of every real label at every augmented token time, with markers.
 
     Raises ValueError when the stream's label count is not the model's
-    (``check_label_count``), TrainingError when a real rate is not finite and positive.
+    (in ``forward``), TrainingError when a real rate is not finite and positive.
     """
-    check_label_count(config, stream.label_count)
     k = config.fake_count if fake_count is None else fake_count
     seq = augment(stream, k)
     with ad.tape_scope():

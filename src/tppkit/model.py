@@ -12,11 +12,11 @@ net hidden states (``attend``); a small feed-forward stack then maps each column
 Rates for token i are always computed from the state strictly before token i.
 
 ``forward`` builds these ops on an autodiff tape, token by token, and keeps
-each token's LSTM values; nothing in the package walks that tape.
+each token's LSTM values and alignment; nothing in the package walks that tape.
 ``backward`` takes the adjoint of the rate matrix, which the training
 objective's numpy terms return, to the parameters with one batched pass over
-the attention-and-rate head (numpy ``_net_rows`` and ``_rate_head``) and one
-reverse loop over the LSTM.
+the attention-and-rate head (forward's alignments, numpy ``_net_rows`` and
+``_rate_head``) and one reverse loop over the LSTM.
 """
 
 from __future__ import annotations
@@ -275,8 +275,8 @@ class ForwardResult:
     weights over the bank as of token i, or None when memory_depth is 0 (with
     J >= 1 the bank always holds token i's own record). Row j*M + q holds
     label q's channel slice from the j-th oldest record in the bank.
-    cells[i] holds the LSTM values after token i (see ``lstm_step``), read
-    by ``backward``.
+    cells[i] holds the LSTM values after token i (see ``lstm_step``);
+    ``backward`` reads cells and attention.
     """
 
     tape: ad.Tape
@@ -347,19 +347,19 @@ def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) ->
 
 
 def backward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,
-             cells: list, rate_adj: np.ndarray) -> ModelParams:
+             cells: list, attention: list, rate_adj: np.ndarray) -> ModelParams:
     """Fresh parameter gradients from the adjoint of forward's (N, M+1) rates.
 
-    cells is ForwardResult.cells. One loop runs over blocks of _BLOCK rows,
-    counted from the last row (``_reverse_block``), carrying the LSTM's
-    adjoints, the adjoints the later rows left for the records before the
-    block, and the running gradient sums from block to block. Elementwise
-    steps use the tape's formulas in its order and sums over rows run from
-    the last row, as the tape's reverse walk adds them: the bank records
-    take their adjoints as one shifted add per memory slot, in slot order,
-    and the softmax's sum runs over the bank rows in order. So every
-    per-token adjoint equals the tape's to the last bit. The blocks bound
-    its memory (see _BLOCK).
+    cells and attention are ForwardResult's; the head reads its alignments.
+    One loop runs over blocks of _BLOCK rows, counted from the last row
+    (``_reverse_block``), carrying the LSTM's adjoints, the adjoints the
+    later rows left for the records before the block, and the running
+    gradient sums from block to block. Elementwise steps use the tape's
+    formulas in its order and sums over rows run from the last row, as the
+    tape's reverse walk adds them: the bank records take their adjoints as
+    one shifted add per memory slot, in slot order, and the softmax's sum
+    runs over the bank rows in order. So every per-token adjoint equals the
+    tape's to the last bit. The blocks bound its memory (see _BLOCK).
     """
     H = config.hidden_dim
     grads = dict.fromkeys(_PARAM_FIELDS)
@@ -370,28 +370,22 @@ def backward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for e in range(len(seq) - 1, 0, -_BLOCK):
             carry, dz, dc = _reverse_block(max(e - _BLOCK, 0), e, seq, params, config, cells,
-                                           rate_adj, grads, carry, dz, dc)
+                                           attention, rate_adj, grads, carry, dz, dc)
     return ModelParams(**grads)
 
 
-def _net_rows(hs, slots, chans, p, config):
-    """The bank, alpha, u = [contexts; queries] and net = tanh(attn_w u) of
-    many rows at once: (rows, J*M, m), (rows, J*M, C), (rows, 2m, C) and
-    (rows, m, C). hs stacks hidden states, slots[r] holds the places in hs of
-    row r's J records, oldest first (negative: padding, zero alpha), and
-    chans[r] is row r's own (C, m) channel slices."""
+def _net_rows(hs, slots, chans, alpha, p, config):
+    """The bank, u = [contexts; queries] and net = tanh(attn_w u) of many rows
+    at once: (rows, J*M, m), (rows, 2m, C) and (rows, m, C). hs stacks hidden
+    states, slots[r] holds the places in hs of row r's J records, oldest first
+    (negative: padding), chans[r] is row r's own (C, m) channel slices and
+    alpha[r] its (J*M, C) alignment, zero at the padding."""
     m, M = config.channel_width, config.label_count
     rows, J = slots.shape
     bank = hs[np.maximum(slots, 0), :M * m].reshape(rows, J * M, m)
     query = chans.transpose(0, 2, 1)                   # (rows, m, C), column k = h_k
-    # softmax in place; a row's last slot is its own token (initial: J = 0)
-    alpha = np.matmul(bank, query)
-    np.copyto(alpha, -np.inf, where=np.repeat(slots < 0, M, axis=1)[:, :, None])
-    alpha -= alpha.max(axis=1, keepdims=True, initial=-np.inf)
-    np.exp(alpha, out=alpha)
-    alpha /= alpha.sum(axis=1, keepdims=True)
     u = np.concatenate([np.matmul(bank.transpose(0, 2, 1), alpha), query], axis=1)
-    return bank, alpha, u, np.tanh(np.matmul(p.attn_w, u))
+    return bank, u, np.tanh(np.matmul(p.attn_w, u))
 
 
 def _rate_head(net, dts, p):
@@ -403,12 +397,13 @@ def _rate_head(net, dts, p):
     return z, hidden, np.matmul(p.f2_w, hidden) + p.f2_b[:, None]
 
 
-def _reverse_block(s, e, seq, p, config, cells, rate_adj, grads, carry, dz, dc):
+def _reverse_block(s, e, seq, p, config, cells, attention, rate_adj, grads, carry, dz, dc):
     """Rows s..e-1 of ``backward``, added into grads.
 
     The block stacks its own cells (its tokens and the max(J-1, 1) before
-    them, which its bank and its first LSTM step read), recomputes the head
-    for its rows at once (``_net_rows``, ``_rate_head``) and reverses it,
+    them, which its bank and its first LSTM step read) and its rows'
+    alignments from forward's attention, recomputes the rest of the head for
+    its rows at once (``_net_rows``, ``_rate_head``) and reverses it,
     each step one product batched over the rows in the shapes and layouts of
     forward's per-row products, scatters its rows' adjoints into the bank
     records they read, runs its reverse LSTM steps and adds its stretches
@@ -427,7 +422,12 @@ def _reverse_block(s, e, seq, p, config, cells, rate_adj, grads, carry, dz, dc):
     # row r's slots, as places in the stack; only a first block's are negative
     slots = np.arange(first, first + rows)[:, None] + np.arange(1 - J, 1)
     chans = hs[first:].reshape(rows, C, m)
-    bank, alpha, u, net = _net_rows(hs, slots, chans, p, config)
+    # a first block's rows hold fewer than J records; their oldest slots stay zero
+    alpha = np.zeros((rows, J * M, C))
+    if J:
+        for r, a in enumerate(attention[s:e]):
+            alpha[r, -len(a):] = a
+    bank, u, net = _net_rows(hs, slots, chans, alpha, p, config)
     z, hidden, out = _rate_head(net, np.diff(times[s:e + 1]) / config.time_scale, p)
 
     # reverse through the head, adding each weight's stretches as soon
@@ -523,9 +523,9 @@ def _reverse_block(s, e, seq, p, config, cells, rate_adj, grads, carry, dz, dc):
 # sits at columns (N-1-r)*C... of a head product's inner axis and at column
 # N-1-r of an LSTM product's, so a full block is exactly C head stretches and
 # one LSTM stretch: adding each block's stretches onto the running products
-# keeps their order, and the bits. Only one block's (rows, J*M, C) attention
+# keeps their order, and the bits. Only one block's (rows, J*M, C) head
 # arrays are alive at once; what spans the stream is its input, forward's
-# cells and the rate adjoint, O(M) floats per token.
+# cells and alignments and the rate adjoint.
 _BLOCK = 256
 
 

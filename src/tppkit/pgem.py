@@ -119,14 +119,6 @@ class PgemSpec:
                      np.concatenate([node.table for node in self.nodes]),
                      np.cumsum([0] + sizes[:-1]))
 
-    def parent_windows(self) -> dict:
-        """Map parent label -> sorted set of windows attached to its out-edges."""
-        out: dict[int, set] = {}
-        for node in self.nodes:
-            for p, w in zip(node.parents, node.windows):
-                out.setdefault(p, set()).add(w)
-        return {p: sorted(ws) for p, ws in out.items()}
-
 
 @dataclass(frozen=True)
 class _Plan:
@@ -253,7 +245,8 @@ def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:
     nodes = [([1.0 / r for r in node.table.tolist()],
               [column[e] for e in zip(node.parents, node.windows)]) for node in spec.nodes]
     last = [-math.inf] * spec.label_count  # latest event time per label
-    parent_windows = spec.parent_windows()
+    # each label's out-edge windows, ascending, as the edges are sorted
+    windows = [plan.windows[plan.parents == k].tolist() for k in range(spec.label_count)]
     expiries: list[float] = []
     epochs = []
     t = 0.0
@@ -274,7 +267,7 @@ def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:
                 break
             epochs.append(Epoch(t_cand, k_star))
             last[k_star] = t_cand
-            for w in parent_windows.get(k_star, ()):
+            for w in windows[k_star]:
                 heapq.heappush(expiries, t_cand + w)
             t = t_cand
         else:

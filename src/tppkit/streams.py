@@ -76,23 +76,27 @@ class EventStream:
         if self.label_count < 1:
             raise ValueError("label_count must be positive")
         times = np.array([e.time for e in self.epochs], dtype=np.float64)
-        labels = [e.label for e in self.epochs]
+        given = [e.label for e in self.epochs]
         try:
-            labels = np.array(labels, dtype=np.int64)
+            labels = np.array(given, dtype=np.int64)
+            whole = labels == given  # the cast drops a fraction
         except OverflowError:  # such a label is out of range; an object array compares it exactly
-            labels = np.array(labels, dtype=object)
+            labels = np.array(given, dtype=object)
+            with np.errstate(invalid="ignore"):  # inf // 1 is nan: not whole
+                whole = labels // 1 == labels
         # (epochs, checks): row-major order is the order the epochs and their checks are
         # made in, so the first True names the first failing epoch and its first failed
         # check; a NaN time fails the first, as no comparison with NaN is true
         failed = np.stack([~(np.isfinite(times) & (times >= 0.0)),
                            times <= np.append(-1.0, times[:-1]), times > self.horizon,
-                           (labels < 0) | (labels >= self.label_count)], axis=1)
+                           ~whole, (labels < 0) | (labels >= self.label_count)], axis=1)
         if failed.any():
-            i, check = divmod(int(failed.argmax()), 4)
-            t, label = float(times[i]), labels[i]
+            i, check = divmod(int(failed.argmax()), 5)
+            t, label = float(times[i]), given[i]
             raise EpochError([f"epoch time must be finite and >= 0, got {t}",
                               f"epoch times must be strictly increasing at t={t}",
                               f"epoch time {t} exceeds horizon {self.horizon}",
+                              f"label {label} is not an integer",
                               f"label {label} out of range [0, {self.label_count})"][check], i)
         times.flags.writeable = labels.flags.writeable = False
         self.__dict__["_times"], self.__dict__["_labels"] = times, labels
@@ -127,7 +131,8 @@ class Dataset:
             if s.label_count != m:
                 raise ValueError("all streams must share label_count")
         if self.label_names is not None:
-            names = tuple(self.label_names)
+            # one string is not a list of names, though tuple() would split it
+            names = () if isinstance(self.label_names, str) else tuple(self.label_names)
             object.__setattr__(self, "label_names", names)
             # the types first: a name that is not a string may not be hashable
             if not (all(isinstance(n, str) for n in names) and len(set(names)) == len(names) == m):

@@ -9,9 +9,9 @@ EOS excluded) and the squared weights of the two rate layers.
 Each term is one numpy function that returns its value and its adjoint: the
 LL and the cross-entropy over the stacked (N, M+1) rate matrix, the penalty
 over the two weight matrices. Training composes them in ``_objective``,
-releases the forward tape, hands the rate adjoint to ``model.backward`` for
-the parameter gradients and adds the penalty's; scoring calls the same
-functions for their values. No tape is walked.
+releases the forward tape, hands the rate adjoint, cells and alignments to
+``model.backward`` for the parameter gradients and adds the penalty's;
+scoring calls the same functions for their values. No tape is walked.
 """
 
 from __future__ import annotations
@@ -178,21 +178,21 @@ def _objective(seq: AugmentedSequence, rates: np.ndarray, params: ModelParams,
 
 
 def _forward_rates(seq, params, model_cfg):
-    """forward's (N, M+1) rate array and its per-token LSTM values, with the
-    forward tape already released."""
+    """forward's (N, M+1) rate array, its per-token LSTM values and its
+    per-token alignments, with the forward tape already released."""
     with ad.tape_scope():
         fwd = forward(seq, params, model_cfg)
-        rates, cells = fwd.rate_values(), fwd.cells
+        rates, cells, attention = fwd.rate_values(), fwd.cells, fwd.attention
         # dropped inside the scope, so that its exit frees the tape's nodes
         # before the cyclic GC runs again
         del fwd
-    return rates, cells
+    return rates, cells, attention
 
 
 def objective(seq: AugmentedSequence, params: ModelParams, model_cfg: ModelConfig,
               train_cfg: TrainConfig) -> float:
     """The training objective (to maximize) for one sequence."""
-    rates, _ = _forward_rates(seq, params, model_cfg)
+    rates = _forward_rates(seq, params, model_cfg)[0]
     return _objective(seq, rates, params, train_cfg)[0]
 
 
@@ -203,11 +203,11 @@ def objective_with_grads(seq: AugmentedSequence, params: ModelParams,
     The gradients are fresh arrays. Raises TrainingError when the objective
     or any gradient is non-finite.
     """
-    rates, cells = _forward_rates(seq, params, model_cfg)
+    rates, cells, attention = _forward_rates(seq, params, model_cfg)
     value, ll, rate_adj, (d_f1, d_f2) = _objective(seq, rates, params, train_cfg)
     if not math.isfinite(value):
         raise TrainingError(_diagnose_nonfinite(seq, rates))
-    grads = backward(seq, params, model_cfg, cells, rate_adj)
+    grads = backward(seq, params, model_cfg, cells, attention, rate_adj)
     grads.f1_w += d_f1
     grads.f2_w += d_f2
     for name, g in zip(params.names(), grads.arrays()):

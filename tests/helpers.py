@@ -136,8 +136,9 @@ def rate_adjoint_by_definition(seq, rates, pred_weight):
 def validate_epochs_by_definition(epochs, horizon, label_count):
     """EventStream's epoch checks one epoch at a time, in order: the time finite
     and >= 0, then strictly increasing, then within the horizon, then the label
-    in [0, label_count). Raises the ValueError of the first check that fails,
-    with the failing epoch's place in epochs as its index attribute."""
+    an integer, then in [0, label_count). Raises the ValueError of the first
+    check that fails, with the failing epoch's place in epochs as its index
+    attribute."""
     prev = -1.0
     for i, e in enumerate(epochs):
         if not (math.isfinite(e.time) and e.time >= 0.0):
@@ -146,6 +147,8 @@ def validate_epochs_by_definition(epochs, horizon, label_count):
             message = f"epoch times must be strictly increasing at t={e.time}"
         elif e.time > horizon:
             message = f"epoch time {e.time} exceeds horizon {horizon}"
+        elif not e.label // 1 == e.label:  # not for a fraction, inf or nan
+            message = f"label {e.label} is not an integer"
         elif not (0 <= e.label < label_count):
             message = f"label {e.label} out of range [0, {label_count})"
         else:
@@ -262,7 +265,10 @@ def simulate_by_definition(spec, horizon, seed, steps=None):
     rng = np.random.default_rng(seed)
     nodes = [(node.table.tolist(), tuple(zip(node.parents, node.windows))) for node in spec.nodes]
     last = [-math.inf] * spec.label_count  # latest event time per label
-    parent_windows = spec.parent_windows()
+    windows = {}  # parent label -> the windows of its out-edges
+    for node in spec.nodes:
+        for p, w in zip(node.parents, node.windows):
+            windows.setdefault(p, set()).add(w)
     expiries: list[float] = []
     epochs = []
     t = 0.0
@@ -284,7 +290,7 @@ def simulate_by_definition(spec, horizon, seed, steps=None):
                 break
             epochs.append(Epoch(t_cand, k_star))
             last[k_star] = t_cand
-            for w in parent_windows.get(k_star, ()):
+            for w in sorted(windows.get(k_star, ())):
                 heapq.heappush(expiries, t_cand + w)
             t = t_cand
         else:

@@ -123,6 +123,8 @@ def failing_run(case, d):
         "train-val-labels": (["train", *data, "--val", d / "m3.csv"], 1),
         "eval-fakes": (["eval", *ckpt, *data, "--fakes", -1], 1),
         "eval-labels": (["eval", *ckpt, "--data", d / "m3.csv"], 1),
+        "attn-graph-labels": (["attn-graph", *ckpt, "--data", d / "m3.csv"], 1),
+        "trace-labels": (["trace", *ckpt, "--data", d / "m3.csv"], 1),
         "trace-fakes": (["trace", *ckpt, *data, "--fakes", -1], 1),
         "attn-graph-memory": (["attn-graph", "--ckpt", d / "nomem.ckpt", *data], 1),
     }[case]
@@ -131,8 +133,8 @@ def failing_run(case, d):
 @pytest.mark.parametrize("case", [
     "gen-pgem", "split", "train", "train-diverges", "eval", "attn-graph", "trace",
     "gen-pgem-labels", "gen-pgem-streams", "split-fraction", "split-sidecar",
-    "train-fakes", "train-val-labels", "eval-fakes", "eval-labels", "trace-fakes",
-    "attn-graph-memory"])
+    "train-fakes", "train-val-labels", "eval-fakes", "eval-labels", "attn-graph-labels",
+    "trace-labels", "trace-fakes", "attn-graph-memory"])
 def test_failed_run_writes_no_manifest(case, label_split, capsys):
     # the manifest is written last, so a run that exits 1 or 2 leaves none;
     # a run that fails before its outputs does not create --out either
@@ -146,6 +148,9 @@ def test_failed_run_writes_no_manifest(case, label_split, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: " if want == 1 else "numerical failure: ")
+    if case in ("eval-labels", "attn-graph-labels", "trace-labels"):
+        # every scoring subcommand takes the label check from model.forward
+        assert err.startswith("error: data uses 3 labels but the model was trained with 2")
     assert not (out / "manifest.json").exists()
     assert case == "gen-pgem" or not out.exists()
 

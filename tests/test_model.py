@@ -419,7 +419,7 @@ def test_ll_gradient_three_labels_five_events():
 
     fwd = forward(seq, params, cfg)
     _, rate_adj = quadrature_ll_node(seq, fwd.rate_values())
-    grads = backward(seq, params, cfg, fwd.cells, rate_adj)
+    grads = backward(seq, params, cfg, fwd.cells, fwd.attention, rate_adj)
     flat = np.concatenate([g.ravel() for g in grads.arrays()])
 
     def f(theta):
@@ -444,11 +444,13 @@ def test_backward_memory_is_flat_in_the_token_count():
         times = np.sort(rng.uniform(0.0, 100.0, events))
         seq = make_seq(times.tolist(), rng.integers(0, 20, events).tolist(), 100.0, 20)
         with ad.tape_scope():
-            cells = forward(seq, params, cfg).cells
+            fwd = forward(seq, params, cfg)
+            cells, attention = fwd.cells, fwd.attention
+            del fwd
         rate_adj = rng.normal(size=(len(seq) - 1, cfg.channel_count))
         tracemalloc.start()
         try:
-            backward(seq, params, cfg, cells, rate_adj)
+            backward(seq, params, cfg, cells, attention, rate_adj)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -462,10 +464,10 @@ def test_backward_memory_is_flat_in_the_token_count():
 @pytest.mark.parametrize("J", [0, 1, 2, 3])
 @pytest.mark.parametrize("M", [1, 5, 20])
 def test_numpy_head_is_the_tape_head(M, J, K):
-    # _net_rows and _rate_head over a whole stream's stacked forward cells,
-    # against the tape forward bit for bit: the tape's softplus formula of
-    # the head's output is rate_values(), and alpha is the recorded
-    # attention, zero at the padding slots (K=1 and 3 give more than 256 rows)
+    # _net_rows and _rate_head over a whole stream's stacked forward cells
+    # and recorded attention, zero at the padding slots, against the tape
+    # forward bit for bit: the tape's softplus formula of the head's output
+    # is rate_values() (K=1 and 3 give more than 256 rows)
     cfg = ModelConfig(label_count=M, memory_depth=J, fake_count=K, time_scale=100.0)
     params = ModelParams.init(cfg, seed=M + 10 * J + 100 * K)
     rng = np.random.default_rng(M + 10 * J + 100 * K)
@@ -473,20 +475,18 @@ def test_numpy_head_is_the_tape_head(M, J, K):
     seq = make_seq(times.tolist(), rng.integers(0, M, 140).tolist(), 100.0, M, k=K)
     with ad.tape_scope():
         fwd = forward(seq, params, cfg)
-        want_rates, want_alpha = fwd.rate_values(), fwd.attention
+        want_rates = fwd.rate_values()
     hs = np.array([cell[0] for cell in fwd.cells])
     rows = len(seq) - 1
     slots = np.arange(rows)[:, None] + np.arange(1 - J, 1)
-    _, alpha, _, net = _net_rows(hs, slots, hs[:rows].reshape(rows, M + 1, -1), params, cfg)
+    alpha = np.zeros((rows, J * M, M + 1))
+    for r, a in enumerate(fwd.attention):
+        assert (a is None) == (J == 0)
+        if J:
+            alpha[r, -len(a):] = a
+    _, _, net = _net_rows(hs, slots, hs[:rows].reshape(rows, M + 1, -1), alpha, params, cfg)
     out = _rate_head(net, np.diff(seq.times) / cfg.time_scale, params)[2][:, 0]
     assert np.array_equal(np.log1p(np.exp(-np.abs(out))) + np.maximum(out, 0.0), want_rates)
-    for r, want in enumerate(want_alpha):
-        if J == 0:
-            assert want is None
-            continue
-        pad = (J - min(r + 1, J)) * M
-        assert not alpha[r, :pad].any()
-        assert np.array_equal(alpha[r, pad:], want)
 
 
 class TestCheckpoint:

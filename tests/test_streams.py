@@ -37,6 +37,14 @@ class TestEventStream:
         with pytest.raises(ValueError):
             make_stream([1.0], [2], 10.0, 2)
 
+    def test_rejects_fractional_label(self):
+        # the int64 cast would load 1.9 as label 1 while .epochs keeps 1.9
+        with pytest.raises(EpochError, match=r"^label 1.9 is not an integer$") as got:
+            EventStream([Epoch(0.5, 1), Epoch(1.7, 1.9)], 4, 2)
+        assert got.value.index == 1
+        for label in (1, 1.0, np.int64(1)):
+            assert EventStream([Epoch(1.7, label)], 4, 2).labels().tolist() == [1]
+
     def test_rejects_time_beyond_horizon(self):
         with pytest.raises(ValueError):
             make_stream([11.0], [0], 10.0, 1)
@@ -48,8 +56,9 @@ class TestEventStream:
         """A valid epoch list gives times() and labels() equal to the per-epoch
         arrays, read-only and the same objects on every call; a bad one (times
         NaN, infinite, negative, unordered, repeated or past the horizon, labels
-        out of range or beyond int64) raises the per-epoch reference's message
-        with the index of the epoch the reference stops at."""
+        fractional, infinite, out of range or beyond int64) raises the per-epoch
+        reference's message with the index of the epoch the reference stops at.
+        Integral labels, floats and numpy integers included, load as ints."""
         times = data.draw(st.lists(st.floats(0.0, horizon) | st.sampled_from([0.0, horizon])
                                    | st.floats(horizon, 2.0 * horizon + 1.0)
                                    | st.sampled_from([np.nan, np.inf, -np.inf, -5e-324])
@@ -57,7 +66,10 @@ class TestEventStream:
         if data.draw(st.booleans()):
             times = sorted(set(times))
         labels = data.draw(st.lists(st.integers(0, m - 1) | st.integers(-2, m + 1)
-                                    | st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 70]),
+                                    | st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 70])
+                                    | st.integers(0, m - 1).map(np.int64)
+                                    | st.integers(-1, m).map(float)
+                                    | st.sampled_from([0.5, m - 0.25, -0.5, np.inf, -np.inf]),
                                     min_size=len(times), max_size=len(times)))
         epochs = tuple(map(Epoch, times, labels))
         try:
@@ -85,8 +97,9 @@ class TestEventStream:
 
 class TestDataset:
     @pytest.mark.parametrize("names", [("a", "a"), ("a",), ("a", "b", "c"), ("a", {"x": 2}),
-                                       ("a", 1)],
-                             ids=["repeated", "too-few", "too-many", "unhashable", "not-a-string"])
+                                       ("a", 1), "ab"],
+                             ids=["repeated", "too-few", "too-many", "unhashable", "not-a-string",
+                                  "one-string"])
     def test_label_names_must_be_distinct_strings(self, names):
         stream = make_stream([1.0], [0], 4.0, 2)
         with pytest.raises(ValueError, match=r"^label_names must list 2 distinct strings$"):
