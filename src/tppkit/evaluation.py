@@ -141,7 +141,7 @@ def test_ll(config: ModelConfig, params: ModelParams, dataset: Dataset,
     for sid, stream in zip(dataset.stream_ids(), dataset.streams):
         seq = augment(stream, k)
         with ad.tape_scope():
-            rates = forward(seq, params, config).rate_values()
+            rates = forward(seq, params, config).rates
         ll = _checked_ll(seq, rates, f"log-likelihood of stream {sid}")
         scores.append(StreamScore(sid, ll, len(stream), stream.horizon))
     return TestLLReport(tuple(scores), float(sum(s.ll for s in scores)))
@@ -199,7 +199,7 @@ def intensity_trace(config: ModelConfig, params: ModelParams,
     k = config.fake_count if fake_count is None else fake_count
     seq = augment(stream, k)
     with ad.tape_scope():
-        rates = forward(seq, params, config).rate_values()[:, :config.label_count]
+        rates = forward(seq, params, config).rates[:, :config.label_count]
     if not np.all((rates > 0.0) & (rates < np.inf)):
         raise TrainingError(_diagnose_nonfinite(seq, rates, "intensity trace"))
     return IntensityTrace(seq.times[1:], seq.labels[1:], rates)

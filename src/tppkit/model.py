@@ -11,8 +11,10 @@ net hidden states (``attend``); a small feed-forward stack then maps each column
 [net state, elapsed time] to a positive rate via softplus (``intensity``).
 Rates for token i are always computed from the state strictly before token i.
 
-``forward`` builds these ops on an autodiff tape, token by token, and keeps
-each token's LSTM values and alignment; nothing in the package walks that tape.
+``forward`` builds these ops on an autodiff tape, token by token, over the
+parameters' tape leaves (``ModelParams.on_tape``), and returns the rate matrix
+with each token's LSTM values and alignment; nothing in the package walks
+that tape.
 ``backward`` takes the adjoint of the rate matrix, which the training
 objective's numpy terms return, to the parameters with one batched pass over
 the attention-and-rate head (forward's alignments, numpy ``_net_rows`` and
@@ -34,7 +36,7 @@ from . import autodiff as ad
 from .streams import AugmentedSequence, is_json, read_json_object
 
 __all__ = [
-    "ModelConfig", "ModelParams", "ParamNodes", "ForwardResult", "check_label_count",
+    "ModelConfig", "ModelParams", "ForwardResult", "check_label_count",
     "encode_token", "lstm_step", "attend", "intensity", "forward", "backward",
     "save_checkpoint", "load_checkpoint", "check_settings", "RETIRED",
 ]
@@ -79,15 +81,10 @@ class ModelConfig:
         return self.channel_width * self.channel_count
 
 
-_PARAM_FIELDS = (
-    "embedding", "lstm_wx", "lstm_wh", "lstm_b", "attn_w",
-    "f1_w", "f1_b", "f2_w", "f2_b",
-)
-
-
 @dataclass
 class ModelParams:
-    """All trainable arrays, float64. Field order is the checkpoint order."""
+    """All trainable arrays, float64, or their leaves on one tape (``on_tape``).
+    Field order is the checkpoint order."""
 
     embedding: np.ndarray   # (M+1, E)
     lstm_wx: np.ndarray     # (4H, E+1)
@@ -146,6 +143,10 @@ class ModelParams:
     def names(self):
         return list(_PARAM_FIELDS)
 
+    def on_tape(self, tape: ad.Tape) -> "ModelParams":
+        """The arrays as leaves of tape, each op named after its field (no copies)."""
+        return ModelParams(*(tape.leaf(getattr(self, name), name) for name in _PARAM_FIELDS))
+
     def copy(self) -> "ModelParams":
         return ModelParams(*(a.copy() for a in self.arrays()))
 
@@ -175,35 +176,10 @@ class ModelParams:
                 raise ValueError(f"{name}: non-finite entries")
 
 
-@dataclass
-class ParamNodes:
-    """Leaf nodes for one tape wrapping a ModelParams (no copies)."""
-
-    embedding: ad.Node
-    lstm_wx: ad.Node
-    lstm_wh: ad.Node
-    lstm_b: ad.Node
-    attn_w: ad.Node
-    f1_w: ad.Node
-    f1_b: ad.Node
-    f2_w: ad.Node
-    f2_b: ad.Node
-
-    @classmethod
-    def create(cls, tape: ad.Tape, params: ModelParams) -> "ParamNodes":
-        return cls(**{
-            name: ad.Node(tape, getattr(params, name), (), name)
-            for name in _PARAM_FIELDS
-        })
-
-    def all(self):
-        return [getattr(self, name) for name in _PARAM_FIELDS]
-
-    def grads(self):
-        return [n.grad for n in self.all()]
+_PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ModelParams))
 
 
-def encode_token(label: int, time: float, pn: ParamNodes, config: ModelConfig) -> ad.Node:
+def encode_token(label: int, time: float, pn: ModelParams, config: ModelConfig) -> ad.Node:
     """Embedding row for the token's label (M, the fake row, for BOS, fakes and
     EOS) plus its scaled time."""
     emb = ad.row(pn.embedding, label)
@@ -211,7 +187,7 @@ def encode_token(label: int, time: float, pn: ParamNodes, config: ModelConfig) -
     return ad.concat([emb, t])
 
 
-def lstm_step(x: ad.Node, state, pn: ParamNodes):
+def lstm_step(x: ad.Node, state, pn: ModelParams):
     """One LSTM cell update over the full multi-channel hidden vector.
 
     state is the (h, c) pair of vectors of length m*(M+1), channel k being
@@ -231,7 +207,7 @@ def lstm_step(x: ad.Node, state, pn: ParamNodes):
     return h, c, (h.value, c.value, i.value, f.value, g.value, o.value, tanh_c.value)
 
 
-def attend(h_t: ad.Node, bank: ad.Node | None, pn: ParamNodes):
+def attend(h_t: ad.Node, bank: ad.Node | None, pn: ModelParams):
     """Net states of all channels: column k is tanh(W_c [context_k, h_k]).
 
     h_t is the (m, C) matrix whose column k is channel k's slice; bank is the
@@ -251,7 +227,7 @@ def attend(h_t: ad.Node, bank: ad.Node | None, pn: ParamNodes):
     return net, alpha
 
 
-def intensity(net: ad.Node, dt_scaled, pn: ParamNodes) -> ad.Node:
+def intensity(net: ad.Node, dt_scaled, pn: ModelParams) -> ad.Node:
     """(C,) positive rates from the (m, C) net states and the elapsed time.
 
     dt_scaled is one elapsed time for every column, or an array of one per
@@ -266,28 +242,24 @@ def intensity(net: ad.Node, dt_scaled, pn: ParamNodes) -> ad.Node:
     return ad.softplus(ad.row(out, 0))
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: a generated __eq__ would raise
 class ForwardResult:
-    """Rates and attention for one sequence, with the tape still attached.
+    """Rates, attention and LSTM values for one sequence, and its tape.
 
-    rates[i] is the (M+1,) vector node of channel rates predicted at token
-    i+1; attention[i] is the (rows, M+1) array of per-channel alignment
-    weights over the bank as of token i, or None when memory_depth is 0 (with
-    J >= 1 the bank always holds token i's own record). Row j*M + q holds
-    label q's channel slice from the j-th oldest record in the bank.
-    cells[i] holds the LSTM values after token i (see ``lstm_step``);
-    ``backward`` reads cells and attention.
+    rates is the read-only (len(seq)-1, M+1) array whose row i holds the
+    channel rates predicted at token i+1; attention[i] is the (rows, M+1)
+    array of per-channel alignment weights over the bank as of token i, or
+    None when memory_depth is 0 (with J >= 1 the bank always holds token i's
+    own record). Row j*M + q holds label q's channel slice from the j-th
+    oldest record in the bank. cells[i] holds the LSTM values after token i
+    (see ``lstm_step``); ``backward`` reads cells and attention. Only tape
+    reaches a node, so a result kept past its ``tape_scope`` pins none.
     """
 
     tape: ad.Tape
-    params: ParamNodes
-    rates: list
+    rates: np.ndarray
     attention: list
     cells: list
-
-    def rate_values(self) -> np.ndarray:
-        """(len(seq)-1, M+1) array of rate values."""
-        return np.array([vec.value for vec in self.rates])
 
 
 def check_label_count(config: ModelConfig, label_count: int):
@@ -318,7 +290,7 @@ def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) ->
     C = config.channel_count
     depth = config.memory_depth
     tape = ad.Tape()
-    pn = ParamNodes.create(tape, params)
+    pn = params.on_tape(tape)
     h, c = tape.const(np.zeros(config.hidden_dim)), tape.const(np.zeros(config.hidden_dim))
     records = []      # (M, m) row-slice nodes of the last `depth` records, oldest first
     bank = None       # records stacked into one node; None until rebuilt after a record
@@ -334,7 +306,7 @@ def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) ->
                 bank = records[0] if len(records) == 1 else ad.concat_rows(records)
             net, alpha = attend(h_t, bank, pn)
             dt = (time - times[i - 1]) / config.time_scale
-            rates.append(intensity(net, dt, pn))
+            rates.append(intensity(net, dt, pn).value)
             attention.append(None if alpha is None else alpha.value)
         h, c, cell = lstm_step(encode_token(label, time, pn, config), (h, c), pn)
         cells.append(cell)
@@ -343,7 +315,9 @@ def forward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig) ->
         if depth and i < len(times) - 1:
             records = (records + [ad.rowslice(channels, 0, M)])[-depth:]
             bank = None
-    return ForwardResult(tape, pn, rates, attention, cells)
+    rates = np.array(rates)
+    rates.flags.writeable = False
+    return ForwardResult(tape, rates, attention, cells)
 
 
 def backward(seq: AugmentedSequence, params: ModelParams, config: ModelConfig,

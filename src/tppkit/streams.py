@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,11 +80,15 @@ class EventStream:
         given = [e.label for e in self.epochs]
         try:
             labels = np.array(given, dtype=np.int64)
-            whole = labels == given  # the cast drops a fraction
-        except OverflowError:  # such a label is out of range; an object array compares it exactly
-            labels = np.array(given, dtype=object)
-            with np.errstate(invalid="ignore"):  # inf // 1 is nan: not whole
-                whole = labels // 1 == labels
+            whole = labels == given  # the cast drops a fraction and parses a string
+        except (TypeError, ValueError, OverflowError):  # None, nan, inf, beyond int64
+            whole = None
+        if whole is None or not whole.all():
+            # some label fails: judge each alone, keeping the whole ones exactly
+            # (an object array holds those beyond int64) for the range check
+            with np.errstate(invalid="ignore"):  # a numpy inf // 1 is nan: not whole
+                whole = np.array([isinstance(k, numbers.Real) and k // 1 == k for k in given], bool)
+            labels = np.array([k if w else 0 for k, w in zip(given, whole)], dtype=object)
         # (epochs, checks): row-major order is the order the epochs and their checks are
         # made in, so the first True names the first failing epoch and its first failed
         # check; a NaN time fails the first, as no comparison with NaN is true
@@ -96,7 +101,7 @@ class EventStream:
             raise EpochError([f"epoch time must be finite and >= 0, got {t}",
                               f"epoch times must be strictly increasing at t={t}",
                               f"epoch time {t} exceeds horizon {self.horizon}",
-                              f"label {label} is not an integer",
+                              f"label {label!r} is not an integer",
                               f"label {label} out of range [0, {self.label_count})"][check], i)
         times.flags.writeable = labels.flags.writeable = False
         self.__dict__["_times"], self.__dict__["_labels"] = times, labels
@@ -143,6 +148,7 @@ class Dataset:
         return self.streams[0].label_count
 
     def stream_ids(self):
+        """s0, s1, ... in stream order; a loaded file's own ids are not kept."""
         return [f"s{i}" for i in range(len(self.streams))]
 
     def __len__(self):
@@ -240,7 +246,9 @@ def save_stream(dataset: Dataset, path):
 
 
 def load_stream(path) -> Dataset:
-    """Load a CSV of streams with its sidecar; an error names the file and row."""
+    """Load a CSV of streams with its sidecar; an error names the file and row.
+    The file's stream ids are dropped: the streams, in the order of their ids'
+    first rows, are s0, s1, ... (Dataset.stream_ids)."""
     path = Path(path)
     meta_path = sidecar_path(path)
     if not meta_path.is_file():

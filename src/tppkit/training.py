@@ -177,23 +177,16 @@ def _objective(seq: AugmentedSequence, rates: np.ndarray, params: ModelParams,
     return obj, ll, rate_adj, pen_grads
 
 
-def _forward_rates(seq, params, model_cfg):
-    """forward's (N, M+1) rate array, its per-token LSTM values and its
-    per-token alignments, with the forward tape already released."""
+def _forward(seq, params, model_cfg):
+    """forward's result, with its tape already released."""
     with ad.tape_scope():
-        fwd = forward(seq, params, model_cfg)
-        rates, cells, attention = fwd.rate_values(), fwd.cells, fwd.attention
-        # dropped inside the scope, so that its exit frees the tape's nodes
-        # before the cyclic GC runs again
-        del fwd
-    return rates, cells, attention
+        return forward(seq, params, model_cfg)
 
 
 def objective(seq: AugmentedSequence, params: ModelParams, model_cfg: ModelConfig,
               train_cfg: TrainConfig) -> float:
     """The training objective (to maximize) for one sequence."""
-    rates = _forward_rates(seq, params, model_cfg)[0]
-    return _objective(seq, rates, params, train_cfg)[0]
+    return _objective(seq, _forward(seq, params, model_cfg).rates, params, train_cfg)[0]
 
 
 def objective_with_grads(seq: AugmentedSequence, params: ModelParams,
@@ -203,18 +196,18 @@ def objective_with_grads(seq: AugmentedSequence, params: ModelParams,
     The gradients are fresh arrays. Raises TrainingError when the objective
     or any gradient is non-finite.
     """
-    rates, cells, attention = _forward_rates(seq, params, model_cfg)
-    value, ll, rate_adj, (d_f1, d_f2) = _objective(seq, rates, params, train_cfg)
+    fwd = _forward(seq, params, model_cfg)
+    value, ll, rate_adj, (d_f1, d_f2) = _objective(seq, fwd.rates, params, train_cfg)
     if not math.isfinite(value):
-        raise TrainingError(_diagnose_nonfinite(seq, rates))
-    grads = backward(seq, params, model_cfg, cells, attention, rate_adj)
+        raise TrainingError(_diagnose_nonfinite(seq, fwd.rates))
+    grads = backward(seq, params, model_cfg, fwd.cells, fwd.attention, rate_adj)
     grads.f1_w += d_f1
     grads.f2_w += d_f2
     for name, g in zip(params.names(), grads.arrays()):
         if not np.all(np.isfinite(g)):
             raise TrainingError(
                 f"non-finite gradient for {name} (objective {value}, "
-                f"minimum rate {np.min(rates)})")
+                f"minimum rate {np.min(fwd.rates)})")
     return value, ll, grads.arrays()
 
 
@@ -294,7 +287,7 @@ def dataset_ll(dataset_seqs, params: ModelParams, model_cfg: ModelConfig) -> flo
     A stream's LL that is not finite raises TrainingError naming the stream."""
     total = 0.0
     for i, seq in enumerate(dataset_seqs):
-        rates = _forward_rates(seq, params, model_cfg)[0]
+        rates = _forward(seq, params, model_cfg).rates
         total += _checked_ll(seq, rates, f"log-likelihood of validation stream s{i}")
     return total
 

@@ -9,6 +9,7 @@ import gc
 import heapq
 import json
 import math
+import numbers
 import struct
 
 import numpy as np
@@ -96,18 +97,21 @@ def objective_with_grads_on_tape(seq, params, model_cfg, train_cfg):
     """
     with ad.tape_scope():
         fwd = forward(seq, params, model_cfg)
-        value, ll, rate_adj, (d_f1, d_f2) = _objective(seq, fwd.rate_values(), params, train_cfg)
-        # the rate vectors stacked into one (N, M+1) node, each row handing
-        # its adjoint to its own vector
-        rates = ad.Node(fwd.tape, fwd.rate_values(), tuple(fwd.rates), "stack",
+        value, ll, rate_adj, (d_f1, d_f2) = _objective(seq, fwd.rates, params, train_cfg)
+        nodes = fwd.tape.nodes()
+        # the rate vectors (the tape's softplus nodes, in token order) stacked
+        # into one (N, M+1) node, each row handing its adjoint to its own vector
+        rate_nodes = tuple(n for n in nodes if n.op == "softplus")
+        rates = ad.Node(fwd.tape, fwd.rates, rate_nodes, "stack",
                         lambda node, adj: [ad._acc(r, a) for r, a in zip(node.parents, adj)])
         root = ad.vsum(ad.mul(rates, fwd.tape.const(rate_adj)))
         ad.backward(fwd.tape, root)
-        pn = fwd.params
-        for leaf, d in ((pn.f1_w, d_f1), (pn.f2_w, d_f2)):
-            grad = leaf.grad
+        # the parameters' leaves, each op named after its field
+        leaves = {n.op: n for n in nodes if not n.parents and n.op in params.names()}
+        for name, d in (("f1_w", d_f1), ("f2_w", d_f2)):
+            grad = leaves[name].grad
             grad += d
-        return value, ll, pn.grads()
+        return value, ll, [leaves[name].grad for name in params.names()]
 
 
 def rate_adjoint_by_definition(seq, rates, pred_weight):
@@ -147,8 +151,9 @@ def validate_epochs_by_definition(epochs, horizon, label_count):
             message = f"epoch times must be strictly increasing at t={e.time}"
         elif e.time > horizon:
             message = f"epoch time {e.time} exceeds horizon {horizon}"
-        elif not e.label // 1 == e.label:  # not for a fraction, inf or nan
-            message = f"label {e.label} is not an integer"
+        elif not (isinstance(e.label, numbers.Real) and e.label // 1 == e.label):
+            # not for a string, None, a fraction, inf or nan
+            message = f"label {e.label!r} is not an integer"
         elif not (0 <= e.label < label_count):
             message = f"label {e.label} out of range [0, {label_count})"
         else:

@@ -21,7 +21,7 @@ import tppkit.autodiff as ad
 from tppkit import evaluation
 from tppkit.cli import main as cli_main
 from tppkit.model import (
-    ModelConfig, ModelParams, ParamNodes, forward, intensity,
+    ModelConfig, ModelParams, forward, intensity,
 )
 from tppkit.pgem import (
     NodeSpec, PgemSpec, exact_ll, homogeneous_ml_ll, rate_at, sample_spec,
@@ -135,7 +135,7 @@ def test_criterion_4_poisson_recoverability():
     params, _ = train(train_ds, cfg, tc)
 
     seq = augment(test_ds.streams[0], cfg.fake_count)
-    rates = forward(seq, params, cfg).rate_values()
+    rates = forward(seq, params, cfg).rates
     mean_rate = float(np.mean(rates[:, 0]))
     model_ll = evaluation.test_ll(cfg, params, test_ds).total
     fit_ll = homogeneous_ml_ll(test_ds.streams[0])
@@ -229,7 +229,7 @@ def test_criterion_6_structural_invariants():
         # one column per draw through the batched rate head
         tape = ad.Tape()
         lam = intensity(tape.const(np.column_stack(nets)), np.array(dts),
-                        ParamNodes.create(tape, p))
+                        p.on_tape(tape))
         n_pos += int(np.sum(lam.value > 0.0))
     positivity_ok = n_pos == 10_000
 
@@ -265,8 +265,8 @@ def test_criterion_6_structural_invariants():
         stream2 = EventStream(tuple(Epoch(t, l) for t, l in zip(times, edited)), 10.0, 2)
         seq2 = augment(stream2, 1)
         edit_pos = np.flatnonzero((seq.times != seq2.times) | (seq.labels != seq2.labels))[0]
-        r1 = forward(seq, cparams, ccfg).rate_values()
-        r2 = forward(seq2, cparams, ccfg).rate_values()
+        r1 = forward(seq, cparams, ccfg).rates
+        r2 = forward(seq2, cparams, ccfg).rates
         causal_ok &= bool(np.array_equal(r1[:edit_pos], r2[:edit_pos]))
 
     ok = worst_simplex <= 1e-9 and positivity_ok and count_ok and causal_ok

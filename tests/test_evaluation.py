@@ -42,7 +42,7 @@ class TestTestLL:
         for stream in self.data.streams:
             seq = augment(stream, self.cfg.fake_count)
             fwd = forward(seq, self.params, self.cfg)
-            manual += quadrature_ll_node(seq, fwd.rate_values())[0]
+            manual += quadrature_ll_node(seq, fwd.rates)[0]
         assert report.total == pytest.approx(manual, abs=1e-12)
         assert len(report.scores) == len(self.data)
 

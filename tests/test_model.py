@@ -2,13 +2,14 @@ import hashlib
 import math
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import tppkit.autodiff as ad
 from tppkit.model import (
-    CHECKPOINT_MAGIC, ModelConfig, ModelParams, ParamNodes, _net_rows, _rate_head, attend,
+    CHECKPOINT_MAGIC, ModelConfig, ModelParams, _net_rows, _rate_head, attend,
     backward, encode_token, forward, intensity, load_checkpoint, lstm_step, save_checkpoint,
 )
 from tppkit.streams import Epoch, EventStream, augment
@@ -36,12 +37,19 @@ def zero_params(config):
     return p
 
 
+def test_on_tape_leaves_are_the_arrays_themselves():
+    params = ModelParams.init(tiny_config(), seed=1)
+    pn = params.on_tape(ad.Tape())
+    assert [(n.op, n.parents, n.value is a) for n, a in zip(pn.arrays(), params.arrays())] == [
+        (name, (), True) for name in params.names()]
+
+
 class TestEncodeToken:
     def test_bos_uses_fake_row_and_zero_time(self):
         cfg = tiny_config()
         params = ModelParams.init(cfg, seed=1)
         tape = ad.Tape()
-        pn = ParamNodes.create(tape, params)
+        pn = params.on_tape(tape)
         x = encode_token(cfg.label_count, 0.0, pn, cfg)
         assert np.allclose(x.value[:-1], params.embedding[cfg.label_count])
         assert x.value[-1] == 0.0
@@ -50,7 +58,7 @@ class TestEncodeToken:
         cfg = tiny_config(time_scale=2.0)
         params = ModelParams.init(cfg, seed=1)
         tape = ad.Tape()
-        pn = ParamNodes.create(tape, params)
+        pn = params.on_tape(tape)
         x = encode_token(1, 3.2, pn, cfg)
         assert np.allclose(x.value[:-1], params.embedding[1])
         assert x.value[-1] == pytest.approx(1.6)
@@ -59,7 +67,7 @@ class TestEncodeToken:
         cfg = tiny_config()
         params = ModelParams.init(cfg, seed=3)
         tape = ad.Tape()
-        pn = ParamNodes.create(tape, params)
+        pn = params.on_tape(tape)
         rng = np.random.default_rng(0)
         seen = []
         for _ in range(100):
@@ -76,7 +84,7 @@ class TestLstmStep:
         cfg = tiny_config()
         params = zero_params(cfg)
         tape = ad.Tape()
-        pn = ParamNodes.create(tape, params)
+        pn = params.on_tape(tape)
         h0 = tape.const(np.zeros(cfg.hidden_dim))
         c0 = tape.const(np.zeros(cfg.hidden_dim))
         x = tape.const(np.ones(cfg.embed_dim + 1))
@@ -90,7 +98,7 @@ class TestLstmStep:
         h = cfg.hidden_dim
         params.lstm_b[h:2 * h] = 10.0  # forget gate ~1
         tape = ad.Tape()
-        pn = ParamNodes.create(tape, params)
+        pn = params.on_tape(tape)
         rng = np.random.default_rng(5)
         c0v = rng.normal(size=h)
         st0 = (tape.const(np.zeros(h)), tape.const(c0v))
@@ -106,7 +114,7 @@ class TestLstmStep:
 
         def run_on(p):
             tape = ad.Tape()
-            pn = ParamNodes.create(tape, p)
+            pn = p.on_tape(tape)
             st = (tape.const(np.zeros(cfg.hidden_dim)), tape.const(np.zeros(cfg.hidden_dim)))
             for i in range(5):
                 st = lstm_step(tape.const(xs[i]), st, pn)[:2]
@@ -114,7 +122,7 @@ class TestLstmStep:
 
         tape, pn, loss = run_on(params)
         ad.backward(tape, loss)
-        flat_grad = np.concatenate([g.ravel() for g in pn.grads()])
+        flat_grad = np.concatenate([n.grad.ravel() for n in pn.arrays()])
 
         def f(flat):
             p = ModelParams.from_flat(cfg, flat)
@@ -132,7 +140,7 @@ class TestAttend:
 
     def test_singleton_bank(self):
         tape = ad.Tape()
-        pn = ParamNodes.create(tape, self.params)
+        pn = self.params.on_tape(tape)
         entry = np.array([[1.0, 2.0, 3.0]])
         h_t = tape.const(np.array([[0.5], [-0.5], [1.0]]))
         net, alpha = attend(h_t, tape.const(entry), pn)
@@ -143,7 +151,7 @@ class TestAttend:
 
     def test_orthogonal_entries_give_uniform_alpha(self):
         tape = ad.Tape()
-        pn = ParamNodes.create(tape, self.params)
+        pn = self.params.on_tape(tape)
         bank = tape.const(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                     [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
         # both channels are orthogonal to all entries
@@ -153,7 +161,7 @@ class TestAttend:
 
     def test_empty_bank_zero_context(self):
         tape = ad.Tape()
-        pn = ParamNodes.create(tape, self.params)
+        pn = self.params.on_tape(tape)
         hv = np.array([[0.5, 2.0], [-0.5, 0.0], [1.0, -1.0]])
         net, alpha = attend(tape.const(hv), None, pn)
         assert alpha is None
@@ -165,7 +173,7 @@ class TestAttend:
         rng = np.random.default_rng(13)
         for _ in range(20):
             tape = ad.Tape()
-            pn = ParamNodes.create(tape, self.params)
+            pn = self.params.on_tape(tape)
             entries = rng.normal(size=(6, 3))
             hv = rng.normal(size=(3, 4))
             _, alpha = attend(tape.const(hv), tape.const(entries), pn)
@@ -184,7 +192,7 @@ class TestIntensity:
         cfg = tiny_config()
         params = zero_params(cfg)
         tape = ad.Tape()
-        pn = ParamNodes.create(tape, params)
+        pn = params.on_tape(tape)
         net = tape.const(np.zeros((cfg.channel_width, cfg.channel_count)))
         lam = intensity(net, 3.7, pn)
         assert lam.value.shape == (cfg.channel_count,)
@@ -198,7 +206,7 @@ class TestIntensity:
             for a in params.arrays():
                 a *= rng.uniform(0.5, 4.0)
             tape = ad.Tape()
-            pn = ParamNodes.create(tape, params)
+            pn = params.on_tape(tape)
             net = tape.const(rng.normal(scale=3.0, size=(cfg.channel_width, 1)))
             lam = intensity(net, float(rng.uniform(0, 100)), pn)
             assert lam.value[0] > 0.0
@@ -207,7 +215,7 @@ class TestIntensity:
         cfg = tiny_config()
         params = ModelParams.init(cfg, seed=0)
         tape = ad.Tape()
-        pn = ParamNodes.create(tape, params)
+        pn = params.on_tape(tape)
         net = tape.const(np.zeros((cfg.channel_width, 2)))
         with pytest.raises(ValueError):
             intensity(net, -0.1, pn)
@@ -221,13 +229,13 @@ class TestIntensity:
 
         def f(dt_arr):
             tape = ad.Tape()
-            pn = ParamNodes.create(tape, params)
+            pn = params.on_tape(tape)
             lam = intensity(tape.const(hv), float(dt_arr[()]), pn)
             return float(lam.value[0])
 
         # route dt through a leaf to differentiate against it
         tape = ad.Tape()
-        pn = ParamNodes.create(tape, params)
+        pn = params.on_tape(tape)
         dt_leaf = tape.leaf(0.8)
         z = ad.concat_rows([tape.const(hv), ad.reshape(dt_leaf, (1, 1))])
         hidden = ad.relu(ad.add_col(ad.matmul(pn.f1_w, z), pn.f1_b))
@@ -246,16 +254,35 @@ class TestForward:
         seq = make_seq([], [], 5.0, cfg.label_count, k=0)
         res = forward(seq, params, cfg)
         assert len(res.rates) == 1
-        assert res.rates[0].value.shape == (cfg.channel_count,)
+        assert res.rates[0].shape == (cfg.channel_count,)
 
     def test_rate_positivity_and_counts(self):
         cfg = tiny_config()
         params = ModelParams.init(cfg, seed=2)
         seq = make_seq([1.0, 4.0], [0, 1], 6.0, cfg.label_count, k=2)
         res = forward(seq, params, cfg)
-        vals = res.rate_values()
+        vals = res.rates
         assert vals.shape == (len(seq) - 1, cfg.channel_count)
         assert np.all(vals > 0)
+
+    def test_kept_result_pins_no_tape_node(self):
+        # a result kept past its tape_scope holds values only: a rate node
+        # (a Node takes no weakref, so its value array, which only the node
+        # holds, stands for it) is freed when the scope exits
+        cfg = tiny_config()
+        params = ModelParams.init(cfg, seed=2)
+        seq = make_seq([1.0, 4.0], [0, 1], 6.0, cfg.label_count, k=2)
+        with ad.tape_scope():
+            res = forward(seq, params, cfg)
+            node = next(n for n in res.tape.nodes() if n.op == "softplus")
+            value = weakref.ref(node.value)
+            del node
+            assert value() is not None
+        assert value() is None
+        assert res.rates.shape == (len(seq) - 1, cfg.channel_count)
+        assert not res.rates.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            res.rates[0, 0] = 1.0
 
     def test_causality_under_suffix_edits(self):
         cfg = tiny_config()
@@ -274,8 +301,8 @@ class TestForward:
             seq2 = make_seq(times, edited_labels, 10.0, cfg.label_count, k=1)
 
             edit_pos = np.flatnonzero((seq.times != seq2.times) | (seq.labels != seq2.labels))[0]
-            r1 = forward(seq, params, cfg).rate_values()
-            r2 = forward(seq2, params, cfg).rate_values()
+            r1 = forward(seq, params, cfg).rates
+            r2 = forward(seq2, params, cfg).rates
             # rates are indexed from token 1; rates[i] is produced before
             # token i+1 is consumed, so indices < edit_pos are unaffected
             assert np.array_equal(r1[:edit_pos], r2[:edit_pos])
@@ -309,7 +336,7 @@ class TestForward:
         # net state must equal tanh(W_c [0, h_k]); probe via a replayed LSTM
         m = cfg.channel_width
         tape = ad.Tape()
-        pn = ParamNodes.create(tape, params)
+        pn = params.on_tape(tape)
         st = (tape.const(np.zeros(cfg.hidden_dim)), tape.const(np.zeros(cfg.hidden_dim)))
         h, _, _ = lstm_step(encode_token(seq.labels[0], seq.times[0], pn, cfg), st, pn)
         dt = seq.times[1] - seq.times[0]
@@ -320,7 +347,7 @@ class TestForward:
         hid = np.maximum(params.f1_w @ z + params.f1_b, 0.0)
         lam = float(np.log1p(np.exp(-abs((params.f2_w @ hid + params.f2_b)[0])))
                     + max((params.f2_w @ hid + params.f2_b)[0], 0.0))
-        assert res.rates[0].value[0] == pytest.approx(lam, rel=1e-12)
+        assert res.rates[0][0] == pytest.approx(lam, rel=1e-12)
 
     def test_forward_matches_per_channel_ops(self):
         # the batched forward must agree, entry for entry, with the model
@@ -338,7 +365,7 @@ class TestForward:
             res = forward(seq, params, cfg)
             rates, attention = forward_by_definition(seq, params, cfg)
 
-            got = res.rate_values()
+            got = res.rates
             assert got.shape == rates.shape
             assert np.all(np.abs(got - rates) <= 1e-12 * np.maximum(1.0, np.abs(rates)))
             assert len(res.attention) == len(attention)
@@ -358,7 +385,7 @@ class TestForward:
         m = cfg.channel_width
         for k in range(cfg.channel_count):
             tape = ad.Tape()
-            pn = ParamNodes.create(tape, params)
+            pn = params.on_tape(tape)
             h_full = tape.leaf(rng.normal(size=cfg.hidden_dim))
             h_t = ad.transpose(ad.reshape(h_full, (cfg.channel_count, m)))
             bank = tape.const(rng.normal(size=(cfg.label_count, m)))
@@ -418,13 +445,13 @@ def test_ll_gradient_three_labels_five_events():
     seq = make_seq([1.0, 2.5, 4.0, 6.5, 8.0], [0, 1, 2, 1, 0], 10.0, 3, k=1)
 
     fwd = forward(seq, params, cfg)
-    _, rate_adj = quadrature_ll_node(seq, fwd.rate_values())
+    _, rate_adj = quadrature_ll_node(seq, fwd.rates)
     grads = backward(seq, params, cfg, fwd.cells, fwd.attention, rate_adj)
     flat = np.concatenate([g.ravel() for g in grads.arrays()])
 
     def f(theta):
         p = ModelParams.from_flat(cfg, theta)
-        return quadrature_ll_node(seq, forward(seq, p, cfg).rate_values())[0]
+        return quadrature_ll_node(seq, forward(seq, p, cfg).rates)[0]
 
     fd = numerical_grad(f, params.flatten())
     assert_grads_close(flat, fd)
@@ -445,12 +472,10 @@ def test_backward_memory_is_flat_in_the_token_count():
         seq = make_seq(times.tolist(), rng.integers(0, 20, events).tolist(), 100.0, 20)
         with ad.tape_scope():
             fwd = forward(seq, params, cfg)
-            cells, attention = fwd.cells, fwd.attention
-            del fwd
         rate_adj = rng.normal(size=(len(seq) - 1, cfg.channel_count))
         tracemalloc.start()
         try:
-            backward(seq, params, cfg, cells, attention, rate_adj)
+            backward(seq, params, cfg, fwd.cells, fwd.attention, rate_adj)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -467,7 +492,7 @@ def test_numpy_head_is_the_tape_head(M, J, K):
     # _net_rows and _rate_head over a whole stream's stacked forward cells
     # and recorded attention, zero at the padding slots, against the tape
     # forward bit for bit: the tape's softplus formula of the head's output
-    # is rate_values() (K=1 and 3 give more than 256 rows)
+    # is forward's rates (K=1 and 3 give more than 256 rows)
     cfg = ModelConfig(label_count=M, memory_depth=J, fake_count=K, time_scale=100.0)
     params = ModelParams.init(cfg, seed=M + 10 * J + 100 * K)
     rng = np.random.default_rng(M + 10 * J + 100 * K)
@@ -475,7 +500,7 @@ def test_numpy_head_is_the_tape_head(M, J, K):
     seq = make_seq(times.tolist(), rng.integers(0, M, 140).tolist(), 100.0, M, k=K)
     with ad.tape_scope():
         fwd = forward(seq, params, cfg)
-        want_rates = fwd.rate_values()
+        want_rates = fwd.rates
     hs = np.array([cell[0] for cell in fwd.cells])
     rows = len(seq) - 1
     slots = np.arange(rows)[:, None] + np.arange(1 - J, 1)

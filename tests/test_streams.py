@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,15 @@ class TestEventStream:
         for label in (1, 1.0, np.int64(1)):
             assert EventStream([Epoch(1.7, label)], 4, 2).labels().tolist() == [1]
 
+    def test_names_the_epoch_of_a_label_that_is_no_number(self):
+        # numpy's int64 cast parses "1" and stops at nan, a numpy inf and None;
+        # each is named by its own epoch, shown by its repr
+        for bad in ("1", np.nan, np.float64(np.inf), None):
+            shown = re.escape(repr(bad))
+            with pytest.raises(EpochError, match=rf"^label {shown} is not an integer$") as got:
+                EventStream([Epoch(1.0, 0), Epoch(2.0, bad)], 4, 2)
+            assert got.value.index == 1
+
     def test_rejects_time_beyond_horizon(self):
         with pytest.raises(ValueError):
             make_stream([11.0], [0], 10.0, 1)
@@ -56,7 +66,8 @@ class TestEventStream:
         """A valid epoch list gives times() and labels() equal to the per-epoch
         arrays, read-only and the same objects on every call; a bad one (times
         NaN, infinite, negative, unordered, repeated or past the horizon, labels
-        fractional, infinite, out of range or beyond int64) raises the per-epoch
+        fractional, infinite, NaN, out of range, beyond int64 or no number at
+        all, such as a string or None) raises the per-epoch
         reference's message with the index of the epoch the reference stops at.
         Integral labels, floats and numpy integers included, load as ints."""
         times = data.draw(st.lists(st.floats(0.0, horizon) | st.sampled_from([0.0, horizon])
@@ -69,7 +80,8 @@ class TestEventStream:
                                     | st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 70])
                                     | st.integers(0, m - 1).map(np.int64)
                                     | st.integers(-1, m).map(float)
-                                    | st.sampled_from([0.5, m - 0.25, -0.5, np.inf, -np.inf]),
+                                    | st.sampled_from([0.5, m - 0.25, -0.5, np.inf, -np.inf])
+                                    | st.sampled_from(["1", None, np.nan]),
                                     min_size=len(times), max_size=len(times)))
         epochs = tuple(map(Epoch, times, labels))
         try:
@@ -203,6 +215,19 @@ class TestLoadSave:
         (tmp_path / "d.meta.json").write_text('{"num_labels": 2, "horizon": 4}')
         with pytest.raises(StreamFormatError, match=r"d\.csv"):
             load_stream(p)
+
+    def test_streams_are_renamed_in_order_of_first_appearance(self, tmp_path):
+        # the file's ids are not kept: the stream whose first row comes first
+        # is s0, whatever its id, and save_stream writes the new names
+        p = tmp_path / "d.csv"
+        p.write_text("stream_id,time,label\nb,2.0,1\na,1.0,0\nb,1.0,0\n")
+        (tmp_path / "d.meta.json").write_text('{"num_labels": 2, "horizon": 4}')
+        ds = load_stream(p)
+        assert ds.stream_ids() == ["s0", "s1"]
+        assert [s.times().tolist() for s in ds.streams] == [[1.0, 2.0], [1.0]]
+        save_stream(ds, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_text().splitlines()[1:] == [
+            "s0,1.0,0", "s0,2.0,1", "s1,1.0,0"]
 
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(42)

@@ -97,7 +97,7 @@ class TestQuadratureLL:
         params = ModelParams.init(cfg, seed=3)
         s = make_stream([1.0, 2.5, 6.0], [0, 1, 0], 8.0, 2)
         seq = augment(s, 2)
-        r = forward(seq, params, cfg).rate_values()
+        r = forward(seq, params, cfg).rates
         value, adj = quadrature_ll_node(seq, r)
 
         expected, grad = 0.0, np.zeros_like(r)
@@ -183,7 +183,7 @@ class TestPredictionLoss:
         params = ModelParams.init(cfg, seed=8)
         s = make_stream([1.0, 4.0], [1, 0], 6.0, 2)
         seq = augment(s, 1)
-        r = forward(seq, params, cfg).rate_values()
+        r = forward(seq, params, cfg).rates
         value, adj = prediction_loss_node(seq, r)
 
         def cross_entropy(r):
@@ -243,7 +243,7 @@ class TestObjective:
         tc = TrainConfig(pred_weight=0.0, l2_weight=0.0)
         fwd = forward(self.seq, self.params, self.cfg)
         assert objective(self.seq, self.params, self.cfg, tc) == pytest.approx(
-            quadrature_ll_node(self.seq, fwd.rate_values())[0], abs=1e-12)
+            quadrature_ll_node(self.seq, fwd.rates)[0], abs=1e-12)
 
     def test_l2_weight_monotonicity(self):
         vals = [objective(self.seq, self.params, self.cfg,
@@ -312,7 +312,7 @@ class TestObjective:
 
     def test_calls_free_their_tapes(self):
         tc = TrainConfig(pred_weight=0.7, l2_weight=0.05)
-        rates = forward(self.seq, self.params, self.cfg).rate_values()
+        rates = forward(self.seq, self.params, self.cfg).rates
         data = Dataset((make_stream([1.0, 3.0], [0, 1], 8.0, 2),))
         calls = (
             lambda: objective_with_grads(self.seq, self.params, self.cfg, tc),
@@ -576,7 +576,7 @@ class TestTrain:
         tc = TrainConfig(epochs=40, seed=2)
         params, _ = train(data, cfg, tc)
         seq = augment(data.streams[0], 1)
-        rates = forward(seq, params, cfg).rate_values()
+        rates = forward(seq, params, cfg).rates
         mean_rate = float(np.mean(rates[:, 0]))
         assert abs(mean_rate - 0.5) < 0.15
 
