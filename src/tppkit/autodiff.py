@@ -12,9 +12,10 @@ each parent its share of ``adj``. A node therefore carries no closure, only
 a reference to its op's rule. Adjoints are computed in fresh per-call buffers
 and never mutated in place; every node sums its adjoint as the walk reaches
 it. The results are added into ``Node.grad``, so repeated ``backward`` calls
-accumulate. The package only records forward graphs (``model.forward``):
-training takes its gradients from ``model.backward`` by hand, and only the
-tests walk a tape, as the slow reference of that backward.
+accumulate. ``add`` and ``mul`` take two nodes of one shape; an array enters
+the tape through ``Tape.const``. The package only records forward graphs
+(``model.forward``): training takes its gradients from ``model.backward`` by
+hand, and only the tests walk a tape, as the slow reference of that backward.
 
 Tape lifetime: every node holds its tape and the tape lists every node, so a
 tape is one large reference cycle. Left alone, the cyclic garbage collector
@@ -81,10 +82,6 @@ class Node:
         if self._grad is None:
             self._grad = np.zeros_like(self.value)
         return self._grad
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
@@ -194,54 +191,36 @@ def backward(tape: Tape, root: Node):
 # elementwise operations
 
 
-def _coerce(tape: Tape, x):
-    if isinstance(x, Node):
-        return x
-    return tape.const(np.asarray(x, dtype=np.float64))
+def _operands(x, y, op: str) -> Tape:
+    """The tape of a binary op on two nodes of one shape and one tape."""
+    if x.__class__ is not Node or y.__class__ is not Node:
+        raise ValueError(f"{op} takes two nodes, got {type(x).__name__} and {type(y).__name__}")
+    tape = x.tape
+    if y.tape is not tape:
+        raise ValueError("operands belong to different tapes")
+    if x.value.shape != y.value.shape:
+        raise ValueError(f"{op}: shape mismatch {x.value.shape} vs {y.value.shape}")
+    return tape
 
-
-def _operands(x, y, op: str):
-    """(tape, x, y) of a binary op: constants wrapped as nodes, tapes and shapes checked."""
-    if x.__class__ is Node and y.__class__ is Node:
-        tape = x.tape
-        if y.tape is not tape:
-            raise ValueError("operands belong to different tapes")
-    else:
-        tape = _same_tape(*(n for n in (x, y) if isinstance(n, Node)))
-        x, y = _coerce(tape, x), _coerce(tape, y)
-    xs, ys = x.value.shape, y.value.shape
-    if xs != ys and xs != () and ys != ():
-        raise ValueError(f"{op}: shape mismatch {xs} vs {ys}")
-    return tape, x, y
-
-
-def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    # undo scalar broadcast in the backward pass
-    if g.shape == shape:
-        return g
-    return np.sum(g).reshape(shape) if shape == () else g
 
 def _add_bw(node: Node, adj: np.ndarray):
     x, y = node.parents
-    _acc(x, _reduce_to(adj, x.value.shape))
-    _acc(y, _reduce_to(adj, y.value.shape))
+    _acc(x, adj)
+    _acc(y, adj)
 
 
-def add(x, y) -> Node:
-    tape, x, y = _operands(x, y, "add")
-    return Node(tape, x.value + y.value, (x, y), "add", _add_bw)
+def add(x: Node, y: Node) -> Node:
+    return Node(_operands(x, y, "add"), x.value + y.value, (x, y), "add", _add_bw)
 
 
 def _mul_bw(node: Node, adj: np.ndarray):
     x, y = node.parents
-    xv, yv = x.value, y.value
-    _acc(x, _reduce_to(adj * yv, xv.shape))
-    _acc(y, _reduce_to(adj * xv, yv.shape))
+    _acc(x, adj * y.value)
+    _acc(y, adj * x.value)
 
 
-def mul(x, y) -> Node:
-    tape, x, y = _operands(x, y, "mul")
-    return Node(tape, x.value * y.value, (x, y), "mul", _mul_bw)
+def mul(x: Node, y: Node) -> Node:
+    return Node(_operands(x, y, "mul"), x.value * y.value, (x, y), "mul", _mul_bw)
 
 
 def _tanh_bw(node: Node, adj: np.ndarray):

@@ -6,12 +6,12 @@ Rates are therefore piecewise constant in time, which makes simulation exact
 (exponential candidates redrawn at every structural change point, valid by
 memorylessness) and the log-likelihood computable in closed form.
 
-The oracle (rate_at, build_trace) reads the rate at t from the strict
+The oracle (build_trace, exact_ll) reads the rate at t from the strict
 history: a parent event at s is active iff s < t <= s + w, compared with the
 same floats s + w at which build_trace breaks. It evaluates every node at
 once from a plan cached per spec (PgemSpec.plan): one running maximum over
 the events per distinct (parent, window) edge gives each edge's latest
-expiry s + w, one binary search of the query times in the event times picks
+expiry s + w, one binary search of the breaks in the event times picks
 the row to read, and one product of the activation matrix with the edges'
 bit weights indexes all rate tables. build_trace builds the (events, edges)
 parent mask once and sorts its breaks once. exact_ll reads its event rates
@@ -40,8 +40,8 @@ from .streams import Dataset, Epoch, EventStream, is_json, read_json_object
 
 __all__ = [
     "NodeSpec", "PgemSpec", "GenConfig", "ChangePointTrace", "sample_spec",
-    "simulate", "simulate_dataset", "exact_ll", "build_trace", "rate_at", "save_spec",
-    "load_spec", "homogeneous_ml_ll", "MAX_EXPECTED_EVENTS",
+    "simulate", "simulate_dataset", "exact_ll", "build_trace", "save_spec", "load_spec",
+    "homogeneous_ml_ll", "MAX_EXPECTED_EVENTS",
 ]
 
 # simulate's budget: at about 150 bytes per event, a stream this long holds
@@ -196,16 +196,6 @@ def _rates(spec: PgemSpec, times: np.ndarray, parents: np.ndarray, q: np.ndarray
     active = ends[times.searchsorted(q)] >= q[:, None]
     index = active.astype(np.float64) @ plan.weights
     return plan.tables[index.astype(np.intp) + plan.offsets]
-
-
-def rate_at(spec: PgemSpec, stream: EventStream, times) -> np.ndarray:
-    """(len(times), M) strict-history rate vectors at the query times (parent
-    events s with s < t <= s + w)."""
-    q = np.asarray(times, dtype=np.float64)
-    if q.ndim != 1:
-        raise ValueError(f"rate_at takes a 1-d array of times, got shape {q.shape}")
-    times, labels = _events(spec, stream)
-    return _rates(spec, times, labels[:, None] == spec.plan.parents, q)
 
 
 def simulate(spec: PgemSpec, horizon: float, seed) -> EventStream:

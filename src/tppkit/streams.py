@@ -225,7 +225,8 @@ def sidecar_path(path) -> Path:
 
 
 def save_stream(dataset: Dataset, path):
-    """Write `stream_id,time,label` CSV plus the metadata sidecar."""
+    """Write `stream_id,time,label` CSV plus the metadata sidecar, which lists
+    the stream ids in order, so a stream with no events is kept."""
     path = Path(path)
     horizons = {s.horizon for s in dataset.streams}
     if len(horizons) != 1:
@@ -240,6 +241,7 @@ def save_stream(dataset: Dataset, path):
     meta = {"num_labels": dataset.label_count, "horizon": horizon}
     if dataset.label_names is not None:
         meta["label_names"] = list(dataset.label_names)
+    meta["stream_ids"] = dataset.stream_ids()
     with open(sidecar_path(path), "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
@@ -247,8 +249,10 @@ def save_stream(dataset: Dataset, path):
 
 def load_stream(path) -> Dataset:
     """Load a CSV of streams with its sidecar; an error names the file and row.
-    The file's stream ids are dropped: the streams, in the order of their ids'
-    first rows, are s0, s1, ... (Dataset.stream_ids)."""
+    The streams come in the order of the sidecar's stream_ids, a listed id
+    with no rows being an empty stream, or, without that list, in the order
+    of their ids' first rows. The file's ids are then dropped: the streams are
+    s0, s1, ... (Dataset.stream_ids)."""
     path = Path(path)
     meta_path = sidecar_path(path)
     if not meta_path.is_file():
@@ -263,8 +267,12 @@ def load_stream(path) -> Dataset:
     label_names = meta.get("label_names")
     if label_names is not None and not isinstance(label_names, list):
         raise StreamFormatError(f"{meta_path}: label_names must be a JSON list")
+    listed = meta.get("stream_ids")
+    if listed is not None and not (isinstance(listed, list) and all(is_json(i, str) for i in listed)
+                                   and len(set(listed)) == len(listed)):
+        raise StreamFormatError(f"{meta_path}: stream_ids must be a JSON list of distinct strings")
 
-    per_stream: dict[str, list] = {}
+    per_stream: dict[str, list] = {} if listed is None else {sid: [] for sid in listed}
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -282,6 +290,9 @@ def load_stream(path) -> Dataset:
                     label = int(label_s)
                 except ValueError as exc:
                     raise StreamFormatError(f"{path}:{lineno}: malformed row") from exc
+                if listed is not None and sid not in per_stream:
+                    raise StreamFormatError(f"{path}:{lineno}: stream {sid} is not in the "
+                                            f"sidecar's stream_ids")
                 per_stream.setdefault(sid, []).append((time, label, lineno))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise StreamFormatError(f"{path}: unreadable CSV ({exc})") from exc

@@ -24,14 +24,14 @@ from tppkit.model import (
     ModelConfig, ModelParams, forward, intensity,
 )
 from tppkit.pgem import (
-    NodeSpec, PgemSpec, exact_ll, homogeneous_ml_ll, rate_at, sample_spec,
-    simulate, simulate_dataset,
+    NodeSpec, PgemSpec, exact_ll, homogeneous_ml_ll, sample_spec, simulate,
+    simulate_dataset,
 )
 from tppkit.streams import Dataset, Epoch, EventStream, augment, split_by_stream, split_by_time
 from tppkit.training import (
     TrainConfig, objective, objective_with_grads, quadrature_ll_node, train,
 )
-from helpers import max_rel_err, numerical_grad
+from helpers import max_rel_err, numerical_grad, pgem_rates_by_definition
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -96,7 +96,8 @@ def test_criterion_3_quadrature_vs_oracle():
         exact = exact_ll(spec, stream)
         seq = augment(stream, 20)
         rates = np.ones((len(seq) - 1, spec.label_count + 1))
-        rates[:, :spec.label_count] = rate_at(spec, stream, seq.times[1:])
+        rates[:, :spec.label_count] = [pgem_rates_by_definition(spec, stream, t)
+                                       for t in seq.times[1:]]
         rel = abs(quadrature_ll_node(seq, rates)[0] - exact) / abs(exact)
         worst_rel = max(worst_rel, rel)
         checked += 1

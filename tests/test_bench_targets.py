@@ -4,7 +4,9 @@ Every name the tracer wraps must exist: a target missing after a refactor
 turns the traced per-layer metrics that depend on it to null. And each
 workload's worker must run one pass of its warm-up shape cleanly: a changed
 constructor or attribute the worker uses would otherwise show only in a
-benchmark run.
+benchmark run. And one traced pass of each workload at the reference seed
+must make the exact counts that bench/reference.json records: the tape
+nodes, tokens, Adam steps, trace segments and oracle events.
 """
 
 import importlib.util
@@ -57,3 +59,21 @@ def test_worker_pass_runs(workload, tmp_path):
     assert codes and all(code == 0 for code in codes.values()), codes
     values = worker.pass_values(shape, tmp_path, codes, lls, len(oracle[1].streams))
     assert None not in values.values(), values
+
+
+@pytest.mark.parametrize("workload", sorted(worker.WORKLOADS))
+def test_exact_counts_match_the_reference(workload, tmp_path):
+    reference = worker.load_reference(workload)
+    shape = worker.WORKLOADS[workload]
+    digest = worker.write_inputs(shape, worker.DEFAULT_SEED, tmp_path)
+    assert digest == {"events": reference["events"], "csv_sha256": reference["csv_sha256"]}
+    oracle = (worker.pgem.load_spec(tmp_path / "spec.json"),
+              worker.streams.load_stream(tmp_path / "data.csv"))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        _, codes, _ = worker.run_pass(shape, tmp_path, oracle)
+    finally:
+        tracer.uninstall()
+    assert all(code == 0 for code in codes.values()), codes
+    assert tracer.counts == reference["counts"]

@@ -398,6 +398,23 @@ class TestSplit:
     def test_missing_data_flag(self, tmp_path):
         assert run(["split", "--out", tmp_path / "s"]) == 1
 
+    def test_time_split_keeps_an_empty_test_stream(self, label_split, capsys):
+        # the second stream has no event after the cut; test.csv keeps it, and
+        # eval scores its -integral term
+        data = label_split / "two.csv"
+        save_stream(Dataset((EventStream((Epoch(1.0, 0), Epoch(8.0, 1)), 10.0, 2),
+                             EventStream((Epoch(2.0, 0),), 10.0, 2))), data)
+        split, out = label_split / "split", label_split / "eval"
+        assert run(["split", "--data", data, "--mode", "time", "--fraction", 0.5,
+                    "--out", split]) == 0
+        assert capsys.readouterr().out.startswith("split: 2 train / 2 test streams")
+        assert run(["eval", "--ckpt", label_split / "model.ckpt", "--data", split / "test.csv",
+                    "--out", out]) == 0
+        rows = [line.split(",") for line in (out / "eval.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[2], r[3]) for r in rows] == [
+            ("s0", "1", "5.0"), ("s1", "0", "5.0"), ("total", "1", "10.0")]
+        assert float(rows[2][1]) == float(rows[0][1]) + float(rows[1][1])
+
     def test_no_stream_left_for_test_exits_1(self, label_split, capsys):
         # the default fraction 0.7 of 3 streams is ceil(2.1) = 3 train streams
         out = label_split / "split"
@@ -423,8 +440,13 @@ class TestSplit:
      "X.meta.json"),
     ('{"num_labels": 2, "horizon": 10, "label_names": ["a", "a"]}', b"s0,1.0,0\n",
      "X.meta.json"),
+    ('{"num_labels": 2, "horizon": 10, "stream_ids": ["s0", "s0"]}', b"s0,1.0,0\n",
+     "X.meta.json"),
+    ('{"num_labels": 2, "horizon": 10, "stream_ids": ["s0"]}', b"s0,1.0,0\ns1,2.0,0\n",
+     "X.csv:3"),
 ], ids=["num-labels-overflow", "horizon-overflow", "horizon-nan", "horizon-negative",
-        "undecodable-csv", "label-names-not-strings", "label-names-repeated"])
+        "undecodable-csv", "label-names-not-strings", "label-names-repeated",
+        "stream-ids-repeated", "stream-id-not-listed"])
 def test_malformed_stream_file_exits_1(tmp_path, capsys, meta, csv_bytes, named):
     data = tmp_path / "X.csv"
     data.write_bytes(b"stream_id,time,label\n" + csv_bytes)

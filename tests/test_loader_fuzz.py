@@ -50,7 +50,7 @@ csv_files = st.builds(
     st.lists(rows, min_size=1, max_size=6), st.just(b"") | st.binary(max_size=16),
 ) | st.binary(max_size=64)
 sidecars = document({"num_labels": st.just(2), "horizon": st.just(50.0),
-                     "label_names": st.just(["a", "b"])})
+                     "label_names": st.just(["a", "b"]), "stream_ids": st.just(["s0", "s1"])})
 
 
 @FUZZ

@@ -391,7 +391,7 @@ class TestForward:
             bank = tape.const(rng.normal(size=(cfg.label_count, m)))
             net, _ = attend(h_t, bank, pn)
             lam = intensity(net, 0.7, pn)
-            ad.backward(tape, ad.vsum(ad.mul(lam, np.eye(cfg.channel_count)[k])))
+            ad.backward(tape, ad.vsum(ad.mul(lam, tape.const(np.eye(cfg.channel_count)[k]))))
             grad = h_full.grad
             mask = np.zeros(cfg.hidden_dim, dtype=bool)
             mask[k * m:(k + 1) * m] = True

@@ -14,12 +14,17 @@ from hypothesis import given, settings, strategies as st
 import tppkit.pgem as pgem
 from tppkit.pgem import (
     ChangePointTrace, GenConfig, NodeSpec, PgemSpec, build_trace, exact_ll,
-    homogeneous_ml_ll, load_spec, rate_at, sample_spec, save_spec, simulate,
-    simulate_dataset,
+    homogeneous_ml_ll, load_spec, sample_spec, save_spec, simulate, simulate_dataset,
 )
 from tppkit.streams import Epoch, EventStream, save_stream
 
 from helpers import pgem_ll_by_definition, pgem_rates_by_definition, simulate_by_definition
+
+
+def rates_by_definition(spec, stream, queries):
+    """(len(queries), M): the definition's rate vector at each query."""
+    rows = [pgem_rates_by_definition(spec, stream, q) for q in queries]
+    return np.array(rows).reshape(len(rows), spec.label_count)
 
 
 def poisson_spec(rate=0.1):
@@ -229,7 +234,7 @@ class TestBuildTrace:
             spec = sample_spec(3, seed=seed)
             s = simulate(spec, 150.0, seed=seed + 7)
             trace = build_trace(spec, s)
-            at_events = rate_at(spec, s, s.times())[np.arange(len(s)), s.labels()]
+            at_events = rates_by_definition(spec, s, s.times())[np.arange(len(s)), s.labels()]
             log_sum = float(np.sum(np.log(at_events)))
             assert abs((log_sum - trace.integral()) - exact_ll(spec, s)) < 1e-9
 
@@ -257,12 +262,12 @@ class TestExactLL:
         spec = chain_spec()
         s = simulate(spec, 300.0, seed=3)
         exact = exact_ll(spec, s)
-        at_events = rate_at(spec, s, s.times())[np.arange(len(s)), s.labels()]
+        at_events = rates_by_definition(spec, s, s.times())[np.arange(len(s)), s.labels()]
         log_sum = float(np.sum(np.log(at_events)))
         errs = []
         for n_grid in (50, 200, 800, 3200):
             grid = np.linspace(0.0, 300.0, n_grid + 1)
-            integral = float(np.diff(grid) @ rate_at(spec, s, grid[1:]).sum(axis=1))
+            integral = float(np.diff(grid) @ rates_by_definition(spec, s, grid[1:]).sum(axis=1))
             errs.append(abs((log_sum - integral) - exact))
         assert errs[-1] < errs[0]
         assert errs[-1] < 0.05 * abs(exact)
@@ -270,7 +275,7 @@ class TestExactLL:
         # a grid containing every change point is exact
         breaks = build_trace(spec, s).breaks
         mids = 0.5 * (breaks[:-1] + breaks[1:])
-        integral = float(np.diff(breaks) @ rate_at(spec, s, mids).sum(axis=1))
+        integral = float(np.diff(breaks) @ rates_by_definition(spec, s, mids).sum(axis=1))
         assert abs((log_sum - integral) - exact) < 1e-6
 
     def test_homogeneous_fit_needs_a_positive_horizon(self):
@@ -285,8 +290,8 @@ class TestExactLL:
 
 
 class TestAgainstDefinition:
-    """rate_at, build_trace and exact_ll against the window rule written out
-    event by event (tests/helpers.py)."""
+    """build_trace and exact_ll, and the rates they read at given times, against
+    the window rule written out event by event (tests/helpers.py)."""
 
     CASES = [(1, 0, 1000.0), (2, 1, 500.0), (3, 2, 400.0), (5, 3, 300.0),
              (5, 4, 300.0), (8, 5, 150.0), (20, 6, 80.0), (20, 7, 100.0)]
@@ -299,18 +304,19 @@ class TestAgainstDefinition:
 
     @pytest.mark.parametrize("labels, seed, horizon", CASES)
     def test_rate_at(self, labels, seed, horizon):
+        # the rate at q in (0, T] is that of the trace segment (breaks[i-1],
+        # breaks[i]] holding q, i = breaks.searchsorted(q), where exact_ll reads
+        # its event rates; the queries land on events and on their expiries s + w
         spec, s = self._stream(labels, seed, horizon)
         assert len(s) > 50
-        queries = [0.0, horizon] + np.random.default_rng(seed).uniform(0, horizon, 20).tolist()
+        queries = [horizon] + np.random.default_rng(seed).uniform(0, horizon, 20).tolist()
         for e in s.epochs[:30]:
             queries.append(e.time)
             queries += [e.time + w for w in self.WINDOWS]
-        got = rate_at(spec, s, queries)
-        assert got.shape == (len(queries), labels)
-        for q, rates in zip(queries, got):
+        trace = build_trace(spec, s)
+        for q in queries:
+            rates = trace.rates[trace.breaks.searchsorted(q) - 1]
             assert np.array_equal(rates, pgem_rates_by_definition(spec, s, q))
-        with pytest.raises(ValueError, match="1-d"):
-            rate_at(spec, s, queries[0])
 
     @pytest.mark.parametrize("labels, seed, horizon", CASES)
     def test_build_trace_and_exact_ll(self, labels, seed, horizon):
@@ -326,11 +332,8 @@ class TestAgainstDefinition:
         spec = chain_spec(window=2.0)
         s = EventStream((Epoch(1.0, 0), Epoch(3.0, 1)), 5.0, 2)
         queries = (1.0, 2.0, 3.0, math.nextafter(3.0, 4.0))
-        for q, active, rates in zip(queries, (False, True, True, False),
-                                    rate_at(spec, s, queries)):
-            want = 0.2 if active else 0.001
-            assert rates[1] == want
-            assert pgem_rates_by_definition(spec, s, q)[1] == want
+        for q, active in zip(queries, (False, True, True, False)):
+            assert pgem_rates_by_definition(spec, s, q)[1] == (0.2 if active else 0.001)
         # the child event at exactly q = s + w sees its parent
         expected = math.log(0.05) + math.log(0.2) - 0.05 * 5.0 - (0.001 * 3.0 + 0.2 * 2.0)
         assert exact_ll(spec, s) == pytest.approx(expected, rel=1e-12)
@@ -355,10 +358,9 @@ class TestAgainstDefinition:
     def test_event_at_inexact_expiry_reads_the_trace(self):
         # parent at p = 0.1, window w = 0.2: q = p + w rounds so that q - w > p,
         # and a test q - w <= p would find the parent inactive at q. The
-        # trace's break at q ends the active segment there; rate_at and the
-        # definition compare q with the same float p + w, so they read that
-        # segment, and exact_ll reads the child's log term off it, as its
-        # integral does.
+        # trace's break at q ends the active segment there; the definition
+        # compares q with the same float p + w, so it reads that segment, and
+        # exact_ll reads the child's log term off it, as its integral does.
         p, w = 0.1, 0.2
         q = p + w
         assert q - w > p
@@ -367,7 +369,6 @@ class TestAgainstDefinition:
         trace = build_trace(spec, s)
         assert trace.breaks.tolist() == [0.0, p, q, 1.0]
         assert trace.rates[:, 1].tolist() == [0.001, 0.2, 0.001]
-        assert rate_at(spec, s, [q])[0, 1] == 0.2
         assert pgem_rates_by_definition(spec, s, q)[1] == 0.2
         integral = 0.05 * 1.0 + 0.001 * (1.0 - (q - p)) + 0.2 * (q - p)
         expected = math.log(0.05) + math.log(0.2) - integral
@@ -378,7 +379,7 @@ class TestAgainstDefinition:
         # the segment (1, b] between two adjacent floats has its midpoint
         # rounded onto 1.0, where the parent is not yet active; the trace
         # reads the rates at the segment's end, so the child at b sees its
-        # parent, as rate_at and the definition do
+        # parent, as the definition does
         b = math.nextafter(1.0, 2.0)
         assert 0.5 * (1.0 + b) == 1.0
         spec = chain_spec(window=2.0)
@@ -386,7 +387,6 @@ class TestAgainstDefinition:
         trace = build_trace(spec, s)
         assert trace.breaks.tolist() == [0.0, 1.0, b, 3.0, 5.0]
         assert trace.rates[:, 1].tolist() == [0.001, 0.2, 0.2, 0.001]
-        assert rate_at(spec, s, [b])[0, 1] == 0.2
         want = pgem_ll_by_definition(spec, s)
         assert abs(exact_ll(spec, s) - want) <= 1e-12 * abs(want)
 
@@ -396,10 +396,6 @@ class TestLabelCountMismatch:
     no node reads; the oracle rejects it rather than drop them."""
 
     STREAM = EventStream((Epoch(1.0, 0), Epoch(2.0, 2)), 5.0, 3)
-
-    def test_rate_at(self):
-        with pytest.raises(ValueError, match="label_count"):
-            rate_at(chain_spec(), self.STREAM, [1.5])
 
     def test_build_trace(self):
         with pytest.raises(ValueError, match="label_count"):
@@ -445,10 +441,11 @@ class TestPinned:
 
 
 class TestPinnedBits:
-    """build_trace, rate_at (at the breaks and the segment midpoints) and exact_ll
-    on three simulated streams per label count, and the CSV that save_stream
-    writes for them, bit for bit as recorded when times() and labels() still
-    built a new array from the epochs on every call."""
+    """build_trace, the rates at the breaks and the segment midpoints (once
+    pgem.rate_at's, now the definition's) and exact_ll on three simulated
+    streams per label count, and the CSV that save_stream writes for them, bit
+    for bit as recorded when times() and labels() still built a new array from
+    the epochs on every call."""
 
     @pytest.mark.parametrize("labels, horizon, oracle_digest, csv_digest", [
         (1, 3000.0, "519c04cbcd2d47595c67ac96f8cc98db81b8d18f2242b487532aad8a080e2a9d",
@@ -468,7 +465,7 @@ class TestPinnedBits:
             trace = build_trace(spec, s)
             mids = 0.5 * (trace.breaks[:-1] + trace.breaks[1:])
             h.update(trace.breaks.tobytes() + trace.rates.tobytes())
-            h.update(rate_at(spec, s, np.concatenate([trace.breaks, mids])).tobytes())
+            h.update(rates_by_definition(spec, s, np.concatenate([trace.breaks, mids])).tobytes())
             h.update(struct.pack("<d", exact_ll(spec, s)))
         assert h.hexdigest() == oracle_digest
         save_stream(data, tmp_path / "d.csv")
@@ -517,14 +514,10 @@ def spec_and_stream(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=spec_and_stream())
 def test_oracle_matches_definition(case):
-    """rate_at and build_trace bit for bit, exact_ll within 1e-12, against the
-    window rule written out event by event."""
+    """build_trace bit for bit, exact_ll within 1e-12, against the window rule
+    written out event by event."""
     spec, s = case
     trace = build_trace(spec, s)
-    mids = 0.5 * (trace.breaks[:-1] + trace.breaks[1:])
-    queries = np.concatenate([trace.breaks, mids])
-    for q, rates in zip(queries, rate_at(spec, s, queries)):
-        assert np.array_equal(rates, pgem_rates_by_definition(spec, s, q))
     for q, rates in zip(trace.breaks[1:], trace.rates):
         assert np.array_equal(rates, pgem_rates_by_definition(spec, s, q))
     want = pgem_ll_by_definition(spec, s)
@@ -547,7 +540,7 @@ def assert_simulates_as_definition(spec, horizon, seed):
                    "than the oracle's s < q <= fl(s + w)")
 @pytest.mark.parametrize("labels", [3, 5])
 def test_simulated_rates_are_the_oracle_rates(labels):
-    """Each step of the simulator draws at rate_at's rates for the interval up to
+    """Each step of the simulator draws at the oracle's rates for the interval up to
     the next step (or the horizon): the process exact_ll scores. The steps are
     replayed from simulate_by_definition, which simulate matches bit for bit."""
     spec = sample_spec(labels, seed=0)
@@ -557,7 +550,7 @@ def test_simulated_rates_are_the_oracle_rates(labels):
         starts = np.array([t for t, _ in steps])
         ends = np.append(starts[1:], s.horizon)
         used = ends > starts  # a step at the time of the next one holds for no time
-        want = rate_at(spec, s, ends[used])
+        want = rates_by_definition(spec, s, ends[used])
         assert np.array_equal(np.array([r for _, r in steps])[used], want)
 
 

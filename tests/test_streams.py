@@ -197,6 +197,10 @@ class TestLoadSave:
         pytest.param('{"num_labels": 2, "horizon": true}', id="horizon-bool"),
         pytest.param('{"num_labels": 2, "horizon": null}', id="horizon-null"),
         pytest.param('[2, 4]', id="not-an-object"),
+        pytest.param('{"num_labels": 2, "horizon": 4, "stream_ids": "s0"}', id="ids-not-a-list"),
+        pytest.param('{"num_labels": 2, "horizon": 4, "stream_ids": [0]}', id="ids-not-strings"),
+        pytest.param('{"num_labels": 2, "horizon": 4, "stream_ids": ["s0", "s0"]}',
+                     id="ids-repeated"),
     ])
     def test_bad_sidecar_names_file(self, tmp_path, meta):
         p = tmp_path / "d.csv"
@@ -228,6 +232,34 @@ class TestLoadSave:
         save_stream(ds, tmp_path / "out.csv")
         assert (tmp_path / "out.csv").read_text().splitlines()[1:] == [
             "s0,1.0,0", "s0,2.0,1", "s1,1.0,0"]
+
+    def test_empty_streams_survive_a_round_trip(self, tmp_path):
+        # the CSV has no row for a stream without events; the sidecar's
+        # stream_ids keep it, in its place
+        empty = make_stream([], [], 4.0, 2)
+        ds = Dataset((empty, make_stream([1.5], [1], 4.0, 2), empty))
+        save_stream(ds, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_text().splitlines() == ["stream_id,time,label", "s1,1.5,1"]
+        back = load_stream(tmp_path / "d.csv")
+        assert [s.times().tolist() for s in back.streams] == [[], [1.5], []]
+        assert [s.horizon for s in back.streams] == [4.0] * 3
+
+    def test_listed_ids_order_the_streams(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("stream_id,time,label\na,1.0,0\nb,2.0,1\n")
+        (tmp_path / "d.meta.json").write_text(
+            '{"num_labels": 2, "horizon": 4, "stream_ids": ["c", "b", "a"]}')
+        ds = load_stream(p)
+        assert [s.times().tolist() for s in ds.streams] == [[], [2.0], [1.0]]
+
+    def test_row_of_an_unlisted_stream_names_its_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("stream_id,time,label\ns0,1.0,0\ns2,2.0,1\n")
+        (tmp_path / "d.meta.json").write_text(
+            '{"num_labels": 2, "horizon": 4, "stream_ids": ["s0", "s1"]}')
+        with pytest.raises(StreamFormatError,
+                           match=r"d\.csv:3: stream s2 is not in the sidecar's stream_ids$"):
+            load_stream(p)
 
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(42)

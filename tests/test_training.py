@@ -12,7 +12,7 @@ import pytest
 
 from tppkit import training
 from tppkit.model import ModelConfig, ModelParams, forward
-from tppkit.pgem import exact_ll, rate_at, sample_spec, simulate
+from tppkit.pgem import exact_ll, sample_spec, simulate
 from tppkit.streams import Dataset, Epoch, EventStream, augment
 from tppkit.training import (
     TrainConfig, TrainingError, _checked_ll, _objective, dataset_ll, objective,
@@ -21,7 +21,8 @@ from tppkit.training import (
 )
 from helpers import (
     assert_frees_its_tapes, assert_frees_its_tapes_before_gc_resumes, assert_grads_close,
-    numerical_grad, objective_with_grads_on_tape, rate_adjoint_by_definition,
+    numerical_grad, objective_with_grads_on_tape, pgem_rates_by_definition,
+    rate_adjoint_by_definition,
 )
 
 
@@ -71,7 +72,7 @@ class TestQuadratureLL:
             for k in (1, 5, 20):
                 seq = augment(stream, k)
                 rates = np.ones((len(seq) - 1, 4))
-                rates[:, :3] = rate_at(spec, stream, seq.times[1:])
+                rates[:, :3] = [pgem_rates_by_definition(spec, stream, t) for t in seq.times[1:]]
                 errs.append(abs(quadrature_ll_node(seq, rates)[0] - exact))
             assert errs[-1] <= errs[0] + 1e-9
             assert errs[-1] < 0.01 * abs(exact)
